@@ -14,51 +14,41 @@ from pathlib import Path
 import numpy as np
 
 from rcpq import (
-    ClipSearchConfig,
     GemvTask,
     GroupLayout,
     bench_gemv,
-    build_lut,
     dense_oracle,
     fake_quant,
-    fuse,
     gemv_fast,
     gemv_ref,
-    grid_search_clip,
-    ldp_init,
     make_rng,
     pack_activation_codes,
     pack_weight_codes,
     quant_act_per_token,
-    randomized_hadamard,
+    quantize_layer,
     read_rcpq,
     write_rcpq,
 )
-from rcpq.rotation import apply_online
+from rcpq.pipeline import rotate
 
 rng = make_rng(0)
 H, C, G = 64, 256, 64
 layout = GroupLayout(H, C, G)
 
-print("=== 1. Rotate and clip-search ===")
+print("=== 1. Rotate, clip-search, partition, pack ===")
 w = rng.standard_normal((H, C)).astype(np.float32)
 x = rng.standard_normal((128, C)).astype(np.float32)
-rot = randomized_hadamard(C, seed=7)
-w_r = fuse(w, None, rot)
-x_r = apply_online(x, rot)
-search = grid_search_clip(w_r, x_r, layout, ClipSearchConfig(grid=16))
+search, params, lut, packed = quantize_layer(w, x, layout, rotate_seed=7, grid=16)
 print(f"searched {layout.out_channels * layout.num_groups} groups; "
       f"mean kept range: lo {search.ratio_lo.mean():.3f}, hi {search.ratio_hi.mean():.3f}")
 print(f"mean objective {search.objective.mean():.4f} vs no-clip {search.no_clip_objective.mean():.4f}")
 
 print()
-print("=== 2. Partition, pack, serialize ===")
-params = ldp_init(search)
-codes, w_hat = fake_quant(layout.grouped(w_r.astype(np.float64)), params)
-lut = build_lut(w_r, layout, params)
-packed = pack_weight_codes(codes.reshape(H, C), layout)
-print(f"fake-quant error |w - w_hat| mean: "
-      f"{np.abs(layout.grouped(w_r.astype(np.float64)) - w_hat).mean():.4f}")
+print("=== 2. Fake-quant error, serialize ===")
+w_r, x_r = rotate(w, x, seed=7)
+w_grouped = layout.grouped(w_r.astype(np.float64))
+_, w_hat = fake_quant(w_grouped, params)
+print(f"fake-quant error |w - w_hat| mean: {np.abs(w_grouped - w_hat).mean():.4f}")
 print(f"packed weights: {packed.data.nbytes} B, LUT: {lut.table.nbytes} B "
       f"({8 * (packed.data.nbytes + lut.table.nbytes) / (H * C):.2f} bits/weight)")
 

@@ -43,8 +43,9 @@ from .pack import (
     unpack_weight_codes,
     write_rcpq,
 )
+from .pipeline import quantize_layer
 from .qat import DistillConfig, ToyModelSpec, cakld, estimate_alpha, grad_check, invariance_check, train_toy
-from .rotation import RotationSet, apply_online, fuse, hadamard, randomized_hadamard
+from .rotation import apply_online, fuse, hadamard, randomized_hadamard
 from .stats import excess_kurtosis, groupwise_kurtosis, qerr_vs_kurt, rotation_kurtosis_mc
 from .uniform import ActQuantConfig, KvQuantConfig, quant_act_per_token, quant_asym, quant_kv_group
 

@@ -17,21 +17,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .calib import ClipSearchConfig, clipped_uniform_quantizer, grid_search_clip, ldp_init
+from .calib import ClipSearchConfig, clipped_uniform_quantizer
 from .core import GroupLayout, load_npy, make_rng
 from .errors import RcpqError
 from .gemv import GemvTask, bench_gemv, dense_oracle, gemv_fast, gemv_ref, random_activation
-from .ldp import fake_quant
-from .pack import (
-    build_lut,
-    pack_activation_codes,
-    pack_weight_codes,
-    read_rcpq,
-    unpack_weight_codes,
-    write_rcpq,
-)
+from .pack import pack_activation_codes, read_rcpq, unpack_weight_codes, write_rcpq
+from .pipeline import encode, quantize_layer, rotate
 from .qat import DistillConfig, ToyModelSpec, train_toy
-from .rotation import apply_online, fuse, randomized_hadamard
+from .rotation import fuse, randomized_hadamard
 from .stats import analytic_kurtosis, groupwise_kurtosis, qerr_vs_kurt, rotation_kurtosis_mc
 from .uniform import quant_act_per_token
 
@@ -65,12 +58,6 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
     return {"tool": "rcpq", "version": __version__, "command": command, "config": config}
 
 
-def _maybe_rotation(seed: int | None, channels: int) -> np.ndarray:
-    if seed is None:
-        return np.eye(channels)
-    return randomized_hadamard(channels, seed)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -87,8 +74,10 @@ def _cmd_stats(args) -> int:
     print(f"groups: {layout.out_channels}x{layout.num_groups} (G={layout.group_size})")
     print(f"mean group kurtosis: {kr.per_group.mean():+.4f}  platykurtic: {kr.platykurtic_fraction:.1%}")
 
-    rot = _maybe_rotation(args.rotate, layout.in_channels)
-    if args.rotate is not None:
+    if args.rotate is None:
+        rot = np.eye(layout.in_channels)
+    else:
+        rot = randomized_hadamard(layout.in_channels, args.rotate)
         kr_rot = groupwise_kurtosis(fuse(w, None, rot), layout)
         report["kurtosis_rotated"] = {
             "mean": float(kr_rot.per_group.mean()),
@@ -136,23 +125,6 @@ def _cmd_lemma1(args) -> int:
     return 0
 
 
-def _quantize_pipeline(w, x, layout, rotate_seed, grid):
-    rot = _maybe_rotation(rotate_seed, layout.in_channels)
-    w_r = fuse(w, None, rot) if rotate_seed is not None else w
-    x_r = apply_online(x, rot) if rotate_seed is not None else x
-    search = grid_search_clip(w_r, x_r, layout, ClipSearchConfig(grid=grid))
-    params = ldp_init(search)
-    # Narrow logits through the container's float32 storage before deriving
-    # codes, so verification from the stored params reproduces them exactly.
-    for name in ("lo_logit", "hi_logit", "split1", "split2"):
-        arr = getattr(params, name)
-        setattr(params, name, arr.astype(np.float32).astype(np.float64))
-    codes, _ = fake_quant(layout.grouped(np.asarray(w_r, dtype=np.float64)), params)
-    lut = build_lut(w_r, layout, params)
-    packed = pack_weight_codes(codes.reshape(w_r.shape), layout)
-    return w_r, x_r, search, params, codes, lut, packed
-
-
 def _cmd_quantize(args) -> int:
     if args.bits != 2 or args.scheme != "ldp":
         raise RcpqError("packed pipeline supports --bits 2 --scheme ldp only")
@@ -162,9 +134,7 @@ def _cmd_quantize(args) -> int:
     if x.shape[1] != layout.in_channels:
         raise RcpqError(f"calib activations {x.shape} do not match weights {w.shape}")
     t0 = time.perf_counter()
-    _, _, search, params, _, lut, packed = _quantize_pipeline(
-        w, x, layout, args.rotate, args.grid
-    )
+    search, params, lut, packed = quantize_layer(w, x, layout, args.rotate, args.grid)
     write_rcpq(args.out, packed, lut, params)
     elapsed = time.perf_counter() - t0
     weight_bytes = packed.data.nbytes
@@ -203,18 +173,14 @@ def _cmd_verify(args) -> int:
     if container.params is None:
         raise RcpqError("container has no parameter section; cannot re-derive codes")
 
-    rot = _maybe_rotation(args.rotate, layout.in_channels)
-    w_r = fuse(w, None, rot) if args.rotate is not None else w
-    x_r = apply_online(x, rot) if args.rotate is not None else x
-
-    codes, _ = fake_quant(layout.grouped(np.asarray(w_r, dtype=np.float64)), container.params)
+    w_r, x_r = rotate(w, x, args.rotate)
+    codes, lut = encode(w_r, layout, container.params)
     stored = unpack_weight_codes(container.weights).reshape(codes.shape)
     if not np.array_equal(codes, stored):
         h, n, g = map(int, np.argwhere(codes != stored)[0])
         print(f"FAIL: stored codes diverge from recomputed at (h={h}, g={n}, col={n * layout.group_size + g})")
         return FAILURE_EXIT
 
-    lut = build_lut(w_r, layout, container.params)
     if not np.array_equal(lut.table, container.lut.table):
         h, n = map(int, np.argwhere((lut.table != container.lut.table).any(axis=-1))[0])
         print(f"FAIL: LUT mismatch at (h={h}, g={n})")

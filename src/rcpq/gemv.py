@@ -7,14 +7,11 @@ transparency:
   float64 - the brute-force ground truth.
 * ``gemv_ref`` walks input channels in ascending order with one float32
   accumulator per output row - the scalar reference semantics.
-* ``gemv_fast`` processes output rows in tiles split into two chunks,
-  buffering the second chunk's packed bytes before the first is computed
-  (the CPU stand-in for overlapping loads with compute), decodes by
-  bucketing activations per 2-bit code so each group costs four
-  multiply-adds instead of a gather per element, and reduces per-group
-  partials with a fixed binary tree. Outputs are bit-identical across runs
-  and across tile sizes because every row is computed from row-local data
-  in a fixed order.
+* ``gemv_fast`` processes output rows in tiles, decodes by bucketing
+  activations per 2-bit code so each group costs four multiply-adds
+  instead of a gather per element, and reduces per-group partials with a
+  fixed binary tree. Outputs are bit-identical across runs and across tile
+  sizes because every row is computed from row-local data in a fixed order.
 
 Integer accumulation is impossible for non-uniform level grids (there is no
 shared scale to factor out), so everything accumulates in floating point:
@@ -94,10 +91,10 @@ def _tree_sum(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
 
 
-def _half_tile(
+def _decode_rows(
     packed_rows: np.ndarray, lut_rows: np.ndarray, xv: np.ndarray, layout: GroupLayout
 ) -> np.ndarray:
-    """Decode-and-accumulate one chunk of output rows; float32 throughout."""
+    """Decode-and-accumulate one tile of output rows; float32 throughout."""
     codes = unpack_weight_codes(PackedWeights(packed_rows, layout))
     rows = codes.shape[0]
     partial = np.zeros((rows, layout.num_groups), dtype=np.float32)
@@ -112,9 +109,8 @@ def _half_tile(
 def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
     """Blocked fast path; equals ``gemv_ref`` within 1e-5 relative.
 
-    ``tile`` rows are handled per step, split into two chunks: the second
-    chunk's packed bytes are staged into a local buffer before the first
-    chunk is decoded and accumulated, then the buffered chunk is computed.
+    ``tile`` rows are decoded and accumulated per step, which bounds the
+    float32 scratch buffers at ``tile x C``.
     """
     if tile < 2 or (tile & (tile - 1)) != 0:
         raise ConfigError(f"tile must be a power of two >= 2, got {tile}")
@@ -122,15 +118,9 @@ def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
     xv = _decoded_activations(task)
     lut32 = task.lut.table.astype(np.float32)
     out = np.empty(lay.out_channels, dtype=np.float32)
-    half = tile // 2
     for start in range(0, lay.out_channels, tile):
         stop = min(start + tile, lay.out_channels)
-        mid = min(start + half, stop)
-        # Stage the second chunk before computing the first.
-        staged = task.weights.data[mid:stop].copy()
-        out[start:mid] = _half_tile(task.weights.data[start:mid], lut32[start:mid], xv, lay)
-        if mid < stop:
-            out[mid:stop] = _half_tile(staged, lut32[mid:stop], xv, lay)
+        out[start:stop] = _decode_rows(task.weights.data[start:stop], lut32[start:stop], xv, lay)
     return out
 
 

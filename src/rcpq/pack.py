@@ -45,6 +45,7 @@ __all__ = [
     "pack_activation_codes",
     "unpack_activation_codes",
     "build_lut",
+    "stored_params",
     "write_rcpq",
     "read_rcpq",
 ]
@@ -140,6 +141,33 @@ def build_lut(w: np.ndarray, layout: GroupLayout, params: LdpParams) -> DequantL
     return DequantLut(table=table.astype(np.float16))
 
 
+def _params_to_raw(params: LdpParams) -> np.ndarray:
+    """Params section payload: (H, N, 4) float32 in the documented field order."""
+    return np.stack(
+        [params.lo_logit, params.hi_logit, params.split1, params.split2], axis=-1
+    ).astype("<f4")
+
+
+def _params_from_raw(raw: np.ndarray) -> LdpParams:
+    return LdpParams(
+        lo_logit=raw[..., 0].astype(np.float64),
+        hi_logit=raw[..., 1].astype(np.float64),
+        split1=raw[..., 2].astype(np.float64),
+        split2=raw[..., 3].astype(np.float64),
+    )
+
+
+def stored_params(params: LdpParams) -> LdpParams:
+    """``params`` as ``write_rcpq`` stores them and ``read_rcpq`` returns them.
+
+    The params section holds float32 logits. Codes and a LUT derived from
+    these rounded values are the ones a reader re-derives from the container;
+    derived from the float64 originals they can differ in a group whose
+    threshold or endpoint moves by the rounding.
+    """
+    return _params_from_raw(_params_to_raw(params))
+
+
 def write_rcpq(
     path,
     pw: PackedWeights,
@@ -154,10 +182,7 @@ def write_rcpq(
     ]
     flags = 0
     if params is not None:
-        raw = np.stack(
-            [params.lo_logit, params.hi_logit, params.split1, params.split2], axis=-1
-        ).astype("<f4")
-        sections.append((_TAG_PARAMS, raw.tobytes()))
+        sections.append((_TAG_PARAMS, _params_to_raw(params).tobytes()))
         flags |= 1
 
     header_len = _HEADER.size + _SECTION.size * len(sections)
@@ -228,11 +253,5 @@ def read_rcpq(path) -> RcpqContainer:
         expect_p = h * n * 4 * 4
         if _TAG_PARAMS not in sections or len(sections[_TAG_PARAMS]) != expect_p:
             raise DataError(f"{path}: params section missing or wrong size")
-        raw = np.frombuffer(sections[_TAG_PARAMS], dtype="<f4").reshape(h, n, 4)
-        params = LdpParams(
-            lo_logit=raw[..., 0].astype(np.float64),
-            hi_logit=raw[..., 1].astype(np.float64),
-            split1=raw[..., 2].astype(np.float64),
-            split2=raw[..., 3].astype(np.float64),
-        )
+        params = _params_from_raw(np.frombuffer(sections[_TAG_PARAMS], dtype="<f4").reshape(h, n, 4))
     return RcpqContainer(weights=pw, lut=lut, params=params)

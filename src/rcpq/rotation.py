@@ -12,8 +12,6 @@ activations online leaves layer outputs unchanged to ~1e-9 relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .core import make_rng
@@ -24,8 +22,6 @@ __all__ = [
     "randomized_hadamard",
     "fuse",
     "apply_online",
-    "is_orthogonal",
-    "RotationSet",
 ]
 
 
@@ -91,32 +87,3 @@ def apply_online(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ShapeError(f"activation {x.shape} does not match rotation {r.shape}")
     return (x @ r.astype(x.dtype)).astype(x.dtype)
 
-
-def is_orthogonal(r: np.ndarray, tol: float = 1e-6) -> bool:
-    r = np.asarray(r, dtype=np.float64)
-    eye = np.eye(r.shape[0])
-    return bool(np.max(np.abs(r @ r.T - eye)) < tol)
-
-
-@dataclass
-class RotationSet:
-    """Rotations keyed to their fusion sites in a decoder layer.
-
-    The residual-stream rotation (``residual``) is fused into adjacent
-    weights; ``value``/``attn_out`` are the two factors of the attention
-    intermediate rotation and may be identical or independent matrices (both
-    usages are valid, callers choose); ``qk`` and ``ffn`` are applied online.
-    Every present member must be orthogonal.
-    """
-
-    residual: np.ndarray | None = None
-    value: np.ndarray | None = None
-    attn_out: np.ndarray | None = None
-    qk: np.ndarray | None = None
-    ffn: np.ndarray | None = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            r = getattr(self, f.name)
-            if r is not None and not is_orthogonal(r):
-                raise ConfigError(f"rotation '{f.name}' is not orthogonal within 1e-6")

@@ -5,8 +5,22 @@ import json
 import numpy as np
 import pytest
 
+from rcpq import (
+    ClipSearchConfig,
+    GroupLayout,
+    build_lut,
+    fake_quant,
+    fuse,
+    grid_search_clip,
+    ldp_init,
+    pack_weight_codes,
+    quantize_layer,
+    randomized_hadamard,
+    write_rcpq,
+)
 from rcpq.cli import main
-from rcpq.core import make_rng, save_npy
+from rcpq.core import load_npy, make_rng, save_npy
+from rcpq.rotation import apply_online
 
 
 @pytest.fixture
@@ -144,6 +158,57 @@ class TestQuantizeVerifyBench:
         rep = json.loads(out.read_text())
         assert rep["fast_ns_per_call"] > 0
         assert rep["oracle_gap"] <= 1e-5
+
+
+@pytest.fixture
+def laplace_files(tmp_path):
+    # On this input, codes and LUT derived from the unrounded float64 logits
+    # give a LUT that verify rejects at (h=51, g=0).
+    rng = make_rng(2)
+    w = rng.laplace(0, 0.02, size=(64, 256)).astype(np.float32)
+    x = rng.standard_normal((128, 256)).astype(np.float32)
+    wp = tmp_path / "w.npy"
+    xp = tmp_path / "x.npy"
+    save_npy(w, wp)
+    save_npy(x, xp)
+    return wp, xp
+
+
+class TestQuantizePipeline:
+    def test_quantize_matches_public_call_sequence(self, laplace_files, tmp_path):
+        # The sequence a caller of the public API (and the benchmark's
+        # traced replay) writes out; the command must produce the same bytes.
+        wp, xp = laplace_files
+        box = tmp_path / "cli.rcpq"
+        code = main([
+            "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "64",
+            "--rotate", "7", "--grid", "16", "--out", str(box),
+        ])
+        assert code == 0
+
+        w, x = load_npy(wp), load_npy(xp)
+        layout = GroupLayout(64, 256, 64)
+        rot = randomized_hadamard(256, 7)
+        w_r = fuse(w, None, rot)
+        search = grid_search_clip(w_r, apply_online(x, rot), layout, ClipSearchConfig(grid=16))
+        params = ldp_init(search)
+        for name in ("lo_logit", "hi_logit", "split1", "split2"):
+            setattr(params, name, getattr(params, name).astype(np.float32).astype(np.float64))
+        codes, _ = fake_quant(layout.grouped(w_r.astype(np.float64)), params)
+        lut = build_lut(w_r, layout, params)
+        ref = tmp_path / "ref.rcpq"
+        write_rcpq(ref, pack_weight_codes(codes.reshape(w_r.shape), layout), lut, params)
+        assert box.read_bytes() == ref.read_bytes()
+
+    def test_library_container_passes_verify(self, laplace_files, tmp_path, capsys):
+        wp, xp = laplace_files
+        w, x = load_npy(wp), load_npy(xp)
+        _, params, lut, packed = quantize_layer(w, x, GroupLayout(64, 256, 64), rotate_seed=7, grid=16)
+        box = tmp_path / "m.rcpq"
+        write_rcpq(box, packed, lut, params)
+        code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp), "--rotate", "7"])
+        assert code == 0
+        assert "OK" in capsys.readouterr().out
 
 
 class TestTrainToy:

@@ -15,6 +15,7 @@ from rcpq.pack import (
     pack_activation_codes,
     pack_weight_codes,
     read_rcpq,
+    stored_params,
     unpack_activation_codes,
     unpack_weight_codes,
     write_rcpq,
@@ -159,6 +160,12 @@ class TestContainer:
         np.testing.assert_array_equal(box.lut.table, lut.table)
         np.testing.assert_allclose(box.params.lo_logit, params.lo_logit, rtol=1e-6)
         np.testing.assert_allclose(box.params.split2, params.split2, rtol=1e-6)
+
+    def test_stored_params_are_the_read_back_params(self, tmp_path):
+        path, _, _, params = _small_container(tmp_path)
+        box, stored = read_rcpq(path), stored_params(params)
+        for name in ("lo_logit", "hi_logit", "split1", "split2"):
+            np.testing.assert_array_equal(getattr(stored, name), getattr(box.params, name))
 
     def test_no_params_flag(self, tmp_path):
         path, *_ = _small_container(tmp_path, with_params=False)

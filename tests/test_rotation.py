@@ -5,14 +5,7 @@ import pytest
 
 from rcpq.core import make_rng, matmul_ref
 from rcpq.errors import ConfigError, ShapeError
-from rcpq.rotation import (
-    RotationSet,
-    apply_online,
-    fuse,
-    hadamard,
-    is_orthogonal,
-    randomized_hadamard,
-)
+from rcpq.rotation import apply_online, fuse, hadamard, randomized_hadamard
 
 
 class TestHadamard:
@@ -138,13 +131,3 @@ class TestComputationalInvariance:
         rotated = np.maximum(apply_online(x, r) @ (w1 @ r).T, 0.0)
         assert np.max(np.abs(base - rotated)) / np.abs(base).max() < 1e-9
 
-
-class TestRotationSet:
-    def test_accepts_orthogonal_members(self):
-        rs = RotationSet(residual=hadamard(8), qk=randomized_hadamard(16, 0))
-        assert rs.value is None
-        assert is_orthogonal(rs.residual)
-
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(ConfigError):
-            RotationSet(residual=np.ones((4, 4)))
