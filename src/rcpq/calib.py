@@ -32,18 +32,18 @@ __all__ = [
 ]
 
 
+BITS = 2
+RATIO_MIN = 0.5  # each clip ratio axis of the grid runs from here up to RATIO_MAX
+RATIO_MAX = 1.0  # no clipping: the candidate no_clip_objective reads
+
+
 @dataclass(frozen=True)
 class ClipSearchConfig:
     grid: int = 64
-    ratio_min: float = 0.5
-    ratio_max: float = 1.0
-    bits: int = 2
 
     def __post_init__(self):
         if self.grid < 2:
             raise ConfigError("need at least 2 grid points per axis")
-        if not 0.0 < self.ratio_min < self.ratio_max <= 1.0:
-            raise ConfigError("ratio interval must satisfy 0 < min < max <= 1")
 
 
 @dataclass
@@ -60,7 +60,7 @@ class ClipSearchResult:
 
 
 def _candidate_ratios(cfg: ClipSearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.grid)
+    axis = np.linspace(RATIO_MIN, RATIO_MAX, cfg.grid)
     rl, rh = np.meshgrid(axis, axis, indexing="ij")
     return rl.ravel(), rh.ravel()
 
@@ -102,7 +102,7 @@ def grid_search_clip(
         objective=np.zeros((h_dim, n_dim)),
         no_clip_objective=np.zeros((h_dim, n_dim)),
     )
-    no_clip_idx = int(np.flatnonzero((rl == 1.0) & (rh == 1.0))[-1]) if cfg.ratio_max == 1.0 else -1
+    no_clip_idx = int(np.flatnonzero((rl == 1.0) & (rh == 1.0))[-1])
 
     for h in range(h_dim):
         for n in range(n_dim):
@@ -114,7 +114,7 @@ def grid_search_clip(
             lo_c = rl * mn
             hi_c = rh * mx
             clipped = np.clip(g[None, :], lo_c[:, None], hi_c[:, None])
-            _, deq, _, _, span = asym_quant_dequant(clipped, None, None, cfg.bits)
+            _, deq, _, _, span = asym_quant_dequant(clipped, None, None, BITS)
             err = deq - clipped
             obj = np.einsum("pg,gk,pk->p", err, grams[n], err)
             obj[span == 0.0] = np.inf  # fully collapsed candidates are invalid
@@ -128,8 +128,7 @@ def grid_search_clip(
             out.ratio_lo[h, n] = rl[pick]
             out.ratio_hi[h, n] = rh[pick]
             out.objective[h, n] = best_obj
-            if no_clip_idx >= 0:
-                out.no_clip_objective[h, n] = obj[no_clip_idx]
+            out.no_clip_objective[h, n] = obj[no_clip_idx]
 
     # Ratio 1.0 (no clipping, also the degenerate-group fallback) maps to the
     # near-saturated logit of 1 - 1e-6 so downstream math stays finite.
@@ -155,7 +154,7 @@ def clipped_uniform_quantizer(cfg: ClipSearchConfig = ClipSearchConfig()):
         lo = search.ratio_lo * mn
         hi = search.ratio_hi * mx
         clipped = np.clip(groups, lo[..., None], hi[..., None])
-        _, deq, _, _, _ = asym_quant_dequant(groups, lo, hi, cfg.bits)
+        _, deq, _, _, _ = asym_quant_dequant(groups, lo, hi, BITS)
         return deq.reshape(w.shape), clipped.reshape(w.shape)
 
     return quantize

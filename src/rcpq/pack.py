@@ -52,6 +52,7 @@ __all__ = [
 
 MAGIC = b"RCPQ"
 VERSION = 1
+BITS = 2
 _TAG_WEIGHTS = 1
 _TAG_LUT = 2
 _TAG_PARAMS = 3
@@ -173,7 +174,6 @@ def write_rcpq(
     pw: PackedWeights,
     lut: DequantLut,
     params: LdpParams | None = None,
-    bits: int = 2,
 ) -> None:
     layout = pw.layout
     sections: list[tuple[int, bytes]] = [
@@ -194,7 +194,7 @@ def write_rcpq(
     head = _HEADER.pack(
         MAGIC,
         VERSION,
-        bits,
+        BITS,
         layout.out_channels,
         layout.in_channels,
         layout.group_size,
@@ -218,7 +218,7 @@ def read_rcpq(path) -> RcpqContainer:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if bits != 2:
+    if bits != BITS:
         raise FormatError(f"{path}: unsupported bit width {bits}")
     layout = GroupLayout(h, c, g)
     n = layout.num_groups

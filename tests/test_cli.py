@@ -23,6 +23,15 @@ from rcpq.core import load_npy, make_rng, save_npy
 from rcpq.rotation import apply_online
 
 
+def _report(path):
+    """A ``--json`` report parsed as strict JSON: NaN and Infinity raise."""
+
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not valid JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture
 def weight_files(tmp_path):
     rng = make_rng(90)
@@ -59,7 +68,7 @@ class TestLemma1:
             "--trials", "100000", "--seed", "7", "--json", str(out),
         ])
         assert code == 0
-        rep = json.loads(out.read_text())
+        rep = _report(out)
         assert rep["tool"] == "rcpq"
         assert rep["config"]["seed"] == 7
         assert abs(rep["kurt_after"] - (-1.2 / 16)) <= 0.02
@@ -70,7 +79,7 @@ class TestLemma1:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             main(["lemma1", "--n", "8", "--trials", "5000", "--seed", "3", "--json", str(out)])
-            outs.append(json.loads(out.read_text()))
+            outs.append(_report(out))
         assert outs[0]["kurt_after"] == outs[1]["kurt_after"]
 
 
@@ -80,7 +89,7 @@ class TestStats:
         out = tmp_path / "s.json"
         code = main(["stats", "--weights", str(wp), "--group", "32", "--json", str(out)])
         assert code == 0
-        rep = json.loads(out.read_text())
+        rep = _report(out)
         assert rep["kurtosis"]["platykurtic_fraction"] > 0.9  # uniform weights
 
     def test_with_rotation_and_acts(self, weight_files, tmp_path):
@@ -91,9 +100,22 @@ class TestStats:
             "--acts", str(xp), "--grid", "8", "--json", str(out),
         ])
         assert code == 0
-        rep = json.loads(out.read_text())
+        rep = _report(out)
         assert rep["kurtosis_rotated"]["mean_delta"] > 0  # platykurtic input
         assert rep["qerr_vs_kurt"]["tokens"] == 32
+
+    def test_acts_without_rotation_is_usage_error(self, laplace_files, tmp_path):
+        # without a rotation every kurtosis delta is 0 and the rank
+        # correlation is NaN, which would land in the report
+        wp, xp = laplace_files
+        out = tmp_path / "s.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "stats", "--weights", str(wp), "--group", "64", "--acts", str(xp),
+                "--grid", "8", "--json", str(out),
+            ])
+        assert exc.value.code == 1
+        assert not out.exists()
 
 
 class TestQuantizeVerifyBench:
@@ -106,7 +128,7 @@ class TestQuantizeVerifyBench:
             "--json", str(tmp_path / "q.json"),
         ])
         assert code == 0
-        rep = json.loads((tmp_path / "q.json").read_text())
+        rep = _report(tmp_path / "q.json")
         assert rep["weight_bytes"] == 16 * 64 // 4
         assert rep["lut_bytes"] == 16 * 2 * 4 * 2
 
@@ -155,7 +177,7 @@ class TestQuantizeVerifyBench:
         out = tmp_path / "bench.json"
         code = main(["gemv-bench", str(box), "--iters", "5", "--bh", "4", "--json", str(out)])
         assert code == 0
-        rep = json.loads(out.read_text())
+        rep = _report(out)
         assert rep["fast_ns_per_call"] > 0
         assert rep["oracle_gap"] <= 1e-5
 
@@ -216,7 +238,7 @@ class TestTrainToy:
         out = tmp_path / "t.json"
         code = main(["train-toy", "--seed", "0", "--steps", "10", "--json", str(out)])
         assert code == 0
-        rep = json.loads(out.read_text())
+        rep = _report(out)
         assert len(rep["loss_trace"]) == 10
         assert rep["config"]["freeze_partitions"] is False
 
@@ -227,4 +249,4 @@ class TestTrainToy:
             "--json", str(out),
         ])
         assert code == 0
-        assert json.loads(out.read_text())["config"]["freeze_partitions"] is True
+        assert _report(out)["config"]["freeze_partitions"] is True

@@ -86,10 +86,6 @@ class TestEstimateAlpha:
         expect = target * target + (1 - target) * (1 - target) / (v - 1)
         assert estimate_alpha(probs, labels) == pytest.approx(expect, abs=0.01)
 
-    def test_top1_mode(self):
-        probs = np.array([[0.6, 0.4], [0.3, 0.7]])
-        assert estimate_alpha(probs, np.array([1, 0]), mode="top1") == pytest.approx(0.65)
-
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             estimate_alpha(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -136,6 +132,7 @@ class TestGradCheck:
     def test_hundred_points_within_tolerance(self):
         rep = grad_check(points=100, seed=0)
         assert rep["param_points"] == 100
+        assert rep["weight_points"] == 100
         assert rep["max_rel_err"] <= 1e-4
 
     def test_threshold_points_are_excluded_not_failed(self):
