@@ -2,8 +2,9 @@
 
 Shows the asymmetric integer baseline on a group, then how the learnable
 quantizer carves the clipped range into three unequal partitions whose
-boundaries and output levels move with four logits, and finally the 3-bit
-two-sided variant with a learnable center.
+boundaries and output levels move with four logits, the 3-bit two-sided
+variant with a learnable center, and finally the 4-bit per-token activation
+quantizer and the KV-cache recipe built from the asymmetric baseline.
 
 Run: python demos/demo_quantizers.py
 """
@@ -11,8 +12,6 @@ Run: python demos/demo_quantizers.py
 import numpy as np
 
 from rcpq import (
-    ActQuantConfig,
-    KvQuantConfig,
     LdpParams,
     Nf3Params,
     derive_grids,
@@ -20,20 +19,18 @@ from rcpq import (
     grads,
     make_rng,
     nf3_fake_quant,
-    normal_float_grid,
     quant_act_per_token,
-    quant_asym,
-    quant_kv_group,
 )
 from rcpq.ldp import uniform_split_logits
+from rcpq.uniform import asym_quant_dequant
 
 rng = make_rng(0)
 
 print("=== 1. Uniform asymmetric baseline (2-bit) ===")
 group = np.array([-2.0, -1.0, 0.0, 4.0])
-res = quant_asym(group, bits=2)
-print(f"group {group} -> span {res.span}, step {res.step}, zero {res.zero_point}")
-print(f"codes {res.codes} dequantized {res.dequantize()}")
+codes, deq, step, zero, span = asym_quant_dequant(group, None, None, bits=2)
+print(f"group {group} -> span {span}, step {step}, zero {zero}")
+print(f"codes {codes} dequantized {deq}")
 
 print()
 print("=== 2. Learnable direct partitioning at its uniform start ===")
@@ -71,13 +68,17 @@ codes3, what3 = nf3_fake_quant(vals, p3)
 print(f"values {vals}")
 print(f"codes  {codes3}  (signed level index, 0 = center)")
 print(f"dequant {np.round(what3, 4)}")
-print(f"optional gaussian-quantile side grid: {np.round(normal_float_grid(4), 4)}")
 
 print()
 print("=== 6. Activation and KV-cache paths ===")
 x = rng.standard_normal((2, 8))
-codes_a, scales = quant_act_per_token(x, ActQuantConfig())
+codes_a, scales = quant_act_per_token(x)
 print(f"per-token scales {np.round(scales, 4)}; codes row 0: {codes_a[0]}")
-kv = quant_kv_group(rng.standard_normal((2, 128)), KvQuantConfig())
-print(f"KV codes in [{kv.codes.min()}, {kv.codes.max()}], "
-      f"per-group spans ~ {np.round(kv.span.mean(), 3)}")
+# KV4: each token's 128-channel group, its [min, max] shrunk to 0.95 about the
+# midpoint, through the 4-bit asymmetric quantizer.
+kv = rng.standard_normal((2, 128)).reshape(2, 1, 128)
+mid = 0.5 * (kv.min(axis=-1) + kv.max(axis=-1))
+half = 0.5 * (kv.max(axis=-1) - kv.min(axis=-1)) * 0.95
+kv_codes, _, _, _, kv_span = asym_quant_dequant(kv, mid - half, mid + half, 4)
+print(f"KV codes in [{kv_codes.min()}, {kv_codes.max()}], "
+      f"per-group spans ~ {np.round(kv_span.mean(), 3)}")

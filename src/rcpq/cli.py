@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
     gap_fast = _relative_gap(gemv_fast(task, args.bh), oracle)
     report = _base_report("verify", args)
     report.update(codes_match=True, lut_match=True, gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
-    if gap_ref > args.tol or gap_fast > args.tol:
+    if not (gap_ref <= args.tol and gap_fast <= args.tol):  # a NaN gap fails too
         print(f"FAIL: GEMV gap ref={gap_ref:.2e} fast={gap_fast:.2e} exceeds {args.tol:.0e}")
         _emit(report, args.json)
         return FAILURE_EXIT

@@ -1,8 +1,8 @@
-"""Dense matrix I/O, deterministic randomness, and the reference matmul.
+"""Dense matrix I/O, deterministic randomness, and the group layout.
 
 Matrices are plain ``numpy.ndarray`` values: 2-D, C-order, float32 storage.
-Wherever a contract says "accumulate in binary64" the helpers here promote to
-float64 internally and narrow the result back to float32.
+Code whose contract says "accumulate in binary64", such as ``rotation.fuse``,
+promotes to float64 itself and narrows the result back to float32.
 
 Randomness is pinned project-wide to the counter-based Philox4x64 bit
 generator, so any seed reproduces the identical stream on every platform.
@@ -23,7 +23,6 @@ __all__ = [
     "make_rng",
     "load_npy",
     "save_npy",
-    "matmul_ref",
     "as_matrix",
 ]
 
@@ -109,24 +108,3 @@ def save_npy(m: np.ndarray, path) -> None:
     m = as_matrix(m)
     with open(path, "wb") as fh:
         np.save(fh, m)
-
-
-def matmul_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fixed-order reference product, float64 accumulation, float32 result.
-
-    Accumulates rank-1 updates in ascending inner-index order, which is
-    bit-identical to the scalar triple loop ``out[i,j] += a[i,k]*b[k,j]``
-    with ``k`` innermost. Repeated calls are bit-identical by construction.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul_ref expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    a64 = a.astype(np.float64)
-    b64 = b.astype(np.float64)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        out += a64[:, k : k + 1] * b64[k : k + 1, :]
-    return out.astype(np.float32)

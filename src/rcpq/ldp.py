@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateGroupError, InvalidRangeError
 
@@ -41,11 +40,10 @@ __all__ = [
     "fake_quant",
     "grads",
     "nf3_fake_quant",
-    "normal_float_grid",
     "UNIFORM_SIDE_GRID",
 ]
 
-# Default per-side NF3 levels: uniform thirds of the side scale.
+# Per-side NF3 levels: uniform thirds of the side scale.
 UNIFORM_SIDE_GRID = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 
 LOGIT_LIMIT = 20.0  # training clamps logits here so sigmoid never saturates
@@ -223,22 +221,16 @@ class Nf3Params:
 def nf3_fake_quant(
     groups: np.ndarray,
     params: Nf3Params,
-    grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantize-dequantize through the two-sided grid around the center.
 
     Each value is normalized by its side's scale (positive side when the
-    value exceeds the center), snapped to the nearest level of ``grid``
-    (ascending, from 0 to 1; uniform thirds by default), and mapped back as
+    value exceeds the center), snapped to the nearest level of
+    ``UNIFORM_SIDE_GRID`` (uniform thirds from 0 to 1), and mapped back as
     ``center + sign * scale * level``. Codes are signed level indices, so 0
-    is the center and +/-3 the clip endpoints under the default grid.
+    is the center and +/-3 the clip endpoints.
     """
     g = np.asarray(groups, dtype=np.float64)
-    side_grid = UNIFORM_SIDE_GRID if grid is None else np.asarray(grid, dtype=np.float64)
-    if side_grid.ndim != 1 or side_grid.size < 2 or np.any(np.diff(side_grid) <= 0):
-        raise ValueError("grid must be a strictly increasing 1-D array")
-    if side_grid[0] != 0.0 or side_grid[-1] != 1.0:
-        raise ValueError("grid must start at 0 and end at 1")
     _, _, lo, hi, span = _range_from_logits(g, params.lo_logit, params.hi_logit)
     center = lo + span * sigmoid(params.split1)
     scale_neg = center - lo
@@ -250,25 +242,8 @@ def nf3_fake_quant(
     positive = diff > 0.0
     scale = np.where(positive, scale_pos[..., None], scale_neg[..., None])
     normalized = np.abs(diff) / scale
-    idx = np.argmin(np.abs(normalized[..., None] - side_grid), axis=-1)
+    idx = np.argmin(np.abs(normalized[..., None] - UNIFORM_SIDE_GRID), axis=-1)
     sign = np.where(positive, 1, -1)
     codes = (sign * idx).astype(np.int8)
-    w_hat = center[..., None] + sign * scale * side_grid[idx]
+    w_hat = center[..., None] + sign * scale * UNIFORM_SIDE_GRID[idx]
     return codes, w_hat
-
-
-def normal_float_grid(points: int = 4) -> np.ndarray:
-    """Side grid from evenly spaced Gaussian quantiles, normalized to [0, 1].
-
-    Quantile probabilities run from 0.5 to ``1 - 1/(2*points)``; dividing by
-    the top quantile pins the endpoints at exactly 0 and 1.
-    """
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
-    p_hi = 1.0 - 1.0 / (2.0 * points)
-    probs = np.linspace(0.5, p_hi, points)
-    q = ndtri(probs)
-    out = q / q[-1]
-    out[0] = 0.0
-    out[-1] = 1.0
-    return out

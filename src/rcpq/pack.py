@@ -26,13 +26,14 @@ axis ordered lo_logit, hi_logit, split1, split2).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GroupLayout
-from .errors import DataError, EncodeError, FormatError
+from .errors import DataError, EncodeError, FormatError, RcpqError
 from .ldp import LdpParams, derive_grids
 
 __all__ = [
@@ -77,7 +78,7 @@ class PackedActivations:
 
 @dataclass
 class DequantLut:
-    """Per-group dequantization table, shape (H, N, 4), float16, increasing."""
+    """Per-group dequantization table, shape (H, N, 4), float16, non-decreasing."""
 
     table: np.ndarray
 
@@ -131,15 +132,27 @@ def unpack_activation_codes(pa: PackedActivations) -> np.ndarray:
     return out
 
 
+def _check_lut(table: np.ndarray, error: type[RcpqError], where: str) -> None:
+    """Raise ``error`` at the first (row, group) whose entries are not finite or decrease."""
+    for bad, what in ((~np.isfinite(table), "is not finite"), (table[..., 1:] < table[..., :-1], "decreases")):
+        if bad.any():
+            row, group = np.argwhere(bad.any(axis=-1))[0]
+            raise error(f"{where}LUT at (row {row}, group {group}) {what}")
+
+
 def build_lut(w: np.ndarray, layout: GroupLayout, params: LdpParams) -> DequantLut:
     """Dequantization table per group: ``lo + span * level`` in float16.
 
-    Entries are strictly increasing per group and the first/last entries
-    equal the clip endpoints up to float16 rounding.
+    Entries are non-decreasing per group and the first/last entries equal
+    the clip endpoints up to float16 rounding. Raises ``EncodeError`` where
+    an entry overflows float16.
     """
     grids = derive_grids(layout.grouped(np.asarray(w)), params)
     table = grids.lo[..., None] + grids.span[..., None] * grids.levels
-    return DequantLut(table=table.astype(np.float16))
+    with np.errstate(over="ignore"):  # reported below by (row, group)
+        table = table.astype(np.float16)
+    _check_lut(table, EncodeError, "float16 ")
+    return DequantLut(table=table)
 
 
 def _params_to_raw(params: LdpParams) -> np.ndarray:
@@ -201,11 +214,20 @@ def write_rcpq(
         flags,
         len(sections),
     )
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(table)
-        for _, payload in sections:
-            fh.write(payload)
+    # Written beside the target and renamed onto it, so a failed write leaves
+    # any file already at ``path`` as it was.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            fh.write(table)
+            for _, payload in sections:
+                fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_rcpq(path) -> RcpqContainer:
@@ -224,6 +246,7 @@ def read_rcpq(path) -> RcpqContainer:
     n = layout.num_groups
 
     sections = {}
+    spans = []
     pos = _HEADER.size
     for _ in range(count):
         if pos + _SECTION.size > len(blob):
@@ -232,7 +255,16 @@ def read_rcpq(path) -> RcpqContainer:
         pos += _SECTION.size
         if off + length > len(blob):
             raise DataError(f"{path}: section {tag} overruns file")
+        if tag in sections:
+            raise DataError(f"{path}: duplicate section {tag}")
+        if off < _HEADER.size + _SECTION.size * count:
+            raise DataError(f"{path}: section {tag} starts inside the header or section table")
         sections[tag] = blob[off : off + length]
+        spans.append((off, off + length, tag))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise DataError(f"{path}: sections {first} and {second} overlap")
 
     expect_w = h * c // 4
     expect_lut = h * n * 4 * 2
@@ -248,6 +280,7 @@ def read_rcpq(path) -> RcpqContainer:
     lut = DequantLut(
         table=np.frombuffer(sections[_TAG_LUT], dtype="<f2").reshape(h, n, 4).copy()
     )
+    _check_lut(lut.table, DataError, f"{path}: ")
     params = None
     if flags & 1:
         expect_p = h * n * 4 * 4

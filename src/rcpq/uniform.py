@@ -1,74 +1,22 @@
-"""Baseline integer quantizers: asymmetric group-wise, per-token, KV-cache.
+"""The two uniform quantizers: asymmetric group-wise and per-token.
 
-The asymmetric quantizer maps a group to ``clip(round(w/s) + z, 0, 2^N - 1)``
-with range ``h = max - min`` of the (optionally clipped) group, step
-``s = h/(2^N - 1)`` and zero point ``z = -round(min/h)``. Rounding is
-half-to-even throughout. Degenerate (constant) groups raise instead of
-emitting a zero step; callers pick their own fallback.
+The asymmetric one, which scores the clip search's candidates, maps a group
+to ``clip(round(w/s) + z, 0, 2^N - 1)`` with range ``h = max - min`` of the
+(optionally clipped) group, step ``s = h/(2^N - 1)`` and zero point
+``z = -round(min/h)``; a constant group gets ``span == 0``. The per-token one
+quantizes the W2A4 GEMV's activations. Rounding is half-to-even throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import GroupLayout
-from .errors import DegenerateGroupError, ZeroTokenError
+from .errors import ZeroTokenError
 
-__all__ = [
-    "UniformQuantResult",
-    "ActQuantConfig",
-    "KvQuantConfig",
-    "quant_asym",
-    "quant_act_per_token",
-    "quant_kv_group",
-    "asym_quant_dequant",
-]
+__all__ = ["ACT_BITS", "ACT_CLIP_RATIO", "quant_act_per_token", "asym_quant_dequant"]
 
-
-@dataclass
-class UniformQuantResult:
-    """Codes plus the per-group constants needed to dequantize them."""
-
-    codes: np.ndarray
-    step: np.ndarray
-    zero_point: np.ndarray
-    span: np.ndarray
-    bits: int
-
-    def dequantize(self) -> np.ndarray:
-        step = np.asarray(self.step, dtype=np.float64)
-        zero = np.asarray(self.zero_point, dtype=np.float64)
-        if np.ndim(self.codes) == step.ndim + 1:
-            step = step[..., None]
-            zero = zero[..., None]
-        return (np.asarray(self.codes, dtype=np.float64) - zero) * step
-
-
-@dataclass(frozen=True)
-class ActQuantConfig:
-    """Symmetric per-token activation quantization."""
-
-    bits: int = 4
-    clip_ratio: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 < self.clip_ratio <= 1.0:
-            raise ValueError(f"clip_ratio must be in (0, 1], got {self.clip_ratio}")
-
-
-@dataclass(frozen=True)
-class KvQuantConfig:
-    """Asymmetric group-wise KV-cache quantization."""
-
-    bits: int = 4
-    group_size: int = 128
-    clip_ratio: float = 0.95
-
-    def __post_init__(self):
-        if not 0.0 < self.clip_ratio <= 1.0:
-            raise ValueError(f"clip_ratio must be in (0, 1], got {self.clip_ratio}")
+ACT_BITS = 4
+ACT_CLIP_RATIO = 0.9  # share of max|x| that maps to the top code
 
 
 def asym_quant_dequant(
@@ -104,75 +52,20 @@ def asym_quant_dequant(
     return codes, deq, step, zero, span
 
 
-def quant_asym(
-    group: np.ndarray,
-    bits: int,
-    clip_lo: float | None = None,
-    clip_hi: float | None = None,
-) -> UniformQuantResult:
-    """Asymmetric integer quantization of one group at 2/3/4/8 bits."""
-    if bits not in (2, 3, 4, 8):
-        raise ValueError(f"unsupported bit width {bits}")
-    g = np.asarray(group, dtype=np.float64).ravel()
-    codes, _, step, zero, span = asym_quant_dequant(g, clip_lo, clip_hi, bits)
-    if span == 0.0:
-        raise DegenerateGroupError("group is constant after clipping")
-    return UniformQuantResult(
-        codes=codes,
-        step=np.float64(step),
-        zero_point=np.float64(zero),
-        span=np.float64(span),
-        bits=bits,
-    )
-
-
-def quant_act_per_token(
-    x: np.ndarray, cfg: ActQuantConfig = ActQuantConfig()
-) -> tuple[np.ndarray, np.ndarray]:
+def quant_act_per_token(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric per-token activation codes and scales.
 
-    Per token the scale is ``clip_ratio * max|x| / qmax`` and codes are
-    ``clip(round(x/scale), -qmax-1, qmax)``, e.g. [-8, 7] at 4 bits.
+    Per token the scale is ``ACT_CLIP_RATIO * max|x| / qmax`` and codes are
+    ``clip(round(x/scale), -qmax-1, qmax)``, i.e. [-8, 7] at 4 bits.
     Tokens that are identically zero have no scale and raise.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected (tokens, channels)")
-    qmax = (1 << (cfg.bits - 1)) - 1
+    qmax = (1 << (ACT_BITS - 1)) - 1
     maxabs = np.abs(x).max(axis=1)
     if np.any(maxabs == 0.0):
         raise ZeroTokenError(f"all-zero token at row {int(np.argmin(maxabs))}")
-    scale = cfg.clip_ratio * maxabs / qmax
+    scale = ACT_CLIP_RATIO * maxabs / qmax
     codes = np.clip(np.round(x / scale[:, None]), -qmax - 1, qmax).astype(np.int8)
     return codes, scale
-
-
-def quant_kv_group(
-    x: np.ndarray, cfg: KvQuantConfig = KvQuantConfig()
-) -> UniformQuantResult:
-    """Asymmetric group-wise quantization of a KV tensor (tokens, channels).
-
-    Each token row splits into groups of ``group_size`` channels whose
-    [min, max] range is shrunk about its midpoint by ``clip_ratio`` before
-    the usual asymmetric quantization.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("expected (tokens, channels)")
-    layout = GroupLayout(x.shape[0], x.shape[1], cfg.group_size)
-    g = layout.grouped(x)  # (T, N, G)
-    mn = g.min(axis=-1)
-    mx = g.max(axis=-1)
-    mid = 0.5 * (mn + mx)
-    half = 0.5 * (mx - mn) * cfg.clip_ratio
-    codes, _, step, zero, span = asym_quant_dequant(g, mid - half, mid + half, cfg.bits)
-    if np.any(span == 0.0):
-        t, n = np.argwhere(span == 0.0)[0]
-        raise DegenerateGroupError(f"constant KV group (token {t}, group {n})")
-    return UniformQuantResult(
-        codes=codes,
-        step=step,
-        zero_point=zero,
-        span=span,
-        bits=cfg.bits,
-    )

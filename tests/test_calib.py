@@ -7,7 +7,7 @@ from rcpq.calib import RATIO_MAX, RATIO_MIN, ClipSearchConfig, grid_search_clip,
 from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import ConfigError
 from rcpq.ldp import derive_grids, fake_quant, sigmoid
-from rcpq.uniform import asym_quant_dequant, quant_asym
+from rcpq.uniform import asym_quant_dequant
 
 
 def _objective(group, x_group, ratio_lo, ratio_hi, bits=2):
@@ -15,8 +15,8 @@ def _objective(group, x_group, ratio_lo, ratio_hi, bits=2):
     lo = ratio_lo * group.min()
     hi = ratio_hi * group.max()
     clipped = np.clip(group, lo, hi)
-    r = quant_asym(group, bits=bits, clip_lo=lo, clip_hi=hi)
-    err = r.dequantize() - clipped
+    _, deq, *_ = asym_quant_dequant(group, lo, hi, bits)
+    err = deq - clipped
     out = x_group @ err
     return float(out @ out)
 

@@ -18,6 +18,7 @@ from rcpq import (
     randomized_hadamard,
     write_rcpq,
 )
+from rcpq import cli
 from rcpq.cli import main
 from rcpq.core import load_npy, make_rng, save_npy
 from rcpq.rotation import apply_online
@@ -154,7 +155,27 @@ class TestQuantizeVerifyBench:
         box.write_bytes(bytes(blob))
         code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp)])
         assert code == 2
-        assert "FAIL" in capsys.readouterr().out
+        # The flipped exponent bit breaks the group's order, so reading the
+        # container already fails, naming the group.
+        assert "LUT at (row 0, group 0) decreases" in capsys.readouterr().err
+
+    def test_verify_detects_wrong_lut(self, weight_files, tmp_path, capsys):
+        # A LUT that is finite and ordered but not the one the params give.
+        wp, xp = weight_files
+        box = tmp_path / "m.rcpq"
+        main([
+            "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+            "--grid", "8", "--out", str(box),
+        ])
+        blob = bytearray(box.read_bytes())
+        lut_at = len(blob) - 16 * 2 * 4 * 4 - 16 * 2 * 4 * 2
+        table = np.frombuffer(bytes(blob[lut_at : lut_at + 256]), dtype="<f2").reshape(16, 2, 4).copy()
+        table[5, 1, 0] -= 1.0
+        blob[lut_at : lut_at + 256] = table.tobytes()
+        box.write_bytes(bytes(blob))
+        code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp)])
+        assert code == 2
+        assert "FAIL: LUT mismatch at (h=5, g=1)" in capsys.readouterr().out
 
     def test_verify_without_rotation_mismatch(self, weight_files, tmp_path, capsys):
         # quantized with rotation but verified without -> codes differ -> exit 2
@@ -166,6 +187,32 @@ class TestQuantizeVerifyBench:
         ])
         code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp)])
         assert code == 2
+
+    def test_float16_overflow_fails_and_writes_nothing(self, tmp_path, capsys):
+        # A group whose top level, 1e5, has no float16 value.
+        rng = make_rng(91)
+        w = rng.uniform(-4e4, 4e4, size=(4, 64)).astype(np.float32)
+        w[2, 10] = 1e5
+        wp, xp, box = tmp_path / "w.npy", tmp_path / "x.npy", tmp_path / "m.rcpq"
+        save_npy(w, wp)
+        save_npy(rng.standard_normal((16, 64)).astype(np.float32), xp)
+        code = main(["quantize", "--weights", str(wp), "--calib", str(xp), "--group", "64",
+                     "--grid", "8", "--out", str(box)])
+        assert code == 2
+        assert "(row 2, group 0) is not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.npy", "x.npy"]
+
+    def test_nan_gemv_gap_fails(self, weight_files, tmp_path, monkeypatch, capsys):
+        wp, xp = weight_files
+        box = tmp_path / "m.rcpq"
+        main([
+            "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+            "--grid", "8", "--out", str(box),
+        ])
+        monkeypatch.setattr(cli, "gemv_ref", lambda task: np.full(task.layout.out_channels, np.nan, np.float32))
+        code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp)])
+        assert code == 2
+        assert "FAIL: GEMV gap ref=nan" in capsys.readouterr().out
 
     def test_bench_report(self, weight_files, tmp_path):
         wp, xp = weight_files

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rcpq.core import GroupLayout, load_npy, make_rng, matmul_ref, save_npy
+from rcpq.core import GroupLayout, load_npy, make_rng, save_npy
 from rcpq.errors import DataError, FormatError, ShapeError, UnsupportedLayoutError
 
 
@@ -83,41 +83,6 @@ class TestNpyIO:
     def test_write_to_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             save_npy(np.zeros((1, 1), dtype=np.float32), tmp_path / "no" / "dir.npy")
-
-
-class TestMatmulRef:
-    def test_identity(self):
-        m = make_rng(1).standard_normal((3, 5)).astype(np.float32)
-        np.testing.assert_array_equal(matmul_ref(np.eye(3, dtype=np.float32), m), m)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        b = np.array([[0.0], [1.0]], dtype=np.float32)
-        np.testing.assert_array_equal(matmul_ref(a, b), [[2.0], [4.0]])
-
-    def test_matches_naive_loop_exactly(self):
-        rng = make_rng(2)
-        a = rng.standard_normal((64, 64)).astype(np.float32)
-        b = rng.standard_normal((64, 64)).astype(np.float32)
-        expect = np.empty((64, 64), dtype=np.float32)
-        for i in range(64):
-            for j in range(64):
-                acc = 0.0
-                for k in range(64):
-                    acc += float(a[i, k]) * float(b[k, j])
-                expect[i, j] = np.float32(acc)
-        got = matmul_ref(a, b)
-        assert np.max(np.abs(got - expect)) == 0.0
-
-    def test_repeat_calls_bit_identical(self):
-        rng = make_rng(3)
-        a = rng.standard_normal((17, 9)).astype(np.float32)
-        b = rng.standard_normal((9, 23)).astype(np.float32)
-        assert matmul_ref(a, b).tobytes() == matmul_ref(a, b).tobytes()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul_ref(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestGroupLayout:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from rcpq.core import make_rng
 from rcpq.errors import DegenerateGroupError, InvalidRangeError
@@ -15,11 +14,10 @@ from rcpq.ldp import (
     grads,
     logit,
     nf3_fake_quant,
-    normal_float_grid,
     sigmoid,
     uniform_split_logits,
 )
-from rcpq.uniform import quant_asym
+from rcpq.uniform import asym_quant_dequant
 
 SAT = 20.0  # saturated clip logits: sigmoid(20) ~ 1 - 2e-9
 
@@ -118,9 +116,9 @@ class TestFakeQuant:
         # integer grid codes/3, so grid-aligned inputs dequantize identically.
         group = np.array([0.0, 1.0, 2.0, 3.0])
         codes, w_hat = fake_quant(group, _uniform_params())
-        ref = quant_asym(group, bits=2)
-        np.testing.assert_array_equal(codes, ref.codes)
-        np.testing.assert_allclose(w_hat, ref.dequantize(), atol=1e-7)
+        ref_codes, ref_w_hat, *_ = asym_quant_dequant(group, None, None, 2)
+        np.testing.assert_array_equal(codes, ref_codes)
+        np.testing.assert_allclose(w_hat, ref_w_hat, atol=1e-7)
 
     def test_broadcast_batched_groups(self):
         rng = make_rng(33)
@@ -253,37 +251,6 @@ class TestNf3:
     def test_degenerate_side_raises(self):
         with pytest.raises(DegenerateGroupError):
             nf3_fake_quant(np.array([-1.0, 1.0]), Nf3Params(5.0, 5.0, 50.0))
-
-    def test_injectable_grid(self):
-        grid = normal_float_grid(4)
-        p = Nf3Params(SAT, SAT, 0.0)
-        codes, w_hat = nf3_fake_quant(np.array([-1.0, 0.0, 1.0]), p, grid=grid)
-        np.testing.assert_array_equal(codes, [-3, 0, 3])
-        np.testing.assert_allclose(w_hat, [-1.0, 0.0, 1.0], atol=1e-8)
-
-    def test_normal_float_grid_against_quadrature(self):
-        # The quantiles behind the grid must integrate back out of the
-        # standard normal density.
-        grid = normal_float_grid(4)
-        assert grid[0] == 0.0 and grid[-1] == 1.0
-        assert np.all(np.diff(grid) > 0)
-        p_hi = 1.0 - 1.0 / 8.0
-        probs = np.linspace(0.5, p_hi, 4)
-
-        def pdf(t):
-            return np.exp(-t * t / 2) / np.sqrt(2 * np.pi)
-
-        from rcpq.ldp import ndtri  # the quantile function the grid is built on
-
-        top_quantile = ndtri(p_hi)
-        for level, level_p in zip(grid, probs):
-            x = level * top_quantile
-            integral, _ = quad(pdf, -9.0, x)
-            assert integral == pytest.approx(level_p, abs=1e-9)
-
-    def test_grid_must_be_normalized(self):
-        with pytest.raises(ValueError):
-            nf3_fake_quant(np.array([-1.0, 1.0]), Nf3Params(1.0, 1.0, 0.0), grid=np.array([0.0, 0.5, 0.9]))
 
 
 class TestLogitSigmoid:

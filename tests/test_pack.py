@@ -1,8 +1,11 @@
 """Bit packing, LUT construction, and the RCPQ container."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from rcpq import pack
 from rcpq.calib import ClipSearchConfig, grid_search_clip, ldp_init
 from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import DataError, EncodeError, FormatError
@@ -136,6 +139,40 @@ class TestBuildLut:
         scale = np.maximum(1.0, np.abs(w_hat))
         assert np.max(np.abs(decoded - w_hat) / scale) < 1e-3  # fp16 eps ~ 9.8e-4
 
+    @pytest.mark.filterwarnings("error")  # no float16 overflow warning either
+    def test_float16_overflow_raises(self):
+        lay = GroupLayout(2, 8, 4)
+        w = np.tile([-1.0, 0.0, 0.0, 1.0], (2, 2))
+        w[1, 7] = 1e5  # past float16's largest finite value, 65504
+        params = LdpParams(np.full((2, 2), 20.0), np.full((2, 2), 20.0), np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(EncodeError, match=r"\(row 1, group 1\) is not finite"):
+            build_lut(w, lay, params)
+
+    def test_equal_float16_levels_are_valid(self, tmp_path):
+        # A narrow group far from zero: all four levels round to one float16,
+        # so the LUT is non-decreasing but not strictly increasing.
+        lay = GroupLayout(1, 4, 4)
+        w = np.array([[1000.0, 1000.03, 1000.06, 1000.1]])
+        s1, s2 = uniform_split_logits()
+        params = LdpParams(np.full((1, 1), 20.0), np.full((1, 1), 20.0),
+                           np.full((1, 1), s1), np.full((1, 1), s2))
+        lut = build_lut(w, lay, params)
+        assert np.any(np.diff(lut.table.astype(np.float32), axis=-1) == 0)
+        codes, _ = fake_quant(lay.grouped(w), params)
+        path = tmp_path / "flat.rcpq"
+        write_rcpq(path, pack_weight_codes(codes.reshape(1, 4), lay), lut, params)
+        np.testing.assert_array_equal(read_rcpq(path).lut.table, lut.table)
+
+
+def _section_entries(blob) -> dict:
+    """{tag: (position in the section table, offset, length)} of a container."""
+    count = struct.unpack_from("<I", blob, 20)[0]
+    entries = {}
+    for pos in range(24, 24 + 20 * count, 20):
+        tag, off, length = struct.unpack_from("<IQQ", blob, pos)
+        entries[tag] = (pos, off, length)
+    return entries
+
 
 def _small_container(tmp_path, with_params=True):
     rng = make_rng(54)
@@ -193,6 +230,64 @@ class TestContainer:
         path.write_bytes(blob[:-3])
         with pytest.raises(DataError):
             read_rcpq(path)
+
+    @pytest.mark.parametrize(
+        "tag, entry, message",
+        [
+            (3, lambda off, length: (2, off, length), "duplicate section 2"),
+            (2, lambda off, length: (2, 0, length), "section 2 starts inside the header"),
+            (3, lambda off, length: (3, off - 8, length), "sections 2 and 3 overlap"),
+        ],
+        ids=["duplicate", "inside_header", "overlap"],
+    )
+    def test_bad_section_table(self, tmp_path, tag, entry, message):
+        path, *_ = _small_container(tmp_path)
+        blob = bytearray(path.read_bytes())
+        pos, off, length = _section_entries(blob)[tag]
+        struct.pack_into("<IQQ", blob, pos, *entry(off, length))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=message):
+            read_rcpq(path)
+
+    @pytest.mark.parametrize("value, message", [(np.inf, "is not finite"), (-1e4, "decreases")])
+    def test_bad_lut_entry(self, tmp_path, value, message):
+        path, *_ = _small_container(tmp_path)
+        blob = bytearray(path.read_bytes())
+        _, off, length = _section_entries(blob)[2]
+        table = np.frombuffer(bytes(blob[off : off + length]), dtype="<f2").reshape(4, 2, 4).copy()
+        table[1, 1, 2] = value
+        blob[off : off + length] = table.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=rf"\(row 1, group 1\) {message}"):
+            read_rcpq(path)
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path, pw, lut, _ = _small_container(tmp_path)
+        before = path.read_bytes()
+
+        class FailAfterHeader:
+            """A file whose writes fail after the first one, the header."""
+
+            def __init__(self, name, mode):
+                self.fh, self.writes = open(name, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(pack, "open", FailAfterHeader, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_rcpq(path, pw, lut)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rcpq"]
 
     def test_section_sizes_4096(self, tmp_path):
         # H=C=4096, G=128: weights 4,194,304 B; LUT 1,048,576 B

@@ -1,35 +1,34 @@
-"""Asymmetric group quantizer and the activation/KV paths."""
+"""Asymmetric group quantizer and the per-token activation path."""
 
 import numpy as np
 import pytest
 
 from rcpq.core import make_rng
-from rcpq.errors import DegenerateGroupError, ZeroTokenError
-from rcpq.uniform import (
-    ActQuantConfig,
-    KvQuantConfig,
-    quant_act_per_token,
-    quant_asym,
-    quant_kv_group,
-)
+from rcpq.errors import ZeroTokenError
+from rcpq.uniform import ACT_CLIP_RATIO, asym_quant_dequant, quant_act_per_token
+
+
+def _quant(group, bits, lo=None, hi=None):
+    """(codes, dequant, step, zero_point, span) of one unclipped or clipped group."""
+    return asym_quant_dequant(np.asarray(group, dtype=np.float64), lo, hi, bits)
 
 
 class TestQuantAsym:
     def test_grid_aligned_round_trip(self):
-        r = quant_asym(np.array([0.0, 1.0, 2.0, 3.0]), bits=2)
-        assert r.span == 3.0
-        assert r.step == 1.0
-        assert r.zero_point == 0.0
-        np.testing.assert_array_equal(r.codes, [0, 1, 2, 3])
-        np.testing.assert_array_equal(r.dequantize(), [0.0, 1.0, 2.0, 3.0])
+        codes, deq, step, zero, span = _quant([0.0, 1.0, 2.0, 3.0], 2)
+        assert span == 3.0
+        assert step == 1.0
+        assert zero == 0.0
+        np.testing.assert_array_equal(codes, [0, 1, 2, 3])
+        np.testing.assert_array_equal(deq, [0.0, 1.0, 2.0, 3.0])
 
     def test_ties_to_even_hand_case(self):
-        r = quant_asym(np.array([-2.0, -1.0, 0.0, 4.0]), bits=2)
-        assert r.span == 6.0
-        assert r.step == 2.0
-        assert r.zero_point == 0.0
-        np.testing.assert_array_equal(r.codes, [0, 0, 0, 2])
-        np.testing.assert_array_equal(r.dequantize(), [0.0, 0.0, 0.0, 4.0])
+        codes, deq, step, zero, span = _quant([-2.0, -1.0, 0.0, 4.0], 2)
+        assert span == 6.0
+        assert step == 2.0
+        assert zero == 0.0
+        np.testing.assert_array_equal(codes, [0, 0, 0, 2])
+        np.testing.assert_array_equal(deq, [0.0, 0.0, 0.0, 4.0])
 
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_error_bound_brute_force(self, bits):
@@ -37,18 +36,17 @@ class TestQuantAsym:
         rng = make_rng(10 + bits)
         for _ in range(1000 // 4):
             g = rng.normal(0, rng.uniform(0.1, 5.0), size=16)
-            r = quant_asym(g, bits=bits)
-            deq = r.dequantize()
-            raw = np.round(g / r.step) + r.zero_point
+            _, deq, step, zero, _ = _quant(g, bits)
+            raw = np.round(g / step) + zero
             unclipped = (raw >= 0) & (raw <= (1 << bits) - 1)
-            assert np.all(np.abs(g - deq)[unclipped] <= r.step / 2 + 1e-12)
+            assert np.all(np.abs(g - deq)[unclipped] <= step / 2 + 1e-12)
 
     def test_monotonicity(self):
         rng = make_rng(20)
         for _ in range(50):
             g = np.sort(rng.normal(size=32))
-            r = quant_asym(g, bits=4)
-            assert np.all(np.diff(r.codes) >= 0)
+            codes, *_ = _quant(g, 4)
+            assert np.all(np.diff(codes) >= 0)
 
     def test_idempotence_under_held_constants(self):
         # Re-encoding dequantized values with the step/zero-point that
@@ -59,43 +57,43 @@ class TestQuantAsym:
         rng = make_rng(21)
         for _ in range(100):
             g = rng.normal(size=64)
-            first = quant_asym(g, bits=4)
-            d = first.dequantize()
-            recoded = np.clip(np.round(d / first.step) + first.zero_point, 0, 15)
-            np.testing.assert_array_equal(first.codes, recoded.astype(np.int64))
+            codes, deq, step, zero, _ = _quant(g, 4)
+            recoded = np.clip(np.round(deq / step) + zero, 0, 15)
+            np.testing.assert_array_equal(codes, recoded.astype(np.int64))
 
     def test_idempotence_grid_aligned(self):
-        g = np.array([0.0, 1.0, 2.0, 3.0])
-        first = quant_asym(g, bits=2)
-        second = quant_asym(first.dequantize(), bits=2)
-        np.testing.assert_array_equal(first.codes, second.codes)
+        first, deq, *_ = _quant([0.0, 1.0, 2.0, 3.0], 2)
+        second, *_ = _quant(deq, 2)
+        np.testing.assert_array_equal(first, second)
 
     def test_codes_in_range(self):
         g = make_rng(22).normal(size=128)
-        r = quant_asym(g, bits=2, clip_lo=-0.5, clip_hi=0.5)
-        assert r.codes.min() >= 0 and r.codes.max() <= 3
+        codes, *_ = _quant(g, 2, -0.5, 0.5)
+        assert codes.min() >= 0 and codes.max() <= 3
 
     def test_degenerate_group(self):
-        with pytest.raises(DegenerateGroupError):
-            quant_asym(np.full(8, 2.5), bits=4)
+        codes, deq, _, _, span = _quant(np.full(8, 2.5), 4)
+        assert span == 0.0
+        np.testing.assert_array_equal(codes, 0)
+        np.testing.assert_array_equal(deq, 2.5)
 
     def test_degenerate_after_clip(self):
-        with pytest.raises(DegenerateGroupError):
-            quant_asym(np.array([5.0, 6.0, 7.0]), bits=4, clip_lo=1.0, clip_hi=1.0)
-
-    def test_unsupported_bits(self):
-        with pytest.raises(ValueError):
-            quant_asym(np.array([0.0, 1.0]), bits=5)
+        codes, deq, _, _, span = _quant([5.0, 6.0, 7.0], 4, 1.0, 1.0)
+        assert span == 0.0
+        np.testing.assert_array_equal(codes, 0)
+        np.testing.assert_array_equal(deq, 1.0)
 
 
 class TestActQuant:
     def test_full_range_token(self):
-        codes, scale = quant_act_per_token(np.array([[-7.0, 7.0]]), ActQuantConfig(clip_ratio=1.0))
-        assert scale[0] == 1.0
-        np.testing.assert_array_equal(codes, [[-7, 7]])
+        # The top 10% of max|x| clips: +9 lands past the top code 7 and -9
+        # rounds onto -8, so the token spans the full int4 range.
+        codes, scale = quant_act_per_token(np.array([[-9.0, 9.0]]))
+        assert scale[0] == ACT_CLIP_RATIO * 9.0 / 7.0
+        np.testing.assert_array_equal(codes, [[-8, 7]])
 
     def test_clipping_at_ratio(self):
-        codes, scale = quant_act_per_token(np.array([[0.0, 10.0]]), ActQuantConfig(clip_ratio=0.9))
+        codes, scale = quant_act_per_token(np.array([[0.0, 10.0]]))
         assert scale[0] == pytest.approx(9.0 / 7.0)
         np.testing.assert_array_equal(codes, [[0, 7]])
 
@@ -107,30 +105,3 @@ class TestActQuant:
         x = make_rng(23).normal(0, 10, size=(16, 32))
         codes, _ = quant_act_per_token(x)
         assert codes.min() >= -8 and codes.max() <= 7
-
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            ActQuantConfig(clip_ratio=0.0)
-
-
-class TestKvQuant:
-    def test_ratio_one_matches_plain_asym(self):
-        rng = make_rng(24)
-        x = rng.uniform(0, 1, size=(1, 128))
-        r = quant_kv_group(x, KvQuantConfig(clip_ratio=1.0))
-        plain = quant_asym(x[0], bits=4)
-        np.testing.assert_array_equal(r.codes[0, 0], plain.codes)
-
-    def test_span_shrunk_by_ratio(self):
-        x = np.linspace(0.0, 1.0, 128)[None, :]
-        r = quant_kv_group(x, KvQuantConfig(clip_ratio=0.95))
-        assert r.span[0, 0] == pytest.approx(0.95)
-
-    def test_codes_in_range(self):
-        x = make_rng(25).normal(size=(4, 256))
-        r = quant_kv_group(x)
-        assert r.codes.min() >= 0 and r.codes.max() <= 15
-
-    def test_degenerate_group(self):
-        with pytest.raises(DegenerateGroupError):
-            quant_kv_group(np.ones((1, 128)))
