@@ -55,7 +55,7 @@ for v, c, w in zip(values, codes, w_hat):
 print()
 print("=== 4. Every logit has an exact gradient ===")
 up = np.ones(5)
-d_group, d_lo, d_hi, d_s1, d_s2 = grads(values, skew, up)
+d_group, d_lo, d_hi, d_s1, d_s2 = grads(values, skew, codes, up)  # codes from section 3
 print(f"d lo_logit {d_lo:+.4f}  d hi_logit {d_hi:+.4f}  "
       f"d split1 {d_s1:+.4f}  d split2 {d_s2:+.4f}")
 print(f"straight-through weight gradient: {d_group} (zero outside the clip range)")

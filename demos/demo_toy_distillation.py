@@ -11,11 +11,11 @@ Run: python demos/demo_toy_distillation.py
 
 import numpy as np
 
-from rcpq import DistillConfig, ToyModelSpec, grad_check, invariance_check, train_toy
+from rcpq import DistillConfig, grad_check, invariance_check, train_toy
 
 print("=== 1. Full run: learnable clip + partitions ===")
 cfg = DistillConfig(seed=0, steps=200, batch=32)
-rep = train_toy(cfg, ToyModelSpec())
+rep = train_toy(cfg)
 trace = np.asarray(rep.loss_trace)
 print(f"teacher confidence alpha = {rep.alpha:.3f}")
 print(f"loss: {rep.initial_loss:.4f} -> {rep.final_loss:.4f} "

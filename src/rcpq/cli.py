@@ -23,13 +23,14 @@ from .errors import RcpqError
 from .gemv import GemvTask, bench_gemv, dense_oracle, gemv_fast, gemv_ref, random_activation
 from .pack import pack_activation_codes, read_rcpq, unpack_weight_codes, write_rcpq
 from .pipeline import encode, quantize_layer, rotate
-from .qat import DistillConfig, ToyModelSpec, train_toy
+from .qat import DistillConfig, train_toy
 from .rotation import fuse, randomized_hadamard
 from .stats import analytic_kurtosis, groupwise_kurtosis, qerr_vs_kurt, rotation_kurtosis_mc
 from .uniform import quant_act_per_token
 
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
+GEMV_TOL = 1e-5  # verify's bound on each GEMV path's relative gap to the oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,11 +194,11 @@ def _cmd_verify(args) -> int:
     )
     oracle = dense_oracle(task)
     gap_ref = _relative_gap(gemv_ref(task), oracle)
-    gap_fast = _relative_gap(gemv_fast(task, args.bh), oracle)
+    gap_fast = _relative_gap(gemv_fast(task), oracle)
     report = _base_report("verify", args)
     report.update(codes_match=True, lut_match=True, gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
-    if not (gap_ref <= args.tol and gap_fast <= args.tol):  # a NaN gap fails too
-        print(f"FAIL: GEMV gap ref={gap_ref:.2e} fast={gap_fast:.2e} exceeds {args.tol:.0e}")
+    if not (gap_ref <= GEMV_TOL and gap_fast <= GEMV_TOL):  # a NaN gap fails too
+        print(f"FAIL: GEMV gap ref={gap_ref:.2e} fast={gap_fast:.2e} exceeds {GEMV_TOL:.0e}")
         _emit(report, args.json)
         return FAILURE_EXIT
     print(f"OK: codes and LUT reproduce; GEMV gaps ref={gap_ref:.2e} fast={gap_fast:.2e}")
@@ -235,7 +236,7 @@ def _cmd_train_toy(args) -> int:
         batch=args.batch,
         freeze_partitions=args.freeze_partitions,
     )
-    rep = train_toy(cfg, ToyModelSpec())
+    rep = train_toy(cfg)
     report = _base_report("train-toy", args)
     report.update(
         alpha=rep.alpha,
@@ -295,8 +296,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--against", required=True)
     p.add_argument("--acts", required=True)
     p.add_argument("--rotate", type=int, default=None, metavar="SEED")
-    p.add_argument("--bh", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify)
 

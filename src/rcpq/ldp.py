@@ -13,8 +13,8 @@ always sum to one and never reorder. Thresholds sit at partition centers
 (t1 = p1/2, then t_i = t_{i-1} + (p_{i-1} + p_i)/2) and the four dequant
 levels are 0, the two threshold midpoints, and 1, so code 0 always lands on
 ``lo`` and code 3 on ``lo + span``. The backward pass treats the step
-functions as straight-through: codes are constants, everything else is
-differentiated analytically.
+functions as straight-through: it takes the codes the forward pass computed
+and holds them constant, and everything else is differentiated analytically.
 
 All functions broadcast: ``groups`` has shape (..., G) and each parameter
 field has shape (...), so a single group with scalar logits and a whole
@@ -154,10 +154,12 @@ def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.nd
 def grads(
     groups: np.ndarray,
     params: LdpParams,
+    codes: np.ndarray,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass of ``fake_quant`` against an upstream gradient.
 
+    ``codes`` are the forward pass's, ``fake_quant(groups, params)[0]``.
     Returns ``(d_group, d_lo_logit, d_hi_logit, d_split1, d_split2)``.
     The weight gradient is the clipped straight-through pass (upstream
     inside [lo, hi], zero outside). Parameter gradients differentiate
@@ -165,16 +167,16 @@ def grads(
     group min/max are treated as constants for the step.
     """
     g = np.asarray(groups, dtype=np.float64)
+    idx = np.asarray(codes, dtype=np.int64)
     up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != g.shape:
-        raise ValueError(f"upstream {up.shape} does not match groups {g.shape}")
+    for name, arr in (("codes", idx), ("upstream", up)):
+        if arr.shape != g.shape:
+            raise ValueError(f"{name} {arr.shape} does not match groups {g.shape}")
     mn, mx, lo, hi, span = _range_from_logits(g, params.lo_logit, params.hi_logit)
     a = np.asarray(sigmoid(params.split1))
     b = np.asarray(sigmoid(params.split2))
     da = a * (1.0 - a)
     db = b * (1.0 - b)
-    codes, _ = fake_quant(g, params)
-    idx = codes.astype(np.int64)
 
     # Level values and their share-logit derivatives, per code.
     w1 = (3.0 * a + (1.0 - a) * b) / 4.0

@@ -57,6 +57,7 @@ BITS = 2
 _TAG_WEIGHTS = 1
 _TAG_LUT = 2
 _TAG_PARAMS = 3
+_PARAM_FIELDS = ("lo_logit", "hi_logit", "split1", "split2")  # last axis of the params section
 _HEADER = struct.Struct("<4sHBIIIBI")
 _SECTION = struct.Struct("<IQQ")
 
@@ -157,18 +158,11 @@ def build_lut(w: np.ndarray, layout: GroupLayout, params: LdpParams) -> DequantL
 
 def _params_to_raw(params: LdpParams) -> np.ndarray:
     """Params section payload: (H, N, 4) float32 in the documented field order."""
-    return np.stack(
-        [params.lo_logit, params.hi_logit, params.split1, params.split2], axis=-1
-    ).astype("<f4")
+    return np.stack([getattr(params, name) for name in _PARAM_FIELDS], axis=-1).astype("<f4")
 
 
 def _params_from_raw(raw: np.ndarray) -> LdpParams:
-    return LdpParams(
-        lo_logit=raw[..., 0].astype(np.float64),
-        hi_logit=raw[..., 1].astype(np.float64),
-        split1=raw[..., 2].astype(np.float64),
-        split2=raw[..., 3].astype(np.float64),
-    )
+    return LdpParams(**{name: raw[..., k].astype(np.float64) for k, name in enumerate(_PARAM_FIELDS)})
 
 
 def stored_params(params: LdpParams) -> LdpParams:
@@ -286,5 +280,9 @@ def read_rcpq(path) -> RcpqContainer:
         expect_p = h * n * 4 * 4
         if _TAG_PARAMS not in sections or len(sections[_TAG_PARAMS]) != expect_p:
             raise DataError(f"{path}: params section missing or wrong size")
-        params = _params_from_raw(np.frombuffer(sections[_TAG_PARAMS], dtype="<f4").reshape(h, n, 4))
+        raw = np.frombuffer(sections[_TAG_PARAMS], dtype="<f4").reshape(h, n, 4)
+        if not np.isfinite(raw).all():
+            row, group, k = np.argwhere(~np.isfinite(raw))[0]
+            raise DataError(f"{path}: params at (row {row}, group {group}) {_PARAM_FIELDS[k]} is not finite")
+        params = _params_from_raw(raw)
     return RcpqContainer(weights=pw, lut=lut, params=params)

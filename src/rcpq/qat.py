@@ -18,7 +18,7 @@ keyed by (seed, stream), so a seed reproduces the loss trace bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class ToyModelSpec:
     head_gain: float = 4.0  # sharpens teacher logits so confidence is informative
 
 
+TOY = ToyModelSpec()  # the one toy model every entry point builds
+
+
 @dataclass(frozen=True)
 class DistillConfig:
     lr_weights: float = 1e-3
@@ -82,7 +85,6 @@ class TrainingReport:
     max_loss_spike: float
     agreement: float
     levels: list[np.ndarray]
-    config: dict = field(default_factory=dict)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -128,18 +130,18 @@ def estimate_alpha(probs: np.ndarray, labels: np.ndarray) -> float:
 # Toy model plumbing
 
 
-def _teacher_weights(spec: ToyModelSpec, seed: int) -> list[np.ndarray]:
+def _teacher_weights(seed: int) -> list[np.ndarray]:
     rng = make_rng(seed, _STREAM_TEACHER)
-    w1 = rng.standard_normal((spec.hidden, spec.in_dim)) / np.sqrt(spec.in_dim)
-    w2 = rng.standard_normal((spec.classes, spec.hidden)) / np.sqrt(spec.hidden)
-    w2 *= spec.head_gain
+    w1 = rng.standard_normal((TOY.hidden, TOY.in_dim)) / np.sqrt(TOY.in_dim)
+    w2 = rng.standard_normal((TOY.classes, TOY.hidden)) / np.sqrt(TOY.hidden)
+    w2 *= TOY.head_gain
     return [w1, w2]
 
 
-def _layouts(spec: ToyModelSpec) -> list[GroupLayout]:
+def _layouts() -> list[GroupLayout]:
     return [
-        GroupLayout(spec.hidden, spec.in_dim, spec.group_size),
-        GroupLayout(spec.classes, spec.hidden, spec.group_size),
+        GroupLayout(TOY.hidden, TOY.in_dim, TOY.group_size),
+        GroupLayout(TOY.classes, TOY.hidden, TOY.group_size),
     ]
 
 
@@ -191,13 +193,13 @@ class _State:
     alpha: float
 
 
-def _build_state(spec: ToyModelSpec, cfg: DistillConfig) -> _State:
-    teacher = _teacher_weights(spec, cfg.seed)
-    layouts = _layouts(spec)
+def _build_state(cfg: DistillConfig) -> _State:
+    teacher = _teacher_weights(cfg.seed)
+    layouts = _layouts()
     calib_rng = make_rng(cfg.seed, _STREAM_CALIB)
-    calib_x = calib_rng.standard_normal((_CALIB_TOKENS, spec.in_dim))
+    calib_x = calib_rng.standard_normal((_CALIB_TOKENS, TOY.in_dim))
     probs = _softmax(_forward_full(teacher, calib_x))
-    labels = np.array([calib_rng.choice(spec.classes, p=row) for row in probs])
+    labels = np.array([calib_rng.choice(TOY.classes, p=row) for row in probs])
     alpha = estimate_alpha(probs, labels)
     student = [w.copy() for w in teacher]
     # Clip search per layer on that layer's calibration inputs, then the
@@ -215,12 +217,13 @@ def _build_state(spec: ToyModelSpec, cfg: DistillConfig) -> _State:
 def _loss_and_upstream(state: _State, x: np.ndarray):
     """CAKLD loss of the fake-quantized student on ``x``.
 
-    Returns ``(loss, [dW1, dW2])``: the loss and its unmasked gradients at
-    the fake-quantized weights, the point where the straight-through
-    estimator hands them to the quantizer.
+    Returns ``(loss, codes, [dW1, dW2])``: the loss, each layer's quantizer
+    codes, and the loss's unmasked gradients at the fake-quantized weights,
+    the point where the straight-through estimator hands them to the
+    quantizer.
     """
     teacher_logits = _forward_full(state.teacher, x)
-    _, wq = _quantize_weights(state)
+    codes, wq = _quantize_weights(state)
     z1 = x @ wq[0].T
     h1 = np.maximum(z1, 0.0)
     z2 = h1 @ wq[1].T
@@ -245,7 +248,7 @@ def _loss_and_upstream(state: _State, x: np.ndarray):
     dh1 = dz2 @ wq[1]
     dz1 = dh1 * (z1 > 0.0)
     dwq1 = dz1.T @ x
-    return loss, [dwq1, dwq2]
+    return loss, codes, [dwq1, dwq2]
 
 
 def _loss_and_grads(state: _State, x: np.ndarray):
@@ -255,19 +258,19 @@ def _loss_and_grads(state: _State, x: np.ndarray):
     list of (d_lo, d_hi, d_split1, d_split2) per layer. ``weight_grads`` are
     the straight-through gradients for the raw weights.
     """
-    loss, upstream = _loss_and_upstream(state, x)
+    loss, codes, upstream = _loss_and_upstream(state, x)
     weight_grads = []
     param_grads = []
-    for w, p, lay, dwq in zip(state.student, state.params, state.layouts, upstream):
-        d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(lay.grouped(w), p, lay.grouped(dwq))
+    for w, p, lay, c, dwq in zip(state.student, state.params, state.layouts, codes, upstream):
+        d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(lay.grouped(w), p, c, lay.grouped(dwq))
         weight_grads.append(d_group.reshape(w.shape))
         param_grads.append((d_lo, d_hi, d_s1, d_s2))
     return loss, weight_grads, param_grads
 
 
-def train_toy(cfg: DistillConfig, spec: ToyModelSpec = ToyModelSpec()) -> TrainingReport:
-    """Run the distillation loop; fully deterministic per seed."""
-    state = _build_state(spec, cfg)
+def train_toy(cfg: DistillConfig) -> TrainingReport:
+    """Run the distillation loop on the toy model; fully deterministic per seed."""
+    state = _build_state(cfg)
     trained = 2 if cfg.freeze_partitions else 4  # frozen: only the clip logits learn
     logits = [(p.lo_logit, p.hi_logit, p.split1, p.split2)[:trained] for p in state.params]
     opt_w = _Adam(cfg.lr_weights, state.student)
@@ -275,7 +278,7 @@ def train_toy(cfg: DistillConfig, spec: ToyModelSpec = ToyModelSpec()) -> Traini
     trace: list[float] = []
 
     for step in range(cfg.steps):
-        x = make_rng(cfg.seed, _STREAM_BATCH0 + step).standard_normal((cfg.batch, spec.in_dim))
+        x = make_rng(cfg.seed, _STREAM_BATCH0 + step).standard_normal((cfg.batch, TOY.in_dim))
         loss, w_grads, p_grads = _loss_and_grads(state, x)
         if not np.isfinite(loss):
             raise TrainingFailureError(step)
@@ -285,8 +288,8 @@ def train_toy(cfg: DistillConfig, spec: ToyModelSpec = ToyModelSpec()) -> Traini
         for arr in opt_q.params:  # frozen split logits never move off their init
             np.clip(arr, -ldp.LOGIT_LIMIT, ldp.LOGIT_LIMIT, out=arr)
 
-    eval_x = make_rng(cfg.seed, _STREAM_EVAL).standard_normal((_EVAL_TOKENS, spec.in_dim))
-    eval_loss, _ = _loss_and_upstream(state, eval_x)
+    eval_x = make_rng(cfg.seed, _STREAM_EVAL).standard_normal((_EVAL_TOKENS, TOY.in_dim))
+    eval_loss, _, _ = _loss_and_upstream(state, eval_x)
     _, wq = _quantize_weights(state)
     student_logits = _forward_full(wq, eval_x)
     teacher_logits = _forward_full(state.teacher, eval_x)
@@ -306,15 +309,6 @@ def train_toy(cfg: DistillConfig, spec: ToyModelSpec = ToyModelSpec()) -> Traini
         max_loss_spike=float(spikes.max()),
         agreement=agreement,
         levels=levels,
-        config={
-            "steps": cfg.steps,
-            "batch": cfg.batch,
-            "seed": cfg.seed,
-            "lr_weights": cfg.lr_weights,
-            "lr_quant": cfg.lr_quant,
-            "freeze_partitions": cfg.freeze_partitions,
-            "spec": vars(spec) | {},
-        },
     )
 
 
@@ -334,7 +328,7 @@ def _central_difference(arr: np.ndarray, idx: tuple, moved, loss) -> float | Non
     return (vals[0] - vals[1]) / (2 * _FD_DELTA)
 
 
-def grad_check(spec: ToyModelSpec = ToyModelSpec(), points: int = 100, seed: int = 0) -> dict:
+def grad_check(points: int = 100, seed: int = 0) -> dict:
     """Analytic quantizer-logit gradients vs central finite differences.
 
     Coordinates whose probe flips any quantizer code or ReLU sign are
@@ -344,11 +338,11 @@ def grad_check(spec: ToyModelSpec = ToyModelSpec(), points: int = 100, seed: int
     hands them off to the network.
     """
     cfg = DistillConfig(seed=seed)
-    state = _build_state(spec, cfg)
-    x = make_rng(seed, _STREAM_GRADCHECK).standard_normal((cfg.batch, spec.in_dim))
+    state = _build_state(cfg)
+    x = make_rng(seed, _STREAM_GRADCHECK).standard_normal((cfg.batch, TOY.in_dim))
     rng = make_rng(seed, _STREAM_GRADCHECK + 1)
     _, _, base_p_grads = _loss_and_grads(state, x)
-    _, base_upstream = _loss_and_upstream(state, x)
+    _, _, base_upstream = _loss_and_upstream(state, x)
 
     def snapshot() -> list[np.ndarray]:
         """Each layer's quantizer codes, then the first layer's ReLU mask."""
@@ -414,23 +408,17 @@ def grad_check(spec: ToyModelSpec = ToyModelSpec(), points: int = 100, seed: int
     }
 
 
-def invariance_check(
-    spec: ToyModelSpec = ToyModelSpec(), rotation_seed: int | None = 0, seed: int = 0
-) -> dict:
+def invariance_check(rotation_seed: int = 0, seed: int = 0) -> dict:
     """Full-precision outputs before vs after fusing a rotation pair.
 
     The input rotation and its inverse baked into the first weight must
     leave outputs unchanged (checked in float64); as a side effect the
     rotation raises the kurtosis of platykurtic weight groups, so the mean
     group kurtosis delta of the rotated weight is reported alongside.
-    ``rotation_seed=None`` uses the identity (deviation exactly zero).
     """
-    teacher = _teacher_weights(spec, seed)
-    x = make_rng(seed, _STREAM_EVAL).standard_normal((256, spec.in_dim))
-    if rotation_seed is None:
-        rot = np.eye(spec.in_dim)
-    else:
-        rot = randomized_hadamard(spec.in_dim, rotation_seed)
+    teacher = _teacher_weights(seed)
+    x = make_rng(seed, _STREAM_EVAL).standard_normal((256, TOY.in_dim))
+    rot = randomized_hadamard(TOY.in_dim, rotation_seed)
 
     base = _forward_full(teacher, x)
     # float64 end to end: ``fuse`` narrows to float32, too coarse for this check
@@ -440,7 +428,7 @@ def invariance_check(
     denom = max(1.0, float(np.abs(base).max()))
     deviation = float(np.abs(rotated - base).max()) / denom
 
-    lay = _layouts(spec)[0]
+    lay = _layouts()[0]
     kurt_base = groupwise_kurtosis(teacher[0], lay).per_group
     kurt_rot = groupwise_kurtosis(w1_fused64, lay).per_group
     return {

@@ -39,6 +39,8 @@ _DIST_KURT = {
     "arcsine": -1.5,
 }
 
+_MC_CHUNK = 20_000  # trials drawn per batch; each batch's random stream is keyed by its offset
+
 
 @dataclass
 class KurtosisReport:
@@ -97,12 +99,7 @@ def excess_kurtosis(samples: np.ndarray) -> float:
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 4:
         raise ValueError(f"need at least 4 samples, got {x.size}")
-    centered = x - x.mean()
-    m2 = np.mean(centered**2)
-    if m2 == 0.0:
-        raise DegenerateDistributionError("zero variance: kurtosis undefined")
-    m4 = np.mean(centered**4)
-    return float(m4 / (m2 * m2) - 3.0)
+    return float(_kurtosis_along_last(x))
 
 
 def _kurtosis_along_last(grouped: np.ndarray) -> np.ndarray:
@@ -231,7 +228,6 @@ def rotation_kurtosis_mc(
     n: int,
     trials: int,
     seed: int,
-    chunk: int = 20_000,
 ) -> McReport:
     """Monte Carlo estimate of excess kurtosis before/after Hadamard rotation.
 
@@ -250,7 +246,7 @@ def rotation_kurtosis_mc(
     rest_sum = 0.0
     done = 0
     while done < trials:
-        take = min(chunk, trials - done)
+        take = min(_MC_CHUNK, trials - done)
         rng = make_rng(seed, stream=done)
         x = _draw(dist, rng, (take, n))
         y = x @ h_t

@@ -176,7 +176,7 @@ def test_criterion_06_gradient_fidelity():
         if not stable:
             continue
         up = rng.normal(size=16)
-        _, *analytic = grads(group, LdpParams(*vals), up)
+        _, *analytic = grads(group, LdpParams(*vals), base_codes, up)
         for k in range(4):
             fd_val = float(((fd[k][0] - fd[k][1]) * up).sum()) / (2 * eps)
             rel = abs(analytic[k] - fd_val) / max(abs(fd_val), abs(analytic[k]), 1e-8)

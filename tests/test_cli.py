@@ -177,6 +177,23 @@ class TestQuantizeVerifyBench:
         assert code == 2
         assert "FAIL: LUT mismatch at (h=5, g=1)" in capsys.readouterr().out
 
+    def test_verify_rejects_non_finite_params(self, weight_files, tmp_path, capsys):
+        wp, xp = weight_files
+        box = tmp_path / "m.rcpq"
+        main([
+            "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+            "--grid", "8", "--out", str(box),
+        ])
+        blob = bytearray(box.read_bytes())
+        params_at = len(blob) - 16 * 2 * 4 * 4  # the last section
+        raw = np.frombuffer(bytes(blob[params_at:]), dtype="<f4").reshape(16, 2, 4).copy()
+        raw[0, 1, 1] = np.nan
+        blob[params_at:] = raw.tobytes()
+        box.write_bytes(bytes(blob))
+        code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp)])
+        assert code == 2
+        assert "params at (row 0, group 1) hi_logit is not finite" in capsys.readouterr().err
+
     def test_verify_without_rotation_mismatch(self, weight_files, tmp_path, capsys):
         # quantized with rotation but verified without -> codes differ -> exit 2
         wp, xp = weight_files

@@ -168,9 +168,17 @@ def _codes_stable(group, vals, eps=1e-4):
 class TestGrads:
     def test_zero_upstream(self):
         group = make_rng(34).normal(size=8)
-        out = grads(group, _uniform_params(), np.zeros(8))
+        p = _uniform_params()
+        out = grads(group, p, fake_quant(group, p)[0], np.zeros(8))
         for g in out:
             assert np.all(np.asarray(g) == 0.0)
+
+    def test_codes_shape_must_match_groups(self):
+        group = make_rng(36).normal(size=8)
+        p = _uniform_params()
+        codes, _ = fake_quant(group, p)
+        with pytest.raises(ValueError, match=r"codes \(7,\) does not match groups \(8,\)"):
+            grads(group, p, codes[:7], np.zeros(8))
 
     def test_code_zero_element_closed_form(self):
         # A min-clipped element: hi-side gradient vanishes, lo-side gradient
@@ -180,7 +188,7 @@ class TestGrads:
         up = np.array([1.7, 0.0, 0.0, 0.0])  # only the min element
         codes, _ = fake_quant(group, p)
         assert codes[0] == 0
-        _, d_lo, d_hi, _, _ = grads(group, p, up)
+        _, d_lo, d_hi, _, _ = grads(group, p, codes, up)
         s = sigmoid(0.3)
         assert d_hi == pytest.approx(0.0, abs=1e-15)
         assert d_lo == pytest.approx(1.7 * s * (1 - s) * group.min(), rel=1e-12)
@@ -197,7 +205,8 @@ class TestGrads:
             if not _codes_stable(group, vals):
                 continue
             up = rng.normal(size=16)
-            _, *analytic = grads(group, LdpParams(*vals), up)
+            p = LdpParams(*vals)
+            _, *analytic = grads(group, p, fake_quant(group, p)[0], up)
             fd = _fd_param_grads(group, vals, up)
             for a, f in zip(analytic, fd):
                 rel = abs(a - f) / max(abs(f), abs(a), 1e-8)
@@ -210,7 +219,7 @@ class TestGrads:
         p = LdpParams(-1.0, -1.0, 0.0, 0.0)  # heavy clipping
         g = derive_grids(group, p)
         up = np.ones(4)
-        d_group, *_ = grads(group, p, up)
+        d_group, *_ = grads(group, p, fake_quant(group, p)[0], up)
         inside = (group >= g.lo) & (group <= g.hi)
         np.testing.assert_array_equal(d_group, np.where(inside, 1.0, 0.0))
 

@@ -261,6 +261,18 @@ class TestContainer:
         with pytest.raises(DataError, match=rf"\(row 1, group 1\) {message}"):
             read_rcpq(path)
 
+    @pytest.mark.parametrize("value, field, name", [(np.nan, 1, "hi_logit"), (-np.inf, 3, "split2")])
+    def test_non_finite_param(self, tmp_path, value, field, name):
+        path, *_ = _small_container(tmp_path)
+        blob = bytearray(path.read_bytes())
+        _, off, length = _section_entries(blob)[3]
+        raw = np.frombuffer(bytes(blob[off : off + length]), dtype="<f4").reshape(4, 2, 4).copy()
+        raw[2, 1, field] = value
+        blob[off : off + length] = raw.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=rf"params at \(row 2, group 1\) {name} is not finite"):
+            read_rcpq(path)
+
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path, pw, lut, _ = _small_container(tmp_path)
         before = path.read_bytes()

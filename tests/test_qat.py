@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rcpq.errors import ConfigError, DataError
+from rcpq import ldp
 from rcpq.qat import (
+    TOY,
     DistillConfig,
-    ToyModelSpec,
     cakld,
     estimate_alpha,
     grad_check,
@@ -105,7 +106,7 @@ class TestTrainToy:
         # state instead of expecting a constant trace).
         cfg = DistillConfig(seed=1, steps=5, batch=16, lr_weights=0.0, lr_quant=0.0)
         rep = train_toy(cfg)
-        state = _build_state(ToyModelSpec(), cfg)
+        state = _build_state(cfg)
         for step, recorded in enumerate(rep.loss_trace):
             x = make_rng(cfg.seed, 16 + step).standard_normal((cfg.batch, 64))
             loss, _, _ = _loss_and_grads(state, x)
@@ -125,7 +126,15 @@ class TestTrainToy:
         assert 0.0 <= rep.alpha <= 1.0
         assert 0.0 <= rep.agreement <= 1.0
         assert np.isfinite(rep.max_loss_spike)
-        assert rep.config["steps"] == 8
+
+    def test_one_quantizer_pass_per_layer_and_step(self, monkeypatch):
+        # The backward takes the forward's codes instead of quantizing again.
+        state = _build_state(DistillConfig(seed=5))
+        x = make_rng(5, _STREAM_GRADCHECK).standard_normal((8, TOY.in_dim))
+        real, calls = ldp.fake_quant, []
+        monkeypatch.setattr(ldp, "fake_quant", lambda *args: calls.append(args) or real(*args))
+        _loss_and_grads(state, x)
+        assert len(calls) == len(state.layouts) == 2
 
 
 class TestGradCheck:
@@ -142,13 +151,12 @@ class TestGradCheck:
 
     def test_zero_upstream_zero_grads(self):
         cfg = DistillConfig(seed=4)
-        state = _build_state(ToyModelSpec(), cfg)
-        from rcpq import ldp
-
+        state = _build_state(cfg)
         lay = state.layouts[0]
         groups = lay.grouped(state.student[0])
         zeros = np.zeros_like(groups)
-        d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(groups, state.params[0], zeros)
+        codes, _ = ldp.fake_quant(groups, state.params[0])
+        d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(groups, state.params[0], codes, zeros)
         for g in (d_group, d_lo, d_hi, d_s1, d_s2):
             assert np.all(g == 0.0)
 
@@ -157,14 +165,13 @@ class TestSteConsistency:
     def test_first_order_decrease_on_quant_logits(self):
         # a tiny gradient step on the quantizer logits moves the loss by
         # -eps * ||g||^2 + O(eps^2) when no code flips
-        spec = ToyModelSpec()
         hits = 0
         state_seed = 0
         while hits < 10 and state_seed < 30:
             state_seed += 1
             cfg = DistillConfig(seed=state_seed)
-            state = _build_state(spec, cfg)
-            x = make_rng(state_seed, _STREAM_GRADCHECK).standard_normal((32, spec.in_dim))
+            state = _build_state(cfg)
+            x = make_rng(state_seed, _STREAM_GRADCHECK).standard_normal((32, TOY.in_dim))
             loss0, _, pgrads = _loss_and_grads(state, x)
             gnorm2 = sum(
                 float((g**2).sum()) for layer in pgrads for g in layer
@@ -188,10 +195,6 @@ class TestSteConsistency:
 
 
 class TestInvarianceCheck:
-    def test_identity_rotation_zero_deviation(self):
-        rep = invariance_check(rotation_seed=None, seed=0)
-        assert rep["max_rel_deviation"] == 0.0
-
     @pytest.mark.parametrize("rotation_seed", range(5))
     def test_random_rotations_within_tolerance(self, rotation_seed):
         rep = invariance_check(rotation_seed=rotation_seed, seed=3)
