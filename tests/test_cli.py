@@ -1,6 +1,10 @@
 """End-to-end runs of every subcommand, exit codes, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from rcpq import cli
 from rcpq.cli import main
 from rcpq.core import load_npy, make_rng, save_npy
 from rcpq.rotation import apply_online
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _report(path):
@@ -231,7 +237,7 @@ class TestQuantizeVerifyBench:
         assert code == 2
         assert "FAIL: GEMV gap ref=nan" in capsys.readouterr().out
 
-    def test_bench_report(self, weight_files, tmp_path):
+    def test_bench_report(self, weight_files, tmp_path, capsys):
         wp, xp = weight_files
         box = tmp_path / "m.rcpq"
         main([
@@ -244,6 +250,26 @@ class TestQuantizeVerifyBench:
         rep = _report(out)
         assert rep["fast_ns_per_call"] > 0
         assert rep["oracle_gap"] <= 1e-5
+        assert rep["kernel"] in ("c", "numpy")
+        assert rep["fast_gbytes_per_s"] > 0
+        assert f"{rep['kernel']} kernel" in capsys.readouterr().out
+
+    def test_import_and_quantize_never_compile(self, weight_files, tmp_path):
+        wp, xp = weight_files
+        script = (
+            "import rcpq\n"
+            "from rcpq import gemv\n"
+            "from rcpq.cli import main\n"
+            f"assert main(['quantize', '--weights', {str(wp)!r}, '--calib', {str(xp)!r}, "
+            f"'--group', '32', '--grid', '8', '--out', {str(tmp_path / 'm.rcpq')!r}]) == 0\n"
+            "print(gemv._load_kernel.cache_info().misses)\n"
+        )
+        cache = tmp_path / "cache"
+        env = {**os.environ, "XDG_CACHE_HOME": str(cache), "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0"
+        assert not cache.exists()
 
 
 @pytest.fixture

@@ -1,17 +1,25 @@
-"""LUT-decoding GEMV: reference, blocked fast path, dense oracle."""
+"""LUT-decoding GEMV: reference, compiled and numpy fast paths, dense oracle."""
+
+import dataclasses
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
+from rcpq import gemv
 from rcpq.core import GroupLayout, make_rng
-from rcpq.errors import ConfigError
-from rcpq.gemv import GemvTask, dense_oracle, gemv_fast, gemv_ref, random_activation
+from rcpq.errors import ConfigError, DataError, ShapeError
+from rcpq.gemv import GemvTask, bench_gemv, dense_oracle, gemv_fast, gemv_ref, random_activation
 from rcpq.pack import (
     DequantLut,
     PackedActivations,
+    PackedWeights,
     pack_activation_codes,
     pack_weight_codes,
 )
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 
 
 def make_task(rng, h, c, g, lut_values=None):
@@ -26,6 +34,36 @@ def make_task(rng, h, c, g, lut_values=None):
         lut = DequantLut(lut_values)
     x_packed, scale = random_activation(rng, c)
     return GemvTask(x_packed=x_packed, scale=scale, weights=pw, lut=lut, layout=layout)
+
+
+def numpy_fast(task, tile=8):
+    """``gemv_fast`` on its numpy tile loop: the spec the compiled kernel must match."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gemv, "_kernel_for", lambda layout: None)
+        return gemv_fast(task, tile)
+
+
+@pytest.fixture
+def compiled_calls(monkeypatch):
+    """Counts the calls that reach the compiled kernel."""
+    calls = []
+    run = gemv._gemv_compiled
+
+    def spy(kernel, task):
+        calls.append(task.layout)
+        return run(kernel, task)
+
+    monkeypatch.setattr(gemv, "_gemv_compiled", spy)
+    return calls
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """An empty kernel cache directory, and a process that has not loaded the kernel."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    gemv._load_kernel.cache_clear()
+    yield tmp_path / "cache" / "rcpq"
+    gemv._load_kernel.cache_clear()
 
 
 def rel_gap(a, b):
@@ -117,9 +155,9 @@ class TestGemvFast:
         rng = make_rng(66)
         task = make_task(rng, 48, 128, 32)
         base = gemv_fast(task, tile=2)
-        for tile in (4, 8, 16, 64):
-            out = gemv_fast(task, tile=tile)
-            assert rel_gap(out, base) <= 1e-5
+        for tile in (2, 4, 8, 16, 64):
+            assert gemv_fast(task, tile=tile).tobytes() == base.tobytes()
+            assert numpy_fast(task, tile=tile).tobytes() == base.tobytes()
 
     def test_linearity_in_scale(self):
         rng = make_rng(67)
@@ -155,6 +193,100 @@ class TestGemvFast:
             for cc in range(32)
         )
         assert abs(dense_oracle(task)[h] - manual) < 1e-12
+
+
+class TestGemvTaskDtypes:
+    @pytest.mark.parametrize("field", ["x_packed.data", "weights.data", "lut.table"])
+    def test_wrong_dtype_rejected(self, field):
+        task = make_task(make_rng(71), 4, 32, 8)
+        wrong = {
+            "x_packed.data": {"x_packed": PackedActivations(task.x_packed.data.astype(np.int16))},
+            "weights.data": {"weights": PackedWeights(task.weights.data.astype(np.int32), task.layout)},
+            "lut.table": {"lut": DequantLut(task.lut.table.astype(np.float32))},
+        }[field]
+        with pytest.raises(DataError, match=field):
+            dataclasses.replace(task, **wrong)
+
+    def test_mutated_task_fails_closed(self):
+        # a task changed after construction is checked again before C reads it
+        task = make_task(make_rng(72), 4, 32, 8)
+        task.weights = PackedWeights(task.weights.data[:2], task.layout)
+        with pytest.raises(ShapeError, match="do not match layout"):
+            gemv_fast(task)
+
+
+class TestCompiledKernel:
+    @needs_cc
+    def test_bit_identical_to_numpy_loop(self, compiled_calls):
+        rng = make_rng(73)
+        tasks = []
+        for _ in range(200):
+            g = 8 * int(rng.integers(1, 17))
+            tasks.append(make_task(rng, int(rng.integers(1, 50)), g * int(rng.integers(1, 40)), g))
+        # float16 extremes, subnormals and signed zeros in the LUT; all-zero
+        # and all-negative activations
+        specials = np.array([65504, -65504, 6e-8, -6e-8, 0.0, -0.0, 1e-5, -1.0, 1.0], dtype=np.float16)
+        for i in range(300):
+            g = int(rng.choice([8, 24, 40, 96, 120, 128]))
+            h, c = int(rng.integers(1, 20)), g * int(rng.integers(1, 9))
+            lut = rng.choice(specials, size=(h, c // g, 4))
+            task = make_task(rng, h, c, g, lut_values=lut)
+            if i % 3:
+                xcodes = np.zeros(c) if i % 3 == 1 else rng.integers(-8, 0, size=c)
+                task = dataclasses.replace(task, x_packed=pack_activation_codes(xcodes.astype(np.int8)))
+            tasks.append(task)
+        for task in tasks:
+            assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
+        assert len(compiled_calls) == len(tasks)
+
+    @pytest.mark.parametrize("g", [4, 256])
+    def test_uncovered_group_sizes_use_numpy(self, g, compiled_calls):
+        task = make_task(make_rng(74), 6, 2 * g, g)
+        assert rel_gap(gemv_fast(task), gemv_ref(task)) <= 1e-5
+        assert compiled_calls == []
+        assert bench_gemv(task, iters=1)["kernel"] == "numpy"
+
+    @needs_cc
+    def test_builds_into_cache(self, fresh_kernel, compiled_calls):
+        task = make_task(make_rng(75), 8, 64, 32)
+        assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
+        assert compiled_calls
+        assert [p.suffix for p in fresh_kernel.iterdir()] == [".so"]
+
+    @pytest.mark.parametrize("failure", ["no compiler", "compile error", "load error"])
+    def test_failed_build_falls_back(self, failure, fresh_kernel, monkeypatch, compiled_calls):
+        builds = []
+        run = subprocess.run
+
+        def counted_run(cmd, **kwargs):
+            builds.append(cmd)
+            if failure == "no compiler":
+                raise FileNotFoundError(cmd[0])
+            return run(cmd, **kwargs)
+
+        monkeypatch.setattr(gemv.subprocess, "run", counted_run)
+        def failed_load(path):
+            raise OSError(f"cannot load {path}")
+
+        if failure == "compile error":
+            monkeypatch.setattr(gemv, "_CFLAGS", gemv._CFLAGS + ("-include", "no-such-header.h"))
+        if failure == "load error":
+            monkeypatch.setattr(gemv.ctypes, "CDLL", failed_load)
+        rng = make_rng(76)
+        for _ in range(3):
+            task = make_task(rng, 8, 256, 32)
+            assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
+        assert compiled_calls == []
+        assert len(builds) <= 1  # not retried per call
+        assert not list(fresh_kernel.glob("*.tmp"))
+
+    def test_bench_reports_kernel_and_bandwidth(self):
+        task = make_task(make_rng(77), 16, 256, 32)
+        bench = bench_gemv(task, iters=3)
+        expect = "numpy" if gemv._load_kernel() is None else "c"
+        assert bench["kernel"] == expect
+        read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
+        assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])
 
 
 class TestDenseOracle:
