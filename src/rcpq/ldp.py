@@ -11,8 +11,11 @@ and the split logits carve that range into three partitions whose shares
 
 always sum to one and never reorder. Thresholds sit at partition centers
 (t1 = p1/2, then t_i = t_{i-1} + (p_{i-1} + p_i)/2) and the four dequant
-levels are 0, the two threshold midpoints, and 1, so code 0 always lands on
-``lo`` and code 3 on ``lo + span``. The backward pass treats the step
+levels are 0, the two threshold midpoints, and 1. The dequantization table
+``table = lo + span * levels`` (trailing axis 4) is the one place that rule
+is evaluated: ``fake_quant`` gathers its entries by code and
+``pack.build_lut`` stores them in float16, so code 0 always lands on ``lo``
+and code 3 on ``lo + span``. The backward pass treats the step
 functions as straight-through: it takes the codes the forward pass computed
 and holds them constant, and everything else is differentiated analytically.
 
@@ -88,11 +91,15 @@ class LdpParams:
 
 @dataclass
 class LdpGrids:
-    """Derived per-group grids; trailing axes are 3 (shares, thresholds), 4 (levels)."""
+    """Derived per-group grids; trailing axes are 3 (shares, thresholds), 4 (levels, table).
+
+    ``table = lo + span * levels`` holds each code's dequantized value.
+    """
 
     shares: np.ndarray
     thresholds: np.ndarray
     levels: np.ndarray
+    table: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     span: np.ndarray
@@ -101,9 +108,9 @@ class LdpGrids:
 def _range_from_logits(
     groups: np.ndarray, lo_logit: np.ndarray, hi_logit: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    g = np.asarray(groups, dtype=np.float64)
-    mn = g.min(axis=-1)
-    mx = g.max(axis=-1)
+    g = np.asarray(groups)
+    mn = g.min(axis=-1).astype(np.float64)
+    mx = g.max(axis=-1).astype(np.float64)
     lo = sigmoid(lo_logit) * mn
     span = sigmoid(hi_logit) * mx - lo
     if np.any(span <= 0.0):
@@ -131,7 +138,8 @@ def derive_grids(groups: np.ndarray, params: LdpParams) -> LdpGrids:
     shares = np.stack([p1, p2, p3], axis=-1)
     thresholds = np.stack([t1, t2, t3], axis=-1)
     levels = np.stack([np.zeros_like(w1), w1, w2, np.ones_like(w1)], axis=-1)
-    return LdpGrids(shares=shares, thresholds=thresholds, levels=levels, lo=lo, hi=hi, span=span)
+    table = lo[..., None] + span[..., None] * levels
+    return LdpGrids(shares, thresholds, levels, table, lo, hi, span)
 
 
 def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.ndarray]:
@@ -139,16 +147,16 @@ def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.nd
 
     Values are normalized as ``v = clamp((w - lo)/span, 0, 1)``; the code
     counts the thresholds at or below ``v`` (ties go to the upper bin) and
-    dequantizes through the level grid, so clipped inputs land exactly on
-    the clip endpoints.
+    picks that code's entry of ``derive_grids(...).table``, so clipped
+    inputs land exactly on the clip endpoints.
     """
     g = np.asarray(groups, dtype=np.float64)
     grids = derive_grids(g, params)
+    # Clipped before the compare: where a threshold underflows to 0 or rounds
+    # past 1, a value outside [lo, hi] takes the code of the endpoint it clips to.
     v = np.clip((g - grids.lo[..., None]) / grids.span[..., None], 0.0, 1.0)
-    codes = (v[..., None] >= grids.thresholds[..., None, :]).sum(axis=-1).astype(np.uint8)
-    picked = np.take_along_axis(grids.levels, codes.astype(np.int64), axis=-1)
-    w_hat = grids.lo[..., None] + grids.span[..., None] * picked
-    return codes, w_hat
+    codes = (v[..., None] >= grids.thresholds[..., None, :]).sum(axis=-1, dtype=np.uint8)
+    return codes, np.take_along_axis(grids.table, codes, axis=-1)
 
 
 def grads(

@@ -142,16 +142,15 @@ def _check_lut(table: np.ndarray, error: type[RcpqError], where: str) -> None:
 
 
 def build_lut(w: np.ndarray, layout: GroupLayout, params: LdpParams) -> DequantLut:
-    """Dequantization table per group: ``lo + span * level`` in float16.
+    """Dequantization table per group: ``derive_grids(...).table`` cast to float16.
 
     Entries are non-decreasing per group and the first/last entries equal
     the clip endpoints up to float16 rounding. Raises ``EncodeError`` where
     an entry overflows float16.
     """
     grids = derive_grids(layout.grouped(np.asarray(w)), params)
-    table = grids.lo[..., None] + grids.span[..., None] * grids.levels
     with np.errstate(over="ignore"):  # reported below by (row, group)
-        table = table.astype(np.float16)
+        table = grids.table.astype(np.float16)
     _check_lut(table, EncodeError, "float16 ")
     return DequantLut(table=table)
 

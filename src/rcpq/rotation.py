@@ -41,7 +41,7 @@ def hadamard(n: int, normalized: bool = True) -> np.ndarray:
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
     if normalized:
-        h = h / np.sqrt(float(n))
+        h /= np.sqrt(float(n))
     return h
 
 
@@ -50,7 +50,9 @@ def randomized_hadamard(n: int, seed: int) -> np.ndarray:
     _check_pow2(n)
     rng = make_rng(seed)
     signs = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
-    return signs[:, None].astype(np.float64) * hadamard(n, normalized=True)
+    h = hadamard(n, normalized=True)
+    h *= signs[:, None]
+    return h
 
 
 def fuse(
@@ -85,5 +87,5 @@ def apply_online(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     r = np.asarray(r)
     if x.ndim != 2 or x.shape[1] != r.shape[0]:
         raise ShapeError(f"activation {x.shape} does not match rotation {r.shape}")
-    return (x @ r.astype(x.dtype)).astype(x.dtype)
+    return x @ r.astype(x.dtype, copy=False)
 

@@ -1,5 +1,7 @@
 """Partition grids, fake quantization, exact gradients, NF3 variant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,92 @@ class TestFakeQuant:
             params.split1[2, 1], params.split2[2, 1]))
         np.testing.assert_array_equal(codes[2, 1], c0)
         np.testing.assert_array_equal(w_hat[2, 1], w0)
+
+    def test_scalar_params_broadcast_over_stacked_groups(self):
+        groups = make_rng(35).normal(size=(5, 3, 8))
+        p = LdpParams(1.5, 2.0, -0.3, 0.4)
+        codes, w_hat = fake_quant(groups, p)
+        assert codes.shape == w_hat.shape == (5, 3, 8)
+        c0, w0 = fake_quant(groups[4, 2], p)
+        np.testing.assert_array_equal(codes[4, 2], c0)
+        np.testing.assert_array_equal(w_hat[4, 2], w0)
+
+
+def _fake_quant_reference(groups, params):
+    """The per-element rule: a (..., G, 3) threshold count, then ``lo + span * level``."""
+    g = np.asarray(groups, dtype=np.float64)
+    grids = derive_grids(g, params)
+    v = np.clip((g - grids.lo[..., None]) / grids.span[..., None], 0.0, 1.0)
+    codes = (v[..., None] >= grids.thresholds[..., None, :]).sum(axis=-1).astype(np.uint8)
+    picked = np.take_along_axis(grids.levels, codes.astype(np.int64), axis=-1)
+    return codes, grids.lo[..., None] + grids.span[..., None] * picked
+
+
+def _sweep_logits(rng, shape):
+    """Logits in [-6, 6], a quarter of them saturated at +/-800.
+
+    ``hi_logit`` saturates only upwards: with both clip logits at -800 the
+    range is empty and ``derive_grids`` raises.
+    """
+    fields = []
+    for extremes in ([-800.0, 800.0], [800.0], [-800.0, 800.0], [-800.0, 800.0]):
+        x = rng.uniform(-6.0, 6.0, shape)
+        fields.append(np.where(rng.random(shape) < 0.25, rng.choice(extremes, shape), x))
+    return LdpParams(*fields)
+
+
+class TestSharedTable:
+    def test_matches_per_element_reference(self):
+        rng = make_rng(36)
+        for case in range(300):
+            size = int(rng.choice([2, 4, 16, 128]))
+            batch = [(), (3,), (4, 5)][case % 3]
+            groups = rng.normal(size=batch + (size,)) * rng.uniform(0.01, 10.0)
+            groups[..., 0] = -np.abs(groups[..., 0]) - 0.1  # min < 0 < max keeps the range open
+            groups[..., -1] = np.abs(groups[..., -1]) + 0.1
+            groups = groups.astype([np.float32, np.float64][case % 2])
+            params = _sweep_logits(rng, batch)
+            codes, w_hat = fake_quant(groups, params)
+            ref_codes, ref_w_hat = _fake_quant_reference(groups, params)
+            assert codes.dtype == ref_codes.dtype and codes.tobytes() == ref_codes.tobytes()
+            assert w_hat.dtype == ref_w_hat.dtype and w_hat.shape == ref_w_hat.shape
+            assert w_hat.tobytes() == ref_w_hat.tobytes(), f"case {case}"
+
+    def test_underflowed_threshold_counts_for_clipped_values(self):
+        # split1 = -800 underflows t1 to 0; values below lo clip to v = 0,
+        # which counts it, so they take code 1, as lo itself does.
+        group = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        p = LdpParams(-3.0, -3.0, -800.0, 800.0)
+        assert derive_grids(group, p).thresholds[0] == 0.0
+        codes, w_hat = fake_quant(group, p)
+        np.testing.assert_array_equal(codes, [1, 1, 2, 3, 3])
+        ref_codes, ref_w_hat = _fake_quant_reference(group, p)
+        assert codes.tobytes() == ref_codes.tobytes()
+        assert w_hat.tobytes() == ref_w_hat.tobytes()
+
+    def test_values_are_the_table_gathered_at_the_codes(self):
+        rng = make_rng(37)
+        groups = rng.laplace(size=(6, 4, 32))
+        params = LdpParams(*[rng.uniform(-4, 4, (6, 4)) for _ in range(4)])
+        codes, w_hat = fake_quant(groups, params)
+        table = derive_grids(groups, params).table
+        assert table.shape == (6, 4, 4)
+        gathered = table[np.arange(6)[:, None, None], np.arange(4)[None, :, None], codes]
+        assert w_hat.tobytes() == gathered.tobytes()
+
+    def test_transient_memory_bound(self):
+        # What is left per element: v, the (..., G, 3) compare, the uint8
+        # codes and the gathered values, ~2.3x the input.
+        rng = make_rng(38)
+        groups = rng.normal(size=(512, 8, 128))
+        params = LdpParams(*[rng.uniform(-3, 3, (512, 8)) for _ in range(4)])
+        tracemalloc.start()
+        try:
+            fake_quant(groups, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * groups.nbytes
 
 
 def _fd_param_grads(group, vals, up, eps=1e-4):

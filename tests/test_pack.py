@@ -1,6 +1,7 @@
 """Bit packing, LUT construction, and the RCPQ container."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from rcpq import pack
 from rcpq.calib import ClipSearchConfig, grid_search_clip, ldp_init
 from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import DataError, EncodeError, FormatError
-from rcpq.ldp import LdpParams, fake_quant, uniform_split_logits
+from rcpq.ldp import LdpParams, derive_grids, fake_quant, uniform_split_logits
 from rcpq.pack import (
     DequantLut,
     PackedActivations,
@@ -138,6 +139,28 @@ class TestBuildLut:
         )
         scale = np.maximum(1.0, np.abs(w_hat))
         assert np.max(np.abs(decoded - w_hat) / scale) < 1e-3  # fp16 eps ~ 9.8e-4
+
+    def test_table_is_the_derived_table_in_float16(self):
+        rng = make_rng(54)
+        lay = GroupLayout(6, 64, 16)
+        w = rng.laplace(size=(6, 64)).astype(np.float32)
+        params = LdpParams(*[rng.uniform(-4, 4, (6, 4)) for _ in range(4)])
+        table = derive_grids(lay.grouped(w), params).table
+        assert build_lut(w, lay, params).table.tobytes() == table.astype(np.float16).tobytes()
+
+    def test_transient_memory_bound(self):
+        # Group min/max are taken in the weight's dtype: no float64 copy of it.
+        rng = make_rng(55)
+        lay = GroupLayout(512, 1024, 128)
+        w = rng.standard_normal((512, 1024)).astype(np.float32)
+        params = LdpParams(*[rng.uniform(-3, 3, (512, 8)) for _ in range(4)])
+        tracemalloc.start()
+        try:
+            build_lut(w, lay, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= w.nbytes
 
     @pytest.mark.filterwarnings("error")  # no float16 overflow warning either
     def test_float16_overflow_raises(self):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rcpq.errors import ConfigError, DataError
-from rcpq import ldp
+from rcpq.errors import ConfigError, DataError, TrainingFailureError
+from rcpq import ldp, qat
 from rcpq.qat import (
     TOY,
     DistillConfig,
@@ -135,6 +135,20 @@ class TestTrainToy:
         monkeypatch.setattr(ldp, "fake_quant", lambda *args: calls.append(args) or real(*args))
         _loss_and_grads(state, x)
         assert len(calls) == len(state.layouts) == 2
+
+    def test_non_finite_loss_stops_training(self, monkeypatch):
+        real, steps = qat._loss_and_grads, []
+
+        def nan_at_step_2(state, x):
+            steps.append(len(steps))
+            loss, w_grads, p_grads = real(state, x)
+            return (float("nan") if steps[-1] == 2 else loss), w_grads, p_grads
+
+        monkeypatch.setattr(qat, "_loss_and_grads", nan_at_step_2)
+        with pytest.raises(TrainingFailureError, match=r"^non-finite loss at step 2$") as err:
+            train_toy(DistillConfig(seed=0, steps=5))
+        assert err.value.step == 2
+        assert steps == [0, 1, 2]
 
 
 class TestGradCheck:

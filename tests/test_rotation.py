@@ -105,6 +105,14 @@ class TestApplyOnline:
         after = np.linalg.norm(apply_online(x, h), axis=1)
         np.testing.assert_allclose(before, after, rtol=1e-9)
 
+    def test_result_in_the_dtype_of_x(self):
+        x = make_rng(6).standard_normal((3, 16))
+        h = randomized_hadamard(16, seed=5)
+        out32 = apply_online(x.astype(np.float32), h)
+        assert out32.dtype == np.float32
+        assert out32.tobytes() == (x.astype(np.float32) @ h.astype(np.float32)).tobytes()
+        assert apply_online(x, h).tobytes() == (x @ h).tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             apply_online(np.zeros((2, 8)), hadamard(16))
