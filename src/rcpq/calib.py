@@ -5,10 +5,12 @@ The search minimizes, per group, the calibration output error
     || (dequant(quant(clip(w))) - clip(w)) @ x_group.T ||^2
 
 over an exhaustive 2-D grid of clip ratios for the group's min and max
-sides. Partial products are per group (the norm factorizes under group-wise
-quantization), so each group's search is independent and embarrassingly
-parallel. Ties are broken toward the larger retained range, i.e. less
-clipping. The winning ratios come back as logits, clamped to the training
+sides. Each group is scored on its own calibration columns only. The
+layer's output error does not factorize across groups: its square also
+has cross terms ``2 <D_n x_n, D_m x_m>`` between the errors of groups n and
+m in a row, which this objective ignores. Dropping them is what makes each
+group's search independent and embarrassingly parallel. Ties are broken
+toward the larger retained range, i.e. less clipping. The winning ratios come back as logits, clamped to the training
 limit so downstream sigmoid math never saturates to exactly 0 or 1.
 """
 

@@ -53,7 +53,15 @@ from .pack import (
     unpack_weight_codes,
 )
 
-__all__ = ["GemvTask", "gemv_ref", "gemv_fast", "dense_oracle", "bench_gemv", "random_activation"]
+__all__ = [
+    "GemvTask",
+    "gemv_ref",
+    "gemv_fast",
+    "dense_oracle",
+    "oracle_magnitude",
+    "bench_gemv",
+    "random_activation",
+]
 
 
 @dataclass
@@ -241,8 +249,8 @@ def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
     return out
 
 
-def dense_oracle(task: GemvTask) -> np.ndarray:
-    """Brute force: decode everything, multiply in float64."""
+def _decoded64(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
+    """The (H, C) weight and the (C,) activation the task encodes, in float64."""
     lay = task.layout
     xcodes = unpack_activation_codes(task.x_packed).astype(np.float64)
     x64 = float(task.scale) * xcodes
@@ -250,8 +258,23 @@ def dense_oracle(task: GemvTask) -> np.ndarray:
     lut_flat = task.lut.table.astype(np.float64).reshape(lay.out_channels, -1)
     group_of = np.repeat(np.arange(lay.num_groups), lay.group_size)
     idx = group_of[None, :] * 4 + wcodes
-    w_full = np.take_along_axis(lut_flat, idx, axis=1)
+    return np.take_along_axis(lut_flat, idx, axis=1), x64
+
+
+def dense_oracle(task: GemvTask) -> np.ndarray:
+    """Brute force: decode everything, multiply in float64."""
+    w_full, x64 = _decoded64(task)
     return w_full @ x64
+
+
+def oracle_magnitude(task: GemvTask) -> np.ndarray:
+    """``sum_c |w_hc| * |x_c|`` per output row, in float64.
+
+    The size of the terms a row's sum adds up: the rounding error of a
+    float32 accumulation scales with it, while the sum itself can cancel.
+    """
+    w_full, x64 = _decoded64(task)
+    return np.abs(w_full) @ np.abs(x64)
 
 
 def random_activation(

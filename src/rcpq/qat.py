@@ -422,7 +422,7 @@ def invariance_check(rotation_seed: int = 0, seed: int = 0) -> dict:
 
     base = _forward_full(teacher, x)
     # float64 end to end: ``fuse`` narrows to float32, too coarse for this check
-    w1_fused64 = teacher[0] @ rot
+    w1_fused64 = teacher[0] @ np.asarray(rot)
     x_rot = apply_online(x, rot)
     rotated = _forward_full([w1_fused64, teacher[1]], x_rot)
     denom = max(1.0, float(np.abs(base).max()))

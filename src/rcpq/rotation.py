@@ -5,6 +5,25 @@ doubling construction ``H_{2n} = [[H_n, H_n], [H_n, -H_n]]`` starting from
 ``[1]``. The randomized variant left-multiplies by a uniform random +/-1
 diagonal, which preserves orthogonality while decorrelating signs.
 
+``randomized_hadamard`` returns that rotation as its seeded sign vector, a
+``RandomizedHadamard``; nothing dense is built until numpy asks for the
+matrix. Two consumers see it in different forms:
+
+* ``fuse`` bakes it into a weight once, as the dense float64 matrix
+  (``np.asarray(r)``). That product defines the codes and the LUT that a
+  container stores, so it keeps the dense matrix product whose bits every
+  existing container was made with.
+* ``apply_online`` rotates activations on every call. It signs ``x`` and
+  applies the unnormalized transform by the Kronecker factorization
+  ``H_n = H_p (x) H_q`` (p the power of two nearest ``sqrt(n)`` from
+  below): two small matmuls against ``hadamard(p)`` and ``hadamard(q)``,
+  in float64, then one scaling by ``1/sqrt(n)`` and one narrowing to the
+  dtype of ``x``. For ``n = 4096`` that is 2 x 64 x 4096 multiply-adds per
+  token instead of 4096^2, with no 64 MB matrix in memory. Each row is
+  transformed by the same calls whatever the batch size, so a row's bits do
+  not depend on the rows beside it. A dense ndarray ``r`` takes the plain
+  ``x @ r``, the reference.
+
 Fusion computes ``R_front^T @ W @ R_rear`` in float64 and narrows to float32,
 so a rotation baked into a weight is exact enough that rotating the matching
 activations online leaves layer outputs unchanged to ~1e-9 relative.
@@ -12,12 +31,17 @@ activations online leaves layer outputs unchanged to ~1e-9 relative.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import make_rng
 from .errors import ConfigError, ShapeError
 
 __all__ = [
+    "RandomizedHadamard",
+    "Rotation",
     "hadamard",
     "randomized_hadamard",
     "fuse",
@@ -45,25 +69,46 @@ def hadamard(n: int, normalized: bool = True) -> np.ndarray:
     return h
 
 
-def randomized_hadamard(n: int, seed: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class RandomizedHadamard:
+    """The rotation ``D @ H / sqrt(n)``, held as the diagonal of ``D``.
+
+    ``signs`` is the float64 +/-1 vector of length ``n``. ``np.asarray(r)``
+    builds the dense matrix, so numpy code (``w @ r``, ``fuse``) sees the
+    same float64 bits as ``hadamard(n)`` with its rows signed.
+    """
+
+    signs: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a RandomizedHadamard has no dense matrix to share")
+        h = hadamard(self.signs.size, normalized=True)
+        h *= self.signs[:, None]
+        return h if dtype is None else h.astype(dtype, copy=False)
+
+
+Rotation = np.ndarray | RandomizedHadamard
+
+
+def randomized_hadamard(n: int, seed: int) -> RandomizedHadamard:
     """Random-sign Hadamard: D @ H with D a seeded +/-1 diagonal, H normalized."""
     _check_pow2(n)
-    rng = make_rng(seed)
-    signs = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
-    h = hadamard(n, normalized=True)
-    h *= signs[:, None]
-    return h
+    signs = make_rng(seed).integers(0, 2, size=n, dtype=np.int64) * 2 - 1
+    return RandomizedHadamard(signs.astype(np.float64))
 
 
 def fuse(
     w: np.ndarray,
-    r_front: np.ndarray | None = None,
-    r_rear: np.ndarray | None = None,
+    r_front: Rotation | None = None,
+    r_rear: Rotation | None = None,
 ) -> np.ndarray:
     """Bake rotations into a weight: ``R_front^T @ W @ R_rear`` -> float32.
 
     Either side may be None (identity). Computed in float64 so the fused
-    weight loses only the final float32 narrowing.
+    weight loses only the final float32 narrowing. A ``RandomizedHadamard``
+    is expanded to its dense matrix here, so the fused bits are those of
+    the matrix product, whichever form the rotation comes in.
     """
     out = np.asarray(w, dtype=np.float64)
     if out.ndim != 2:
@@ -81,11 +126,46 @@ def fuse(
     return out.astype(np.float32)
 
 
-def apply_online(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rotate activations on the fly: ``x @ r`` in the dtype of ``x``."""
+@functools.lru_cache(maxsize=None)
+def _factor(n: int) -> np.ndarray:
+    h = hadamard(n, normalized=False)
+    h.flags.writeable = False
+    return h
+
+
+def _hadamard_transform(x: np.ndarray) -> np.ndarray:
+    """``x @ hadamard(n, normalized=False)`` for the rows of a 2-D float64 ``x``.
+
+    Uses ``H_n = H_p (x) H_q``: a row viewed as a (p, q) matrix ``X`` maps to
+    ``H_p @ X @ H_q`` (both factors are symmetric). Each row goes through
+    the same (p, q)-sized products, whatever the number of rows.
+    """
+    rows, n = x.shape
+    _check_pow2(n)
+    p = 1 << ((n.bit_length() - 1) // 2)
+    y = _factor(p) @ (x.reshape(rows, p, n // p) @ _factor(n // p))
+    return y.reshape(rows, n)
+
+
+def apply_online(x: np.ndarray, r: Rotation) -> np.ndarray:
+    """Rotate activations on the fly: ``x @ r`` in the dtype of ``x``.
+
+    A ``RandomizedHadamard`` is applied as signs, the Kronecker-factored
+    transform and one scaling, in float64, narrowed once at the end; any
+    other ``r`` is taken as a dense matrix and multiplied in the dtype of
+    ``x``.
+    """
     x = np.asarray(x)
+    if isinstance(r, RandomizedHadamard):
+        _check_columns(x, r.signs.size)
+        y = _hadamard_transform(x * r.signs)
+        y *= 1.0 / np.sqrt(r.signs.size)
+        return y.astype(x.dtype, copy=False)
     r = np.asarray(r)
-    if x.ndim != 2 or x.shape[1] != r.shape[0]:
-        raise ShapeError(f"activation {x.shape} does not match rotation {r.shape}")
+    _check_columns(x, r.shape[0])
     return x @ r.astype(x.dtype, copy=False)
 
+
+def _check_columns(x: np.ndarray, n: int) -> None:
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ShapeError(f"activation {x.shape} does not match rotation of size {n}")

@@ -18,7 +18,7 @@ from scipy import stats as sps
 
 from .core import GroupLayout, make_rng
 from .errors import ConfigError, DegenerateDistributionError
-from .rotation import apply_online, fuse, hadamard
+from .rotation import Rotation, apply_online, fuse, hadamard
 
 __all__ = [
     "KurtosisReport",
@@ -132,7 +132,7 @@ def groupwise_kurtosis(w: np.ndarray, layout: GroupLayout) -> KurtosisReport:
 def qerr_vs_kurt(
     w: np.ndarray,
     x: np.ndarray,
-    rotation: np.ndarray,
+    rotation: Rotation,
     quantizer: Callable[[np.ndarray, np.ndarray, GroupLayout], tuple[np.ndarray, np.ndarray]],
     layout: GroupLayout,
 ) -> QErrReport:

@@ -25,7 +25,10 @@ from rcpq import (
 from rcpq import cli
 from rcpq.cli import main
 from rcpq.core import load_npy, make_rng, save_npy
+from rcpq.gemv import GemvTask, dense_oracle, gemv_fast, gemv_ref
+from rcpq.pack import pack_activation_codes, read_rcpq, unpack_activation_codes, unpack_weight_codes
 from rcpq.rotation import apply_online
+from rcpq.uniform import quant_act_per_token
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -284,6 +287,53 @@ def laplace_files(tmp_path):
     save_npy(w, wp)
     save_npy(x, xp)
     return wp, xp
+
+
+class TestVerifyGemvGap:
+    """verify scales each row's GEMV error by ``sum_c |w_hc| * |x_c|``."""
+
+    @pytest.fixture
+    def two_row_files(self, tmp_path):
+        # A correct 2-row container, and a token (found by a seed scan) whose
+        # two outputs nearly cancel: max |oracle| is small next to the terms.
+        rng = make_rng(96)
+        paths = [tmp_path / name for name in ("w.npy", "x.npy", "token.npy", "m.rcpq")]
+        save_npy(rng.laplace(scale=0.02, size=(2, 1024)).astype(np.float32), paths[0])
+        save_npy(rng.standard_normal((64, 1024)).astype(np.float32), paths[1])
+        save_npy(make_rng(97, 2924).standard_normal((1, 1024)).astype(np.float32), paths[2])
+        assert main(["quantize", "--weights", str(paths[0]), "--calib", str(paths[1]),
+                     "--group", "128", "--grid", "8", "--out", str(paths[3])]) == 0
+        return paths
+
+    @staticmethod
+    def _task(box, token_path):
+        container = read_rcpq(box)
+        codes, scales = quant_act_per_token(load_npy(token_path))
+        return GemvTask(pack_activation_codes(codes[0]), float(scales[0]), container.weights,
+                        container.lut, container.weights.layout)
+
+    def test_cancelling_two_row_layer_passes(self, two_row_files, capsys):
+        wp, _, tp, box = two_row_files
+        task = self._task(box, tp)
+        oracle = dense_oracle(task)
+        old_gap = max(np.abs(f(task) - oracle).max() for f in (gemv_ref, gemv_fast)) / np.abs(oracle).max()
+        assert old_gap > 1e-5  # what a scale of max |oracle| rejected
+        assert main(["verify", str(box), "--against", str(wp), "--acts", str(tp)]) == 0
+        assert capsys.readouterr().out.startswith("OK: codes and LUT reproduce")
+
+    def test_fast_output_off_by_one_weight_fails(self, two_row_files, monkeypatch, capsys):
+        wp, _, tp, box = two_row_files
+        task = self._task(box, tp)
+        lay = task.layout
+        x = task.scale * unpack_activation_codes(task.x_packed).astype(np.float64)
+        codes = unpack_weight_codes(task.weights)[0]
+        terms = task.lut.table[0, np.arange(lay.in_channels) // lay.group_size, codes] * x
+        nonzero = np.sort(np.abs(terms[terms != 0]))
+        off = np.array([nonzero[nonzero.size // 2], 0.0], dtype=np.float32)  # a median term
+        fast = cli.gemv_fast
+        monkeypatch.setattr(cli, "gemv_fast", lambda task: fast(task) + off)
+        assert main(["verify", str(box), "--against", str(wp), "--acts", str(tp)]) == 2
+        assert "FAIL: GEMV gap ref=" in capsys.readouterr().out
 
 
 class TestQuantizePipeline:

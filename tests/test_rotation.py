@@ -1,11 +1,26 @@
-"""Hadamard construction, orthogonality, fusion invariance."""
+"""Hadamard construction, orthogonality, fusion invariance, the online transform."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rcpq.core import make_rng
 from rcpq.errors import ConfigError, ShapeError
-from rcpq.rotation import apply_online, fuse, hadamard, randomized_hadamard
+from rcpq.rotation import _hadamard_transform, apply_online, fuse, hadamard, randomized_hadamard
+
+
+def max_rel_err(got, ref):
+    return float(np.abs(got.astype(np.float64) - ref).max() / np.abs(ref).max())
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestHadamard:
@@ -36,7 +51,7 @@ class TestHadamard:
 
 class TestRandomizedHadamard:
     def test_orthogonal(self):
-        r = randomized_hadamard(64, seed=5)
+        r = np.asarray(randomized_hadamard(64, seed=5))
         assert np.max(np.abs(r @ r.T - np.eye(64))) < 1e-6
 
     def test_deterministic(self):
@@ -48,6 +63,15 @@ class TestRandomizedHadamard:
 
     def test_seeds_differ(self):
         assert not np.array_equal(randomized_hadamard(16, 0), randomized_hadamard(16, 1))
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (16, 3), (256, 7), (4096, 7)])
+    def test_dense_form_is_the_signed_hadamard(self, n, seed):
+        signs = make_rng(seed).integers(0, 2, size=n, dtype=np.int64) * 2 - 1
+        ref = hadamard(n) * signs[:, None]
+        assert np.asarray(randomized_hadamard(n, seed)).tobytes() == ref.tobytes()
+
+    def test_construction_builds_nothing_dense(self):
+        assert peak_bytes(randomized_hadamard, 4096, 7) <= 1 << 20
 
 
 class TestFuse:
@@ -80,6 +104,12 @@ class TestFuse:
         expect = (w.astype(np.float64) @ h).astype(np.float32)
         assert got.tobytes() == expect.tobytes()
 
+    def test_sign_rotation_fuses_as_its_dense_matrix(self):
+        w = make_rng(13).standard_normal((32, 256)).astype(np.float32)
+        rot = randomized_hadamard(256, 7)
+        assert fuse(w, None, rot).tobytes() == fuse(w, None, np.asarray(rot)).tobytes()
+        assert fuse(w.T, rot, None).tobytes() == fuse(w.T, np.asarray(rot), None).tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             fuse(np.zeros((4, 8)), hadamard(8), None)
@@ -95,7 +125,7 @@ class TestApplyOnline:
     def test_round_trip(self):
         x = make_rng(4).standard_normal((5, 32))
         h = randomized_hadamard(32, seed=3)
-        back = apply_online(apply_online(x, h), h.T)
+        back = apply_online(apply_online(x, h), np.asarray(h).T)
         assert np.max(np.abs(back - x)) < 1e-9
 
     def test_row_norms_preserved(self):
@@ -107,15 +137,53 @@ class TestApplyOnline:
 
     def test_result_in_the_dtype_of_x(self):
         x = make_rng(6).standard_normal((3, 16))
-        h = randomized_hadamard(16, seed=5)
-        out32 = apply_online(x.astype(np.float32), h)
+        r = randomized_hadamard(16, seed=5)
+        dense = np.asarray(r)
+        out32 = apply_online(x.astype(np.float32), dense)
         assert out32.dtype == np.float32
-        assert out32.tobytes() == (x.astype(np.float32) @ h.astype(np.float32)).tobytes()
-        assert apply_online(x, h).tobytes() == (x @ h).tobytes()
+        assert out32.tobytes() == (x.astype(np.float32) @ dense.astype(np.float32)).tobytes()
+        assert apply_online(x, dense).tobytes() == (x @ dense).tobytes()
+        for dtype, bound in ((np.float32, 1e-7), (np.float64, 1e-15)):
+            out = apply_online(x.astype(dtype), r)
+            assert out.dtype == dtype
+            assert max_rel_err(out, x.astype(dtype).astype(np.float64) @ dense) <= bound
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             apply_online(np.zeros((2, 8)), hadamard(16))
+        with pytest.raises(ShapeError):
+            apply_online(np.zeros((2, 8)), randomized_hadamard(16, 0))
+
+
+class TestOnlineTransform:
+    @pytest.mark.parametrize("k", range(13))
+    def test_matches_the_dense_unnormalized_product(self, k):
+        n = 1 << k
+        x = make_rng(30 + k).standard_normal((5, n))
+        assert max_rel_err(_hadamard_transform(x), x @ hadamard(n, normalized=False)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_float32_within_1e7_of_the_float64_product(self, n):
+        # One rounding at the end; a float32 matvec against the dense
+        # rotation accumulates 4-6e-7 here.
+        x = make_rng(40).standard_normal((16, n)).astype(np.float32)
+        r = randomized_hadamard(n, 7)
+        ref = x.astype(np.float64) @ np.asarray(r)
+        assert max_rel_err(apply_online(x, r), ref) <= 1e-7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [8, 1024, 2048, 4096])
+    def test_a_row_does_not_depend_on_its_batch(self, n, dtype):
+        x = make_rng(50).standard_normal((257, n)).astype(dtype)
+        r = randomized_hadamard(n, 7)
+        batch = apply_online(x, r)
+        for i in range(x.shape[0]):
+            assert batch[i].tobytes() == apply_online(x[i : i + 1], r)[0].tobytes()
+
+    def test_one_token_allocates_no_dense_rotation(self):
+        r = randomized_hadamard(4096, 7)
+        x = make_rng(60).standard_normal((1, 4096)).astype(np.float32)
+        assert peak_bytes(apply_online, x, r) <= 1 << 20
 
 
 class TestComputationalInvariance:
@@ -125,7 +193,7 @@ class TestComputationalInvariance:
         x = rng.standard_normal((12, 32))
         w1 = rng.standard_normal((32, 32))
         w2 = rng.standard_normal((32, 8))
-        r = randomized_hadamard(32, seed=6)
+        r = np.asarray(randomized_hadamard(32, seed=6))
         base = (x @ w1) @ w2
         rotated = (x @ (w1 @ r)) @ (r.T @ w2)
         assert np.max(np.abs(base - rotated)) / np.abs(base).max() < 1e-9
