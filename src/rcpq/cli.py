@@ -20,15 +20,7 @@ from . import __version__
 from .calib import ClipSearchConfig, clipped_uniform_quantizer
 from .core import GroupLayout, load_npy, make_rng
 from .errors import RcpqError
-from .gemv import (
-    GemvTask,
-    bench_gemv,
-    dense_oracle,
-    gemv_fast,
-    gemv_ref,
-    oracle_magnitude,
-    random_activation,
-)
+from .gemv import GemvTask, bench_gemv, decode_dense, gemv_fast, gemv_ref, random_activation
 from .pack import pack_activation_codes, read_rcpq, unpack_weight_codes, write_rcpq
 from .pipeline import encode, quantize_layer, rotate
 from .qat import DistillConfig, train_toy
@@ -162,11 +154,18 @@ def _cmd_quantize(args) -> int:
     return 0
 
 
+def _oracle(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 oracle ``W @ x`` and, per row, ``|W| @ |x|``, from one decode."""
+    w, x = decode_dense(task)
+    oracle = w @ x
+    return oracle, np.abs(w, out=w) @ np.abs(x)
+
+
 def _relative_gap(y: np.ndarray, oracle: np.ndarray, magnitude: np.ndarray) -> float:
     """Max over rows of ``|y_h - oracle_h| / magnitude_h``.
 
-    ``magnitude`` is ``oracle_magnitude``, ``sum_c |w_hc| * |x_c|`` per row:
-    the size of the terms a row sums, which bounds its float32 accumulation
+    ``magnitude`` is ``sum_c |w_hc| * |x_c|`` per row (see ``_oracle``): the
+    size of the terms a row sums, which bounds its float32 accumulation
     error. ``max |oracle|`` does not: on a layer with few rows every output
     can be small by cancellation. A NaN in ``y`` gives a NaN gap.
     """
@@ -207,7 +206,7 @@ def _cmd_verify(args) -> int:
         lut=container.lut,
         layout=layout,
     )
-    oracle, magnitude = dense_oracle(task), oracle_magnitude(task)
+    oracle, magnitude = _oracle(task)
     gap_ref = _relative_gap(gemv_ref(task), oracle, magnitude)
     gap_fast = _relative_gap(gemv_fast(task), oracle, magnitude)
     report = _base_report("verify", args)
@@ -232,7 +231,7 @@ def _cmd_gemv_bench(args) -> int:
         lut=container.lut,
         layout=layout,
     )
-    gap = _relative_gap(gemv_fast(task, args.bh), dense_oracle(task), oracle_magnitude(task))
+    gap = _relative_gap(gemv_fast(task, args.bh), *_oracle(task))
     bench = bench_gemv(task, iters=args.iters, tile=args.bh)
     report = _base_report("gemv-bench", args)
     report.update(bench, oracle_gap=gap)

@@ -54,13 +54,7 @@ from .pack import (
 )
 
 __all__ = [
-    "GemvTask",
-    "gemv_ref",
-    "gemv_fast",
-    "dense_oracle",
-    "oracle_magnitude",
-    "bench_gemv",
-    "random_activation",
+    "GemvTask", "gemv_ref", "gemv_fast", "dense_oracle", "decode_dense", "bench_gemv", "random_activation",
 ]
 
 
@@ -249,7 +243,7 @@ def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
     return out
 
 
-def _decoded64(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
+def decode_dense(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
     """The (H, C) weight and the (C,) activation the task encodes, in float64."""
     lay = task.layout
     xcodes = unpack_activation_codes(task.x_packed).astype(np.float64)
@@ -263,18 +257,8 @@ def _decoded64(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
 
 def dense_oracle(task: GemvTask) -> np.ndarray:
     """Brute force: decode everything, multiply in float64."""
-    w_full, x64 = _decoded64(task)
+    w_full, x64 = decode_dense(task)
     return w_full @ x64
-
-
-def oracle_magnitude(task: GemvTask) -> np.ndarray:
-    """``sum_c |w_hc| * |x_c|`` per output row, in float64.
-
-    The size of the terms a row's sum adds up: the rounding error of a
-    float32 accumulation scales with it, while the sum itself can cancel.
-    """
-    w_full, x64 = _decoded64(task)
-    return np.abs(w_full) @ np.abs(x64)
 
 
 def random_activation(

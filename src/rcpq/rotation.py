@@ -15,14 +15,14 @@ matrix. Two consumers see it in different forms:
   existing container was made with.
 * ``apply_online`` rotates activations on every call. It signs ``x`` and
   applies the unnormalized transform by the Kronecker factorization
-  ``H_n = H_p (x) H_q`` (p the power of two nearest ``sqrt(n)`` from
-  below): two small matmuls against ``hadamard(p)`` and ``hadamard(q)``,
-  in float64, then one scaling by ``1/sqrt(n)`` and one narrowing to the
-  dtype of ``x``. For ``n = 4096`` that is 2 x 64 x 4096 multiply-adds per
-  token instead of 4096^2, with no 64 MB matrix in memory. Each row is
-  transformed by the same calls whatever the batch size, so a row's bits do
-  not depend on the rows beside it. A dense ndarray ``r`` takes the plain
-  ``x @ r``, the reference.
+  ``H_n = H_p (x) H_q`` (p the largest power of two not above ``sqrt(n)``,
+  q = n / p): two small matmuls against ``hadamard(p)`` and
+  ``hadamard(q)`` in float64, then one scaling by ``1/sqrt(n)`` and one
+  narrowing to the dtype of ``x``. For ``n = 4096`` that is 2 x 64 x 4096
+  multiply-adds per token instead of 4096^2, with no 64 MB matrix in
+  memory. Each row is transformed by the same calls whatever the batch
+  size, so a row's bits do not depend on the rows beside it. A dense
+  ndarray ``r`` takes the plain ``x @ r``, the reference.
 
 Fusion computes ``R_front^T @ W @ R_rear`` in float64 and narrows to float32,
 so a rotation baked into a weight is exact enough that rotating the matching
@@ -92,7 +92,11 @@ Rotation = np.ndarray | RandomizedHadamard
 
 
 def randomized_hadamard(n: int, seed: int) -> RandomizedHadamard:
-    """Random-sign Hadamard: D @ H with D a seeded +/-1 diagonal, H normalized."""
+    """Random-sign Hadamard: D @ H with D a seeded +/-1 diagonal, H normalized.
+
+    Returns the signs only, as a ``RandomizedHadamard`` (n floats); the
+    dense matrix is built by whoever asks numpy for it.
+    """
     _check_pow2(n)
     signs = make_rng(seed).integers(0, 2, size=n, dtype=np.int64) * 2 - 1
     return RandomizedHadamard(signs.astype(np.float64))

@@ -133,7 +133,7 @@ def rotations():
         r = rcpq.randomized_hadamard(n, ROTATE)
         w = rng.standard_normal((n // 2, n))
         x = rng.standard_normal((16, n))
-        out.append(r)
+        out.append(np.asarray(r))
         for dtype in (np.float32, np.float64):
             out += [
                 rcpq.fuse(w.astype(dtype), None, r),
