@@ -6,12 +6,14 @@ The search minimizes, per group, the calibration output error
 
 over an exhaustive 2-D grid of clip ratios for the group's min and max
 sides. Each group is scored on its own calibration columns only. The
-layer's output error does not factorize across groups: its square also
-has cross terms ``2 <D_n x_n, D_m x_m>`` between the errors of groups n and
-m in a row, which this objective ignores. Dropping them is what makes each
-group's search independent and embarrassingly parallel. Ties are broken
-toward the larger retained range, i.e. less clipping. The winning ratios come back as logits, clamped to the training
-limit so downstream sigmoid math never saturates to exactly 0 or 1.
+layer's output error does not factorize across groups: with ``e_n`` group
+n's part of a row's output error on the calibration tokens, the row's
+squared error also has the cross terms ``2 e_n . e_m``, which this
+objective ignores. Dropping them is what makes each group's search
+independent and embarrassingly parallel. Ties are broken
+toward the larger retained range, i.e. less clipping. The winning ratios
+come back as logits, clamped to the training limit so downstream sigmoid
+math never saturates to exactly 0 or 1.
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ class TestOnlineTransform:
     @pytest.mark.parametrize("n", [64, 1024, 4096])
     def test_float32_within_1e7_of_the_float64_product(self, n):
         # One rounding at the end; a float32 matvec against the dense
-        # rotation accumulates 4-6e-7 here.
+        # rotation accumulates 2-6e-7 here.
         x = make_rng(40).standard_normal((16, n)).astype(np.float32)
         r = randomized_hadamard(n, 7)
         ref = x.astype(np.float64) @ np.asarray(r)
