@@ -1,71 +1,62 @@
-/* Compiled fast path of rcpq.gemv.gemv_fast.
+/* Compiled fast path of rcpq.gemv.gemv_fast: exact integer row sums.
  *
- * Each float operation mirrors one numpy operation of the tile loop in
- * gemv.py (_decode_rows, _tree_sum), in the same order, so the output is
- * bit-identical to it. Build with -ffp-contract=off and without -ffast-math:
- * a fused multiply-add or a reassociated sum would round differently.
+ * A finite float16 LUT entry is an integer number of units 2^-24, below
+ * 2^40 in magnitude, and activation codes are integers in [-8, 7]. So row
+ * h's sum S_h = sum_c units(h, c) * code(c) is an exact int64 while the
+ * input channels are at most 2^20. Integer sums do not depend on their
+ * order: the lane width, the compiler and its flags cannot change them, and
+ * they equal the sums of the numpy spec in gemv.py.
  *
- * w: (rows, groups * gsize / 4) packed 2-bit codes; lut: (rows, groups, 4);
- * xv: (groups * gsize) decoded activations; partial: width floats of
- * scratch, width the least power of two >= groups; out: rows floats.
- * Requires gsize % 8 == 0 and gsize <= 128. There numpy's float32 pairwise
- * sum of a group keeps eight running sums, lanes lo[0..3] and hi[0..3] here,
- * joined by a fixed tree.
+ * w: (rows, groups * gsize / 4) packed 2-bit codes; lut: (rows, groups, 4)
+ * float16 bit patterns; x: (groups * gsize) activation codes; sums: rows.
+ * Requires gsize % 4 == 0. Returns -1, or h * groups + g for the first
+ * (row h, group g) whose LUT entries hold an inf or NaN; rows from h on
+ * are then left unset.
  */
 #include <stdint.h>
 #include <string.h>
 
-typedef float v4f __attribute__((vector_size(16)));
+typedef int32_t v4i __attribute__((vector_size(16)));
 
-static v4f load4(const float *p)
+/* The float16 with these bits in units of 2^-24; sets *bad for inf and NaN. */
+static int64_t units(uint16_t bits, int *bad)
 {
-    v4f v;
-    memcpy(&v, p, sizeof v);
-    return v;
+    int64_t e = (bits >> 10) & 31, m = bits & 1023;
+    int64_t u = e ? (m | 1024) << (e - 1) : m;
+    *bad |= e == 31;
+    return bits >> 15 ? -u : u;
 }
 
-void rcpq_w2a4_gemv(const uint8_t *w, const float *lut, const float *xv,
-                    int64_t rows, int64_t groups, int64_t gsize, int64_t width,
-                    float *partial, float *out)
+int64_t rcpq_w2a4_gemv(const uint8_t *w, const uint16_t *lut, const int32_t *x,
+                       int64_t rows, int64_t groups, int64_t gsize, int64_t *sums)
 {
-    /* mask[b][k] lane j is (float)(code j of byte b == k): 1.0f or 0.0f */
-    v4f mask[256][4];
+    /* mask[b][k] lane j is -1 where code j of byte b equals k, else 0 */
+    v4i mask[256][4];
     for (int b = 0; b < 256; b++)
         for (int k = 0; k < 4; k++)
             for (int j = 0; j < 4; j++)
-                mask[b][k][j] = (float)(((b >> (6 - 2 * j)) & 3) == k);
+                mask[b][k][j] = -(((b >> (6 - 2 * j)) & 3) == k);
 
     for (int64_t h = 0; h < rows; h++) {
+        int64_t s = 0;
         for (int64_t g = 0; g < groups; g++) {
             const uint8_t *b = w + (h * groups + g) * (gsize / 4);
-            const float *x = xv + g * gsize;
-            const float *l = lut + (h * groups + g) * 4;
-            v4f lo[4], hi[4];
-            for (int k = 0; k < 4; k++) {
-                lo[k] = mask[b[0]][k] * load4(x);
-                hi[k] = mask[b[1]][k] * load4(x + 4);
+            const int32_t *xg = x + g * gsize;
+            const uint16_t *l = lut + (h * groups + g) * 4;
+            v4i bucket[4] = {{0}};
+            for (int64_t i = 0; i < gsize / 4; i++) {
+                v4i xi;
+                memcpy(&xi, xg + 4 * i, sizeof xi);
+                for (int k = 0; k < 4; k++)
+                    bucket[k] += mask[b[i]][k] & xi;
             }
-            for (int64_t i = 8; i < gsize; i += 8) {
-                v4f xl = load4(x + i), xh = load4(x + i + 4);
-                const v4f *ml = mask[b[i / 4]], *mh = mask[b[i / 4 + 1]];
-                for (int k = 0; k < 4; k++) {
-                    lo[k] += ml[k] * xl;
-                    hi[k] += mh[k] * xh;
-                }
-            }
-            float p = 0.0f;
-            for (int k = 0; k < 4; k++) {
-                float bucket = ((lo[k][0] + lo[k][1]) + (lo[k][2] + lo[k][3]))
-                             + ((hi[k][0] + hi[k][1]) + (hi[k][2] + hi[k][3]));
-                p = p + l[k] * bucket;
-            }
-            partial[g] = p;
+            int bad = 0;
+            for (int k = 0; k < 4; k++)
+                s += units(l[k], &bad) * (bucket[k][0] + bucket[k][1] + bucket[k][2] + bucket[k][3]);
+            if (bad)
+                return h * groups + g;
         }
-        for (int64_t g = groups; g < width; g++)
-            partial[g] = 0.0f;
-        for (int64_t half = width / 2; half >= 1; half /= 2)
-            for (int64_t i = 0; i < half; i++)
-                partial[i] = partial[i] + partial[i + half];
-        out[h] = partial[0];
+        sums[h] = s;
     }
+    return -1;
 }

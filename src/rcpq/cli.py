@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .calib import ClipSearchConfig, clipped_uniform_quantizer
 from .core import GroupLayout, load_npy, make_rng
-from .errors import RcpqError
+from .errors import RcpqError, ZeroTokenError
 from .gemv import GemvTask, bench_gemv, decode_dense, gemv_fast, gemv_ref, random_activation
 from .pack import pack_activation_codes, read_rcpq, unpack_weight_codes, write_rcpq
 from .pipeline import encode, quantize_layer, rotate
@@ -197,7 +197,10 @@ def _cmd_verify(args) -> int:
         print(f"FAIL: LUT mismatch at (h={h}, g={n})")
         return FAILURE_EXIT
 
-    token = x_r[np.flatnonzero(np.abs(x_r).max(axis=1) > 0)[0]]
+    nonzero = np.flatnonzero(np.abs(x_r).max(axis=1) > 0)
+    if nonzero.size == 0:
+        raise ZeroTokenError(f"{args.acts}: no token has a non-zero activation")
+    token = x_r[nonzero[0]]
     act_codes, scales = quant_act_per_token(token[None, :])
     task = GemvTask(
         x_packed=pack_activation_codes(act_codes[0]),

@@ -7,25 +7,23 @@ transparency:
   float64 - the brute-force ground truth.
 * ``gemv_ref`` walks input channels in ascending order with one float32
   accumulator per output row - the scalar reference semantics.
-* ``gemv_fast`` decodes by bucketing activations per 2-bit code, so each
-  group costs four multiply-adds instead of a gather per element, and
-  reduces per-group partials with a fixed binary tree. Outputs are
-  bit-identical across runs and across tile sizes because every row is
-  computed from row-local data in a fixed order.
+* ``gemv_fast`` sums each row exactly in integers and rounds it once.
 
-The fast path is a small C kernel (``_w2a4.c``), compiled on the first
-``gemv_fast`` call that it covers, with ``cc -O3 -ffp-contract=off`` into
+The fast path rests on two facts. A finite float16 LUT entry is an integer
+number of units 2^-24, below 2^40 in magnitude, and an activation code is an
+integer in [-8, 7]. So each row's ``S_h = sum_c units(h, c) * code(c)`` is an
+exact int64 while ``C <= 2^20``, and ``gemv_fast`` returns
+``float32(ldexp(float64(S_h), -24) * scale)``. Integer sums do not depend on
+their order, so the output depends on neither the path, the tile, the
+compiler and its flags, nor the lane width.
+
+The sums come from a small C kernel (``_w2a4.c``), compiled on the first
+``gemv_fast`` call that it covers, with ``cc -O3`` into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
-``ctypes``. The numpy tile loop (``_decode_rows``, ``_tree_sum``) is its spec
-and its fallback: the kernel repeats the loop's float32 operations in the
-same order, so the two give the same bits. ``-ffp-contract=off`` keeps the
-compiler from fusing a multiply and an add into one rounding, which would
-change them. Group sizes the kernel does not cover (``G % 8 != 0`` or
-``G > 128``), and any process where the build or load fails, use the loop.
-
-Integer accumulation is impossible for non-uniform level grids (there is no
-shared scale to factor out), so everything accumulates in floating point:
-float32 on the compute paths, float64 in the oracle.
+``ctypes``. The numpy tile loop (``_row_sums``) is its spec and its
+fallback. Group sizes the kernel does not cover (``G % 4 != 0``), and any
+process where the build or load fails, use the loop. An inf or NaN LUT entry
+has no integer value: both paths raise ``DataError`` at its (row, group).
 """
 
 from __future__ import annotations
@@ -88,15 +86,10 @@ class GemvTask:
             raise ShapeError("LUT does not match layout")
 
 
-def _decoded_activations(task: GemvTask) -> np.ndarray:
-    codes = unpack_activation_codes(task.x_packed)
-    return np.float32(task.scale) * codes.astype(np.float32)
-
-
 def gemv_ref(task: GemvTask) -> np.ndarray:
     """Scalar-order reference: ascending-channel float32 accumulation."""
     lay = task.layout
-    xv = _decoded_activations(task)
+    xv = np.float32(task.scale) * unpack_activation_codes(task.x_packed).astype(np.float32)
     wcodes = unpack_weight_codes(task.weights)
     lut32 = task.lut.table.astype(np.float32)
     rows = np.arange(lay.out_channels)
@@ -107,47 +100,15 @@ def gemv_ref(task: GemvTask) -> np.ndarray:
     return acc
 
 
-def _pow2_at_least(n: int) -> int:
-    target = 1
-    while target < n:
-        target *= 2
-    return target
-
-
-def _tree_sum(a: np.ndarray) -> np.ndarray:
-    """Fixed binary-tree reduction along the last axis (zero-padded to 2^k)."""
-    width = a.shape[-1]
-    target = _pow2_at_least(width)
-    if target != width:
-        pad = np.zeros(a.shape[:-1] + (target - width,), dtype=a.dtype)
-        a = np.concatenate([a, pad], axis=-1)
-    while a.shape[-1] > 1:
-        half = a.shape[-1] // 2
-        a = a[..., :half] + a[..., half:]
-    return a[..., 0]
-
-
-def _decode_rows(
-    packed_rows: np.ndarray, lut_rows: np.ndarray, xv: np.ndarray, layout: GroupLayout
-) -> np.ndarray:
-    """Decode-and-accumulate one tile of output rows; float32 throughout."""
-    codes = unpack_weight_codes(PackedWeights(packed_rows, layout))
-    rows = codes.shape[0]
-    partial = np.zeros((rows, layout.num_groups), dtype=np.float32)
-    masked = np.empty((rows, layout.in_channels), dtype=np.float32)
-    for k in range(4):
-        np.multiply(codes == k, xv, out=masked)
-        bucket = masked.reshape(rows, layout.num_groups, layout.group_size).sum(axis=-1)
-        partial += lut_rows[:, :, k] * bucket
-    return _tree_sum(partial)
-
-
 _KERNEL_SOURCE = Path(__file__).with_name("_w2a4.c")
-# No -march=native or -ffast-math: both may change the bits, and a generic
-# build is safe to cache.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# No -march=native: the cache key does not name the CPU, and a home
+# directory may be shared between machines.
+_CFLAGS = ("-O3", "-fPIC", "-shared")
+_MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
 _U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-_F32 = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
+_U16 = np.ctypeslib.ndpointer(np.uint16, flags="C_CONTIGUOUS")
+_I32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 
 
 def _cache_dir() -> Path:
@@ -186,44 +147,71 @@ def _load_kernel():
     except (OSError, subprocess.CalledProcessError):
         return None
     i64 = ctypes.c_int64
-    kernel.argtypes = [_U8, _F32, _F32, i64, i64, i64, i64, _F32, _F32]
-    kernel.restype = None
+    kernel.argtypes = [_U8, _U16, _I32, i64, i64, i64, _I64]
+    kernel.restype = i64
     return kernel
 
 
 def _kernel_for(layout: GroupLayout):
     """The compiled kernel when it covers ``layout`` and builds, else None."""
-    if layout.group_size % 8 != 0 or layout.group_size > 128:
+    if layout.group_size % 4 != 0:
         return None
     return _load_kernel()
 
 
-def _gemv_compiled(kernel, task: GemvTask) -> np.ndarray:
-    """The kernel on ``task``, which ``gemv_fast`` has checked against its layout."""
+def _not_finite(row: int, group: int) -> DataError:
+    return DataError(f"LUT at (row {row}, group {group}) is not finite")
+
+
+def _row_sums_compiled(kernel, task: GemvTask) -> np.ndarray:
+    """The kernel's row sums on ``task``, which ``gemv_fast`` has checked against its layout."""
     lay = task.layout
-    width = _pow2_at_least(lay.num_groups)
-    out = np.empty(lay.out_channels, dtype=np.float32)
-    kernel(
-        np.ascontiguousarray(task.weights.data, dtype=np.uint8),
-        np.ascontiguousarray(task.lut.table, dtype=np.float32),
-        np.ascontiguousarray(_decoded_activations(task), dtype=np.float32),
+    sums = np.empty(lay.out_channels, dtype=np.int64)
+    bad = kernel(
+        np.ascontiguousarray(task.weights.data),
+        np.ascontiguousarray(task.lut.table).view(np.uint16),
+        unpack_activation_codes(task.x_packed).astype(np.int32),
         lay.out_channels,
         lay.num_groups,
         lay.group_size,
-        width,
-        np.empty(width, dtype=np.float32),
-        out,
+        sums,
     )
-    return out
+    if bad >= 0:
+        raise _not_finite(*divmod(bad, lay.num_groups))
+    return sums
+
+
+def _gather(table: np.ndarray, wcodes: np.ndarray, layout: GroupLayout) -> np.ndarray:
+    """``table[h, c // G, wcodes[h, c]]`` for every (h, c): each weight's LUT entry."""
+    idx = np.repeat(np.arange(layout.num_groups) * 4, layout.group_size) + wcodes
+    return np.take_along_axis(table.reshape(len(table), -1), idx, axis=1)
+
+
+def _row_sums(task: GemvTask, tile: int) -> np.ndarray:
+    """The int64 row sums, ``tile`` rows per step: the kernel's spec and fallback."""
+    lay = task.layout
+    bad = ~np.isfinite(task.lut.table).all(axis=-1)
+    if bad.any():
+        raise _not_finite(*np.argwhere(bad)[0])
+    codes = unpack_activation_codes(task.x_packed).astype(np.int64)
+    sums = np.empty(lay.out_channels, dtype=np.int64)
+    for start in range(0, lay.out_channels, tile):
+        stop = min(start + tile, lay.out_channels)
+        units = np.ldexp(task.lut.table[start:stop].astype(np.float64), 24).astype(np.int64)
+        wcodes = unpack_weight_codes(PackedWeights(task.weights.data[start:stop], lay))
+        sums[start:stop] = _gather(units, wcodes, lay) @ codes
+    return sums
 
 
 def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
-    """Fast path; equals ``gemv_ref`` within 1e-5 relative.
+    """Fast path: exact integer row sums, each rounded once to float32.
 
-    Runs the compiled kernel when it is available and covers the group
-    size, and otherwise the numpy loop, which decodes and accumulates
-    ``tile`` rows per step and so bounds its float32 scratch buffers at
+    Equals ``gemv_ref`` within 1e-5 relative. Runs the compiled kernel when
+    it is available and covers the group size, and otherwise the numpy loop,
+    which decodes ``tile`` rows per step and so bounds its int64 scratch at
     ``tile x C``. The output depends neither on ``tile`` nor on the path.
+    Raises ``DataError`` at the first (row, group) whose LUT holds an inf or
+    NaN, and ``ShapeError`` past 2^20 input channels.
     """
     if tile < 2 or (tile & (tile - 1)) != 0:
         raise ConfigError(f"tile must be a power of two >= 2, got {tile}")
@@ -231,28 +219,18 @@ def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
     # and the layout's sizes bound every read the kernel makes.
     task._check()
     lay = task.layout
+    if lay.in_channels > _MAX_IN_CHANNELS:
+        raise ShapeError(f"{lay.in_channels} input channels exceed 2^20; int64 row sums could overflow")
     kernel = _kernel_for(lay)
-    if kernel is not None:
-        return _gemv_compiled(kernel, task)
-    xv = _decoded_activations(task)
-    lut32 = task.lut.table.astype(np.float32)
-    out = np.empty(lay.out_channels, dtype=np.float32)
-    for start in range(0, lay.out_channels, tile):
-        stop = min(start + tile, lay.out_channels)
-        out[start:stop] = _decode_rows(task.weights.data[start:stop], lut32[start:stop], xv, lay)
-    return out
+    sums = _row_sums(task, tile) if kernel is None else _row_sums_compiled(kernel, task)
+    return (np.ldexp(sums.astype(np.float64), -24) * float(task.scale)).astype(np.float32)
 
 
 def decode_dense(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
     """The (H, C) weight and the (C,) activation the task encodes, in float64."""
-    lay = task.layout
-    xcodes = unpack_activation_codes(task.x_packed).astype(np.float64)
-    x64 = float(task.scale) * xcodes
-    wcodes = unpack_weight_codes(task.weights).astype(np.int64)
-    lut_flat = task.lut.table.astype(np.float64).reshape(lay.out_channels, -1)
-    group_of = np.repeat(np.arange(lay.num_groups), lay.group_size)
-    idx = group_of[None, :] * 4 + wcodes
-    return np.take_along_axis(lut_flat, idx, axis=1), x64
+    x64 = float(task.scale) * unpack_activation_codes(task.x_packed).astype(np.float64)
+    lut64 = task.lut.table.astype(np.float64)
+    return _gather(lut64, unpack_weight_codes(task.weights), task.layout), x64
 
 
 def dense_oracle(task: GemvTask) -> np.ndarray:
@@ -277,8 +255,11 @@ def bench_gemv(task: GemvTask, iters: int = 100, tile: int = 8) -> dict:
     for semantics, not speed); both medians are reported in ns/call.
     ``kernel`` names the fast path that ran (``"c"`` or ``"numpy"``), and
     ``fast_gbytes_per_s`` is the packed weights, float16 LUT and packed
-    activations one call reads, over the fast median.
+    activations one call reads, over the fast median. Raises
+    ``ConfigError`` when ``iters < 1``, which would leave no sample.
     """
+    if iters < 1:
+        raise ConfigError(f"iters must be >= 1, got {iters}")
     ref_iters = max(1, min(iters, 25))
 
     def _time(fn, n):

@@ -235,6 +235,8 @@ def read_rcpq(path) -> RcpqContainer:
         raise FormatError(f"{path}: unsupported version {version}")
     if bits != BITS:
         raise FormatError(f"{path}: unsupported bit width {bits}")
+    if c % 4:
+        raise FormatError(f"{path}: {c} input channels are not a multiple of 4")
     layout = GroupLayout(h, c, g)
     n = layout.num_groups
 

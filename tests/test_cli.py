@@ -214,6 +214,20 @@ class TestQuantizeVerifyBench:
         code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp)])
         assert code == 2
 
+    @pytest.mark.parametrize("tokens", [3, 0])
+    def test_verify_without_non_zero_token(self, tokens, weight_files, tmp_path, capsys):
+        wp, xp = weight_files
+        box = tmp_path / "m.rcpq"
+        main([
+            "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+            "--rotate", "4", "--grid", "8", "--out", str(box),
+        ])
+        zp = tmp_path / "zeros.npy"
+        save_npy(np.zeros((tokens, 64), dtype=np.float32), zp)
+        code = main(["verify", str(box), "--against", str(wp), "--acts", str(zp), "--rotate", "4"])
+        assert code == 2
+        assert "no token has a non-zero activation" in capsys.readouterr().err
+
     def test_float16_overflow_fails_and_writes_nothing(self, tmp_path, capsys):
         # A group whose top level, 1e5, has no float16 value.
         rng = make_rng(91)
@@ -256,6 +270,21 @@ class TestQuantizeVerifyBench:
         assert rep["kernel"] in ("c", "numpy")
         assert rep["fast_gbytes_per_s"] > 0
         assert f"{rep['kernel']} kernel" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_bench_rejects_no_iterations(self, iters, weight_files, tmp_path, capsys):
+        wp, xp = weight_files
+        box = tmp_path / "m.rcpq"
+        main([
+            "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+            "--grid", "8", "--out", str(box),
+        ])
+        out = tmp_path / "bench.json"
+        assert main(["gemv-bench", str(box), "--iters", iters, "--json", str(out)]) == 2
+        assert f"iters must be >= 1, got {iters}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["gemv-bench", str(box), "--iters", "1", "--json", str(out)]) == 0
+        assert _report(out)["fast_iters"] == 1
 
     def test_import_and_quantize_never_compile(self, weight_files, tmp_path):
         wp, xp = weight_files

@@ -1,8 +1,10 @@
 """LUT-decoding GEMV: reference, compiled and numpy fast paths, dense oracle."""
 
 import dataclasses
+import math
 import shutil
 import subprocess
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from rcpq.pack import (
     PackedWeights,
     pack_activation_codes,
     pack_weight_codes,
+    unpack_activation_codes,
+    unpack_weight_codes,
 )
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -36,6 +40,10 @@ def make_task(rng, h, c, g, lut_values=None):
     return GemvTask(x_packed=x_packed, scale=scale, weights=pw, lut=lut, layout=layout)
 
 
+# float16 extremes, subnormals and signed zeros
+SPECIALS = np.array([65504, -65504, 6e-8, -6e-8, 0.0, -0.0, 1e-5, -1.0, 1.0], dtype=np.float16)
+
+
 def numpy_fast(task, tile=8):
     """``gemv_fast`` on its numpy tile loop: the spec the compiled kernel must match."""
     with pytest.MonkeyPatch.context() as mp:
@@ -47,13 +55,13 @@ def numpy_fast(task, tile=8):
 def compiled_calls(monkeypatch):
     """Counts the calls that reach the compiled kernel."""
     calls = []
-    run = gemv._gemv_compiled
+    run = gemv._row_sums_compiled
 
     def spy(kernel, task):
         calls.append(task.layout)
         return run(kernel, task)
 
-    monkeypatch.setattr(gemv, "_gemv_compiled", spy)
+    monkeypatch.setattr(gemv, "_row_sums_compiled", spy)
     return calls
 
 
@@ -182,8 +190,6 @@ class TestGemvFast:
         # every multiplied value equals LUT[h, c // G, code(h, c)]
         rng = make_rng(69)
         task = make_task(rng, 8, 32, 16)
-        from rcpq.pack import unpack_activation_codes, unpack_weight_codes
-
         wcodes = unpack_weight_codes(task.weights)
         xcodes = unpack_activation_codes(task.x_packed)
         lut = task.lut.table.astype(np.float64)
@@ -223,25 +229,26 @@ class TestCompiledKernel:
         for _ in range(200):
             g = 8 * int(rng.integers(1, 17))
             tasks.append(make_task(rng, int(rng.integers(1, 50)), g * int(rng.integers(1, 40)), g))
-        # float16 extremes, subnormals and signed zeros in the LUT; all-zero
-        # and all-negative activations
-        specials = np.array([65504, -65504, 6e-8, -6e-8, 0.0, -0.0, 1e-5, -1.0, 1.0], dtype=np.float16)
+        # SPECIALS in the LUT; all-zero and all-negative activations
         for i in range(300):
             g = int(rng.choice([8, 24, 40, 96, 120, 128]))
             h, c = int(rng.integers(1, 20)), g * int(rng.integers(1, 9))
-            lut = rng.choice(specials, size=(h, c // g, 4))
+            lut = rng.choice(SPECIALS, size=(h, c // g, 4))
             task = make_task(rng, h, c, g, lut_values=lut)
             if i % 3:
                 xcodes = np.zeros(c) if i % 3 == 1 else rng.integers(-8, 0, size=c)
                 task = dataclasses.replace(task, x_packed=pack_activation_codes(xcodes.astype(np.int8)))
             tasks.append(task)
+        for g in (4, 256):
+            for _ in range(20):
+                tasks.append(make_task(rng, int(rng.integers(1, 50)), g * int(rng.integers(1, 9)), g))
         for task in tasks:
             assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
         assert len(compiled_calls) == len(tasks)
 
-    @pytest.mark.parametrize("g", [4, 256])
+    @pytest.mark.parametrize("g", [2, 6])
     def test_uncovered_group_sizes_use_numpy(self, g, compiled_calls):
-        task = make_task(make_rng(74), 6, 2 * g, g)
+        task = make_task(make_rng(74), 6, 4 * g, g)
         assert rel_gap(gemv_fast(task), gemv_ref(task)) <= 1e-5
         assert compiled_calls == []
         assert bench_gemv(task, iters=1)["kernel"] == "numpy"
@@ -287,6 +294,104 @@ class TestCompiledKernel:
         assert bench["kernel"] == expect
         read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
         assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])
+
+
+def python_row_sums(task):
+    """Each row's sum of LUT entries in units of 2^-24 times activation codes, in Python ints."""
+    lay = task.layout
+    wcodes = unpack_weight_codes(task.weights).tolist()
+    xcodes = unpack_activation_codes(task.x_packed).tolist()
+    sums = []
+    for h in range(lay.out_channels):
+        total = 0
+        for c in range(lay.in_channels):
+            units = Fraction(float(task.lut.table[h, c // lay.group_size, wcodes[h][c]])) * 2**24
+            assert units.denominator == 1
+            total += units.numerator * xcodes[c]
+        sums.append(total)
+    return sums
+
+
+def converted(sums, scale):
+    """The contract's one rounding of each row sum."""
+    return np.array([np.float32(math.ldexp(float(s), -24) * scale) for s in sums], dtype=np.float32)
+
+
+def contract_tasks(group_sizes):
+    rng = make_rng(78)
+    tasks = []
+    for _ in range(40):
+        g = int(rng.choice(group_sizes))
+        h, c = int(rng.integers(1, 9)), 2 * g * int(rng.integers(1, 5))
+        tasks.append(make_task(rng, h, c, g, lut_values=rng.choice(SPECIALS, size=(h, c // g, 4))))
+    return tasks
+
+
+def widest_task():
+    """2^20 input channels, every term 65504 * -8: the largest |S_h| the contract admits."""
+    c = 2**20
+    layout = GroupLayout(1, c, c)
+    return GemvTask(
+        x_packed=pack_activation_codes(np.full(c, -8, dtype=np.int8)),
+        scale=1.0,
+        weights=pack_weight_codes(np.zeros((1, c), dtype=np.uint8), layout),
+        lut=DequantLut(np.full((1, 1, 4), -65504, dtype=np.float16)),
+        layout=layout,
+    )
+
+
+class TestExactContract:
+    """``S_h`` is an exact integer, and ``gemv_fast`` is ``float32(ldexp(S_h, -24) * scale)``."""
+
+    def test_numpy_row_sums(self):
+        for task in contract_tasks([2, 4, 6, 8, 32]):
+            sums = python_row_sums(task)
+            assert gemv._row_sums(task, 2).tolist() == sums
+            assert numpy_fast(task).tobytes() == converted(sums, task.scale).tobytes()
+
+    @needs_cc
+    def test_kernel_row_sums(self, compiled_calls):
+        tasks = contract_tasks([4, 8, 32])
+        for task in tasks:
+            sums = python_row_sums(task)
+            assert gemv._row_sums_compiled(gemv._load_kernel(), task).tolist() == sums
+            assert gemv_fast(task).tobytes() == converted(sums, task.scale).tobytes()
+        assert len(compiled_calls) == 2 * len(tasks)
+
+    @pytest.mark.parametrize("path", ["numpy", pytest.param("kernel", marks=needs_cc)])
+    def test_widest_sum_is_exact(self, path, compiled_calls):
+        task = widest_task()
+        if path == "numpy":
+            sums, out = gemv._row_sums(task, 2), numpy_fast(task)
+        else:
+            sums, out = gemv._row_sums_compiled(gemv._load_kernel(), task), gemv_fast(task)
+        assert sums.tolist() == [65504 * 8 * 2**20 * 2**24]  # 2^63 - 2^52
+        assert out.tolist() == [65504 * 8 * 2**20]
+        assert len(compiled_calls) == (0 if path == "numpy" else 2)
+
+    def test_too_many_input_channels(self):
+        c = 2**20 + 4
+        layout = GroupLayout(1, c, c)
+        task = GemvTask(
+            x_packed=PackedActivations(np.zeros(c // 2, dtype=np.int8)),
+            scale=1.0,
+            weights=PackedWeights(np.zeros((1, c // 4), dtype=np.uint8), layout),
+            lut=DequantLut(np.zeros((1, 1, 4), dtype=np.float16)),
+            layout=layout,
+        )
+        with pytest.raises(ShapeError, match="exceed 2\\^20"):
+            gemv_fast(task)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_lut_entry_is_named(self, bad):
+        task = make_task(make_rng(79), 12, 64, 16)
+        table = task.lut.table.copy()
+        table[11, 0, 3] = bad
+        table[9, 2, 1] = bad
+        task.lut = DequantLut(table)
+        for run in (gemv_fast, numpy_fast):
+            with pytest.raises(DataError, match=r"LUT at \(row 9, group 2\) is not finite"):
+                run(task, 4)
 
 
 class TestDenseOracle:

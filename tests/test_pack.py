@@ -296,6 +296,15 @@ class TestContainer:
         with pytest.raises(DataError, match=rf"params at \(row 2, group 1\) {name} is not finite"):
             read_rcpq(path)
 
+    def test_in_channels_not_multiple_of_4(self, tmp_path):
+        # H=2, C=6, G=6: the section sizes H*C/4 = 3 and H*(C/G)*4*2 = 16 match the header
+        head = struct.pack("<4sHBIIIBI", b"RCPQ", 1, 2, 2, 6, 6, 0, 2)
+        table = struct.pack("<IQQ", 1, 64, 3) + struct.pack("<IQQ", 2, 67, 16)
+        path = tmp_path / "m.rcpq"
+        path.write_bytes(head + table + bytes(3) + np.zeros((2, 1, 4), "<f2").tobytes())
+        with pytest.raises(FormatError, match="6 input channels are not a multiple of 4"):
+            read_rcpq(path)
+
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path, pw, lut, _ = _small_container(tmp_path)
         before = path.read_bytes()
