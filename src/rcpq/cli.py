@@ -234,8 +234,8 @@ def _cmd_gemv_bench(args) -> int:
         lut=container.lut,
         layout=layout,
     )
+    bench = bench_gemv(task, iters=args.iters, tile=args.bh)  # rejects iters < 1 before the decode
     gap = _relative_gap(gemv_fast(task, args.bh), *_oracle(task))
-    bench = bench_gemv(task, iters=args.iters, tile=args.bh)
     report = _base_report("gemv-bench", args)
     report.update(bench, oracle_gap=gap)
     print(f"H={layout.out_channels} C={layout.in_channels} G={layout.group_size} BH={args.bh}")
@@ -317,7 +317,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gemv-bench", help="latency of the reference vs blocked GEMV")
+    p = sub.add_parser("gemv-bench", help="latency of the reference vs fast GEMV")
     p.add_argument("container")
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--bh", type=int, default=8)

@@ -272,19 +272,24 @@ class TestQuantizeVerifyBench:
         assert f"{rep['kernel']} kernel" in capsys.readouterr().out
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
-    def test_bench_rejects_no_iterations(self, iters, weight_files, tmp_path, capsys):
+    def test_bench_rejects_no_iterations(self, iters, weight_files, tmp_path, capsys, monkeypatch):
         wp, xp = weight_files
         box = tmp_path / "m.rcpq"
         main([
             "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
             "--grid", "8", "--out", str(box),
         ])
+        oracle_calls = []
+        oracle = cli._oracle
+        monkeypatch.setattr(cli, "_oracle", lambda task: oracle_calls.append(task) or oracle(task))
         out = tmp_path / "bench.json"
         assert main(["gemv-bench", str(box), "--iters", iters, "--json", str(out)]) == 2
         assert f"iters must be >= 1, got {iters}" in capsys.readouterr().err
         assert not out.exists()
+        assert oracle_calls == []  # rejected before the float64 decode
         assert main(["gemv-bench", str(box), "--iters", "1", "--json", str(out)]) == 0
         assert _report(out)["fast_iters"] == 1
+        assert len(oracle_calls) == 1
 
     def test_import_and_quantize_never_compile(self, weight_files, tmp_path):
         wp, xp = weight_files
