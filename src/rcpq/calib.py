@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GroupLayout
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .ldp import LOGIT_LIMIT, LdpParams, logit, uniform_split_logits
 from .uniform import asym_quant_dequant
 
@@ -138,7 +138,8 @@ def grid_search_clip(
     ``w_r`` is the (H, C) weight and ``x_r`` the (T, C) calibration
     activations, both already rotated if rotation is in play. Constant
     groups cannot be searched; they get a near-1.0 ratio pair and are
-    recorded in ``degenerate_groups``.
+    recorded in ``degenerate_groups``. Raises ``DataError`` at the first
+    (row, group) whose scores overflow to NaN, which no candidate can win.
 
     Per group, every candidate is screened with BLAS and only those within
     the screen's rounding margin of the best are scored by the reference
@@ -193,6 +194,9 @@ def grid_search_clip(
             kept = err[cand]
             obj = np.einsum("pg,gk,pk->p", kept, grams[n], kept)
             obj[span[cand] == 0.0] = np.inf
+            if np.isnan(obj).any():  # inf - inf in a score: no candidate can be ranked
+                raise DataError(f"clip search scores at (row {h}, group {n}) are NaN; the weights or "
+                                "activations overflow float64")
             best_obj = obj.min()
             tied = cand[obj == best_obj]
             widths = hi_c[tied] - lo_c[tied]

@@ -83,7 +83,8 @@ def load_npy(path) -> np.ndarray:
     """Load a 2-D float matrix from an NPY file.
 
     Accepts little-endian float32/float64 payloads in C order; float64 is
-    narrowed to float32. Anything else is rejected rather than coerced.
+    narrowed to float32. Anything else is rejected rather than coerced, and
+    so is a payload that is not finite after the narrowing.
     """
     try:
         arr = np.load(path, allow_pickle=False)
@@ -98,9 +99,12 @@ def load_npy(path) -> np.ndarray:
         raise UnsupportedLayoutError(f"{path}: big-endian payload not supported")
     if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise FormatError(f"{path}: dtype {arr.dtype} not supported (need <f4 or <f8)")
+    # Checked after the narrowing: a finite float64 past float32's range becomes inf.
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(arr.astype(np.float32, copy=False))
     if not np.isfinite(arr).all():
-        raise DataError(f"{path}: payload contains NaN or Inf")
-    return np.ascontiguousarray(arr.astype(np.float32, copy=False))
+        raise DataError(f"{path}: payload contains NaN or Inf, or values past float32's range")
+    return arr
 
 
 def save_npy(m: np.ndarray, path) -> None:

@@ -20,10 +20,16 @@ compiler and its flags, nor the lane width.
 The sums come from a small C kernel (``_w2a4.c``), compiled on the first
 ``gemv_fast`` call that it covers, with ``cc -O3`` into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
-``ctypes``. The numpy tile loop (``_row_sums``) is its spec and its
-fallback. Group sizes the kernel does not cover (``G % 4 != 0``), and any
-process where the build or load fails, use the loop. An inf or NaN LUT entry
-has no integer value: both paths raise ``DataError`` at its (row, group).
+``ctypes``. It is an AVX2 bit-plane kernel (after T-MAC, arXiv 2407.00088):
+per (row, group) it takes the exact sums S0, S1 and S3 of the activation
+codes under bit 0, bit 1 and both bits of the weight codes, turns them into
+the four bucket sums of codes per weight code, and adds each bucket times
+its LUT entry in int64. It covers ``G % 4 == 0``, which includes the
+default 128, and runs on one thread. The numpy tile loop (``_row_sums``) is
+its spec and its fallback: other group sizes, CPUs without AVX2 (probed at
+run time), and any process where the build or load fails use the loop. An
+inf or NaN LUT entry has no integer value: both paths raise ``DataError`` at
+the first such (row, group).
 """
 
 from __future__ import annotations
@@ -102,12 +108,13 @@ def gemv_ref(task: GemvTask) -> np.ndarray:
 
 _KERNEL_SOURCE = Path(__file__).with_name("_w2a4.c")
 # No -march=native: the cache key does not name the CPU, and a home
-# directory may be shared between machines.
+# directory may be shared between machines. The kernel compiles its AVX2
+# code under a target attribute and the library probes the CPU at run time.
 _CFLAGS = ("-O3", "-fPIC", "-shared")
 _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
 _U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _U16 = np.ctypeslib.ndpointer(np.uint16, flags="C_CONTIGUOUS")
-_I32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_I8 = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 
 
@@ -130,9 +137,29 @@ def _build(source: bytes, lib: Path) -> None:
             os.remove(tmp)
 
 
+def _has_avx2(lib) -> bool:
+    """The library's run-time probe: whether this CPU runs the AVX2 kernel."""
+    lib.rcpq_w2a4_has_avx2.argtypes = []
+    lib.rcpq_w2a4_has_avx2.restype = ctypes.c_int
+    return bool(lib.rcpq_w2a4_has_avx2())
+
+
+def _open(path: Path):
+    """The kernel in the built library at ``path``; None if the CPU lacks AVX2."""
+    lib = ctypes.CDLL(str(path))
+    if not _has_avx2(lib):
+        return None
+    kernel = lib.rcpq_w2a4_gemv
+    i64 = ctypes.c_int64
+    kernel.argtypes = [_U8, _U16, _I8, _I64, i64, i64, i64, _I64]
+    kernel.restype = i64
+    return kernel
+
+
 @functools.cache
 def _load_kernel():
-    """The compiled kernel, built into the cache on first use; None if that fails.
+    """The compiled kernel, built into the cache on first use; None if that
+    fails or the CPU lacks AVX2.
 
     A failure is not retried: the process keeps the numpy path.
     """
@@ -143,13 +170,9 @@ def _load_kernel():
         if not lib.exists():
             lib.parent.mkdir(parents=True, exist_ok=True)
             _build(source, lib)
-        kernel = ctypes.CDLL(str(lib)).rcpq_w2a4_gemv
+        return _open(lib)
     except (OSError, subprocess.CalledProcessError):
         return None
-    i64 = ctypes.c_int64
-    kernel.argtypes = [_U8, _U16, _I32, i64, i64, i64, _I64]
-    kernel.restype = i64
-    return kernel
 
 
 def _kernel_for(layout: GroupLayout):
@@ -163,14 +186,30 @@ def _not_finite(row: int, group: int) -> DataError:
     return DataError(f"LUT at (row {row}, group {group}) is not finite")
 
 
+def _plane_order(codes: np.ndarray) -> np.ndarray:
+    """The (groups, G) activation codes in the kernel's plane order: per group,
+    each 128-channel chunk, each 32-channel piece, and a last piece of
+    ``G % 32`` channels, as (4, n) with ``[j, i] = code(4 i + j)``; then 8
+    zero codes, which the kernel's 8-byte loads of a last piece may reach."""
+    g, parts, start = codes.shape[1], [], 0
+    for stop, n in ((g // 128 * 128, 32), (g // 32 * 32, 8), (g, g % 32 // 4)):
+        if stop > start:
+            part = codes[:, start:stop].reshape(len(codes), -1, n, 4)
+            parts.append(part.transpose(0, 1, 3, 2).reshape(len(codes), -1))
+        start = stop
+    return np.concatenate([np.concatenate(parts, axis=1).reshape(-1), np.zeros(8, np.int8)])
+
+
 def _row_sums_compiled(kernel, task: GemvTask) -> np.ndarray:
     """The kernel's row sums on ``task``, which ``gemv_fast`` has checked against its layout."""
     lay = task.layout
+    codes = unpack_activation_codes(task.x_packed).reshape(lay.num_groups, lay.group_size)
     sums = np.empty(lay.out_channels, dtype=np.int64)
     bad = kernel(
         np.ascontiguousarray(task.weights.data),
         np.ascontiguousarray(task.lut.table).view(np.uint16),
-        unpack_activation_codes(task.x_packed).astype(np.int32),
+        _plane_order(codes),
+        codes.sum(axis=1, dtype=np.int64),
         lay.out_channels,
         lay.num_groups,
         lay.group_size,

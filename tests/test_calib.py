@@ -17,7 +17,7 @@ from rcpq.calib import (
     ldp_init,
 )
 from rcpq.core import GroupLayout, make_rng
-from rcpq.errors import ConfigError
+from rcpq.errors import ConfigError, DataError
 from rcpq.ldp import LOGIT_LIMIT, derive_grids, fake_quant, logit, sigmoid
 from rcpq.pipeline import rotate
 from rcpq.uniform import asym_quant_dequant
@@ -264,6 +264,22 @@ class TestMatchesReference:
             res = _assert_bitwise(w, np.eye(32), layout, grid=8)
         assert np.isinf(res.objective).all()
         assert (res.ratio_lo[1, 1], res.ratio_hi[1, 1]) == (0.5, 1.0)
+
+    def test_nan_scores_name_the_group(self):
+        # At 1e154 the squared errors overflow with terms of both signs, and
+        # inf - inf is NaN: no candidate can be ranked. Only group (1, 1) is
+        # left at that scale; the reference loop fails there too, without a name.
+        rng = make_rng(56)
+        layout = GroupLayout(2, 32, 16)
+        w = rng.laplace(0.0, 1e154, size=(2, 32))
+        x = rng.standard_normal((24, 32))
+        w[0] *= 1e-154
+        w[1, :16] *= 1e-154
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match=r"scores at \(row 1, group 1\) are NaN"):
+                grid_search_clip(w, x, layout, ClipSearchConfig(grid=8))
+            with pytest.raises(ValueError):
+                _reference_search(w, x, layout, ClipSearchConfig(grid=8))
 
     @pytest.mark.parametrize("group", [4, 16, 128])
     @pytest.mark.parametrize("grid", [2, 8, 64])

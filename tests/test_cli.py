@@ -242,6 +242,20 @@ class TestQuantizeVerifyBench:
         assert "(row 2, group 0) is not finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["w.npy", "x.npy"]
 
+    def test_float64_weight_past_float32_range_fails(self, tmp_path, capsys):
+        # 1e39 is a finite float64 that narrows to inf in float32.
+        rng = make_rng(92)
+        w = rng.standard_normal((2, 64))
+        w[1, 5] = 1e39
+        wp, xp, box = tmp_path / "w.npy", tmp_path / "x.npy", tmp_path / "m.rcpq"
+        np.save(wp, w)
+        save_npy(rng.standard_normal((16, 64)).astype(np.float32), xp)
+        code = main(["quantize", "--weights", str(wp), "--calib", str(xp), "--group", "64",
+                     "--grid", "8", "--out", str(box)])
+        assert code == 2
+        assert f"error: {wp}: payload contains NaN or Inf" in capsys.readouterr().err
+        assert not box.exists()
+
     def test_nan_gemv_gap_fails(self, weight_files, tmp_path, monkeypatch, capsys):
         wp, xp = weight_files
         box = tmp_path / "m.rcpq"

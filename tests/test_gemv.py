@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcpq import gemv
 from rcpq.core import GroupLayout, make_rng
@@ -24,6 +26,22 @@ from rcpq.pack import (
 )
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    """The kernel, built afresh: a compile or load error fails the test.
+
+    Skips without ``cc``, or where the built library's probe finds no AVX2.
+    """
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    lib = tmp_path_factory.mktemp("kernel") / "w2a4.so"
+    gemv._build(gemv._KERNEL_SOURCE.read_bytes(), lib)
+    built = gemv._open(lib)
+    if built is None:
+        pytest.skip("CPU without AVX2")
+    return built
 
 
 def make_task(rng, h, c, g, lut_values=None):
@@ -222,7 +240,7 @@ class TestGemvTaskDtypes:
 
 
 class TestCompiledKernel:
-    @needs_cc
+    @pytest.mark.usefixtures("kernel")
     def test_bit_identical_to_numpy_loop(self, compiled_calls):
         rng = make_rng(73)
         tasks = []
@@ -239,7 +257,7 @@ class TestCompiledKernel:
                 xcodes = np.zeros(c) if i % 3 == 1 else rng.integers(-8, 0, size=c)
                 task = dataclasses.replace(task, x_packed=pack_activation_codes(xcodes.astype(np.int8)))
             tasks.append(task)
-        for g in (4, 256):
+        for g in (4, 256, 2048 + 28):
             for _ in range(20):
                 tasks.append(make_task(rng, int(rng.integers(1, 50)), g * int(rng.integers(1, 9)), g))
         for task in tasks:
@@ -250,10 +268,22 @@ class TestCompiledKernel:
     def test_uncovered_group_sizes_use_numpy(self, g, compiled_calls):
         task = make_task(make_rng(74), 6, 4 * g, g)
         assert rel_gap(gemv_fast(task), gemv_ref(task)) <= 1e-5
+        assert gemv_fast(task).tobytes() == converted(python_row_sums(task), task.scale).tobytes()
         assert compiled_calls == []
         assert bench_gemv(task, iters=1)["kernel"] == "numpy"
 
-    @needs_cc
+    @needs_cc  # so the library builds here, and only the probe says no
+    def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch, compiled_calls):
+        probes = []
+        monkeypatch.setattr(gemv, "_has_avx2", lambda lib: probes.append(lib) or False)
+        task = make_task(make_rng(80), 8, 256, 128)
+        for _ in range(2):
+            assert gemv_fast(task).tobytes() == converted(python_row_sums(task), task.scale).tobytes()
+        assert len(probes) == 1  # the library built and loaded, and was probed once
+        assert compiled_calls == []
+        assert bench_gemv(task, iters=1)["kernel"] == "numpy"
+
+    @pytest.mark.usefixtures("kernel")
     def test_builds_into_cache(self, fresh_kernel, compiled_calls):
         task = make_task(make_rng(75), 8, 64, 32)
         assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
@@ -286,6 +316,25 @@ class TestCompiledKernel:
         assert compiled_calls == []
         assert len(builds) <= 1  # not retried per call
         assert not list(fresh_kernel.glob("*.tmp"))
+
+    # The hypothesis examples share the module's kernel fixture.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.sampled_from([4, 12, 28, 32, 64, 124, 128, 160, 256, 1024]),
+        groups=st.integers(1, 3),
+        rows=st.sampled_from([1, 2, 3, 5, 13]),
+        lut_kind=st.sampled_from(["normal", "specials"]),
+        all_negative=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_sums_equal_spec(self, kernel, g, groups, rows, lut_kind, all_negative, seed):
+        rng = make_rng(seed)
+        c = g * groups
+        lut = rng.choice(SPECIALS, size=(rows, groups, 4)) if lut_kind == "specials" else None
+        task = make_task(rng, rows, c, g, lut_values=lut)
+        if all_negative:  # every |code| = 8: the largest bucket sums
+            task = dataclasses.replace(task, x_packed=pack_activation_codes(np.full(c, -8, dtype=np.int8)))
+        assert gemv._row_sums_compiled(kernel, task).tolist() == gemv._row_sums(task, 2).tolist()
 
     def test_bench_reports_kernel_and_bandwidth(self):
         task = make_task(make_rng(77), 16, 256, 32)
@@ -328,14 +377,19 @@ def contract_tasks(group_sizes):
 
 
 def widest_task():
-    """2^20 input channels, every term 65504 * -8: the largest |S_h| the contract admits."""
+    """2^20 input channels, every term 65504 * -8: the largest |S_h| the contract admits.
+
+    Weight code 3 sets both bit planes everywhere, so the kernel's narrow
+    plane sums are as large as they get and must be widened in time; only
+    code 3's LUT entry is non-zero, so a wrong split into buckets shows.
+    """
     c = 2**20
     layout = GroupLayout(1, c, c)
     return GemvTask(
         x_packed=pack_activation_codes(np.full(c, -8, dtype=np.int8)),
         scale=1.0,
-        weights=pack_weight_codes(np.zeros((1, c), dtype=np.uint8), layout),
-        lut=DequantLut(np.full((1, 1, 4), -65504, dtype=np.float16)),
+        weights=pack_weight_codes(np.full((1, c), 3, dtype=np.uint8), layout),
+        lut=DequantLut(np.array([[[0, 0, 0, -65504]]], dtype=np.float16)),
         layout=layout,
     )
 
@@ -349,22 +403,21 @@ class TestExactContract:
             assert gemv._row_sums(task, 2).tolist() == sums
             assert numpy_fast(task).tobytes() == converted(sums, task.scale).tobytes()
 
-    @needs_cc
-    def test_kernel_row_sums(self, compiled_calls):
-        tasks = contract_tasks([4, 8, 32])
+    def test_kernel_row_sums(self, kernel, compiled_calls):
+        tasks = contract_tasks([4, 8, 32, 128])
         for task in tasks:
             sums = python_row_sums(task)
-            assert gemv._row_sums_compiled(gemv._load_kernel(), task).tolist() == sums
+            assert gemv._row_sums_compiled(kernel, task).tolist() == sums
             assert gemv_fast(task).tobytes() == converted(sums, task.scale).tobytes()
         assert len(compiled_calls) == 2 * len(tasks)
 
-    @pytest.mark.parametrize("path", ["numpy", pytest.param("kernel", marks=needs_cc)])
-    def test_widest_sum_is_exact(self, path, compiled_calls):
+    @pytest.mark.parametrize("path", ["numpy", "kernel"])
+    def test_widest_sum_is_exact(self, path, compiled_calls, request):
         task = widest_task()
         if path == "numpy":
             sums, out = gemv._row_sums(task, 2), numpy_fast(task)
         else:
-            sums, out = gemv._row_sums_compiled(gemv._load_kernel(), task), gemv_fast(task)
+            sums, out = gemv._row_sums_compiled(request.getfixturevalue("kernel"), task), gemv_fast(task)
         assert sums.tolist() == [65504 * 8 * 2**20 * 2**24]  # 2^63 - 2^52
         assert out.tolist() == [65504 * 8 * 2**20]
         assert len(compiled_calls) == (0 if path == "numpy" else 2)
