@@ -184,7 +184,7 @@ def _cmd_verify(args) -> int:
     if container.params is None:
         raise RcpqError("container has no parameter section; cannot re-derive codes")
 
-    w_r, x_r = rotate(w, x, args.rotate)
+    w_r, x_r = rotate(w, x, args.rotate, container.version)
     codes, lut = encode(w_r, layout, container.params)
     stored = unpack_weight_codes(container.weights).reshape(codes.shape)
     if not np.array_equal(codes, stored):
@@ -213,7 +213,8 @@ def _cmd_verify(args) -> int:
     gap_ref = _relative_gap(gemv_ref(task), oracle, magnitude)
     gap_fast = _relative_gap(gemv_fast(task), oracle, magnitude)
     report = _base_report("verify", args)
-    report.update(codes_match=True, lut_match=True, gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
+    report.update(container_version=container.version, codes_match=True, lut_match=True,
+                  gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
     if not (gap_ref <= GEMV_TOL and gap_fast <= GEMV_TOL):  # a NaN gap fails too
         print(f"FAIL: GEMV gap ref={gap_ref:.2e} fast={gap_fast:.2e} exceeds {GEMV_TOL:.0e}")
         _emit(report, args.json)

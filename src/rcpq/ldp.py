@@ -152,10 +152,16 @@ def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.nd
     """
     g = np.asarray(groups, dtype=np.float64)
     grids = derive_grids(g, params)
+    v = np.subtract(g, grids.lo[..., None])
+    v /= grids.span[..., None]
     # Clipped before the compare: where a threshold underflows to 0 or rounds
     # past 1, a value outside [lo, hi] takes the code of the endpoint it clips to.
-    v = np.clip((g - grids.lo[..., None]) / grids.span[..., None], 0.0, 1.0)
-    codes = (v[..., None] >= grids.thresholds[..., None, :]).sum(axis=-1, dtype=np.uint8)
+    np.clip(v, 0.0, 1.0, out=v)
+    t = grids.thresholds
+    codes = (v >= t[..., 0, None]).view(np.uint8)  # bools are 0/1 bytes
+    for k in (1, 2):
+        codes += v >= t[..., k, None]
+    del v
     return codes, np.take_along_axis(grids.table, codes, axis=-1)
 
 

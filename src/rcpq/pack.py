@@ -9,7 +9,7 @@ RCPQ on-disk layout (all little-endian):
 
     offset  size  field
     0       4     magic "RCPQ"
-    4       2     version (u16) = 1
+    4       2     version (u16): 1 or 2, see below
     6       1     bits (u8) = 2
     7       4     out channels H (u32)
     11      4     in channels C (u32)
@@ -22,6 +22,14 @@ RCPQ on-disk layout (all little-endian):
 Section tags: 1 = packed weights (H*C/4 bytes), 2 = dequant LUT
 (H*(C/G)*4 float16), 3 = raw quantizer parameters (H*(C/G)*4 float32, last
 axis ordered lo_logit, hi_logit, split1, split2).
+
+The version records how the rotation was fused into the weight whose codes
+and LUT the file stores: 1 by the dense matrix product
+``fuse(w, None, np.asarray(rot))``, 2 (what ``write_rcpq`` writes) by the
+transform ``fuse(w, None, rot)``. The two can differ by one float32 ulp in
+rare entries, which can move a code or a LUT entry, so ``rcpq verify``
+re-fuses a version-1 file with the dense product. The layout is the same in
+both.
 """
 
 from __future__ import annotations
@@ -52,7 +60,8 @@ __all__ = [
 ]
 
 MAGIC = b"RCPQ"
-VERSION = 1
+VERSION = 2
+_READABLE = (1, 2)
 BITS = 2
 _TAG_WEIGHTS = 1
 _TAG_LUT = 2
@@ -89,6 +98,7 @@ class RcpqContainer:
     weights: PackedWeights
     lut: DequantLut
     params: LdpParams | None
+    version: int
 
 
 def pack_weight_codes(codes: np.ndarray, layout: GroupLayout) -> PackedWeights:
@@ -231,7 +241,7 @@ def read_rcpq(path) -> RcpqContainer:
     magic, version, bits, h, c, g, flags, count = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
+    if version not in _READABLE:
         raise FormatError(f"{path}: unsupported version {version}")
     if bits != BITS:
         raise FormatError(f"{path}: unsupported bit width {bits}")
@@ -286,4 +296,4 @@ def read_rcpq(path) -> RcpqContainer:
             row, group, k = np.argwhere(~np.isfinite(raw))[0]
             raise DataError(f"{path}: params at (row {row}, group {group}) {_PARAM_FIELDS[k]} is not finite")
         params = _params_from_raw(raw)
-    return RcpqContainer(weights=pw, lut=lut, params=params)
+    return RcpqContainer(weights=pw, lut=lut, params=params, version=version)

@@ -12,21 +12,25 @@ import numpy as np
 from .calib import ClipSearchConfig, ClipSearchResult, grid_search_clip, ldp_init
 from .core import GroupLayout
 from .ldp import LdpParams, fake_quant
-from .pack import DequantLut, PackedWeights, build_lut, pack_weight_codes, stored_params
+from .pack import VERSION, DequantLut, PackedWeights, build_lut, pack_weight_codes, stored_params
 from .rotation import apply_online, fuse, randomized_hadamard
 
 __all__ = ["rotate", "encode", "quantize_layer"]
 
 
-def rotate(w: np.ndarray, x: np.ndarray, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+def rotate(
+    w: np.ndarray, x: np.ndarray, seed: int | None, version: int = VERSION
+) -> tuple[np.ndarray, np.ndarray]:
     """Fuse the seeded randomized Hadamard into ``w`` and apply it to ``x``.
 
-    With ``seed=None`` both are returned unchanged.
+    ``version`` is that of the container the fused weight belongs to:
+    version 1 fuses by the dense matrix product, later ones by the
+    transform (see ``pack``). With ``seed=None`` both are returned unchanged.
     """
     if seed is None:
         return w, x
     rot = randomized_hadamard(w.shape[1], seed)
-    return fuse(w, None, rot), apply_online(x, rot)
+    return fuse(w, None, np.asarray(rot) if version == 1 else rot), apply_online(x, rot)
 
 
 def encode(w_r: np.ndarray, layout: GroupLayout, params: LdpParams) -> tuple[np.ndarray, DequantLut]:

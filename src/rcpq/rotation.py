@@ -7,23 +7,24 @@ diagonal, which preserves orthogonality while decorrelating signs.
 
 ``randomized_hadamard`` returns that rotation as its seeded sign vector, a
 ``RandomizedHadamard``; nothing dense is built until numpy asks for the
-matrix. Two consumers see it in different forms:
+matrix. Both consumers apply it the same way: they sign the rows and apply
+the unnormalized transform by the Kronecker factorization
+``H_n = H_p (x) H_q`` (p the largest power of two not above ``sqrt(n)``,
+q = n / p), two small matmuls against ``hadamard(p)`` and ``hadamard(q)``
+in float64, then scale once by ``1/sqrt(n)`` and narrow once. For
+``n = 4096`` that is 2 x 64 x 4096 multiply-adds per row instead of
+4096^2, with no 64 MB matrix in memory. Each row is transformed by the same
+calls whatever the number of rows, so a row's bits do not depend on the
+rows beside it.
 
-* ``fuse`` bakes it into a weight once, as the dense float64 matrix
-  (``np.asarray(r)``). That product defines the codes and the LUT that a
-  container stores, so it keeps the dense matrix product whose bits every
-  existing container was made with.
-* ``apply_online`` rotates activations on every call. It signs ``x`` and
-  applies the unnormalized transform by the Kronecker factorization
-  ``H_n = H_p (x) H_q`` (p the largest power of two not above ``sqrt(n)``,
-  q = n / p): two small matmuls against ``hadamard(p)`` and
-  ``hadamard(q)`` in float64, then one scaling by ``1/sqrt(n)`` and one
-  narrowing to the dtype of ``x``. For ``n = 4096`` that is 2 x 64 x 4096
-  multiply-adds per token instead of 4096^2, with no 64 MB matrix in
-  memory. Each row is transformed by the same calls whatever the batch
-  size, so a row's bits do not depend on the rows beside it. A dense
-  ndarray ``r`` takes the plain ``x @ r``, the reference.
+* ``fuse`` bakes it into a weight once, 256 rows at a time, narrowing to
+  float32. Containers of version 2 are made this way; version 1 containers
+  were made with the dense product ``w @ np.asarray(r)``, which ``fuse``
+  still computes when given the dense matrix.
+* ``apply_online`` rotates activations on every call and narrows to the
+  dtype of ``x``.
 
+A dense ndarray rotation takes the plain matrix product, the reference.
 Fusion computes ``R_front^T @ W @ R_rear`` in float64 and narrows to float32,
 so a rotation baked into a weight is exact enough that rotating the matching
 activations online leaves layer outputs unchanged to ~1e-9 relative.
@@ -74,8 +75,9 @@ class RandomizedHadamard:
     """The rotation ``D @ H / sqrt(n)``, held as the diagonal of ``D``.
 
     ``signs`` is the float64 +/-1 vector of length ``n``. ``np.asarray(r)``
-    builds the dense matrix, so numpy code (``w @ r``, ``fuse``) sees the
-    same float64 bits as ``hadamard(n)`` with its rows signed.
+    builds the dense matrix, so numpy code (``w @ r``) sees the same
+    float64 bits as ``hadamard(n)`` with its rows signed; ``fuse`` and
+    ``apply_online`` use the signs without it.
     """
 
     signs: np.ndarray
@@ -111,23 +113,41 @@ def fuse(
 
     Either side may be None (identity). Computed in float64 so the fused
     weight loses only the final float32 narrowing. A ``RandomizedHadamard``
-    is expanded to its dense matrix here, so the fused bits are those of
-    the matrix product, whichever form the rotation comes in.
+    ``r_rear`` is applied by the transform, as in ``apply_online``, over
+    fixed blocks of rows, so a row's bits do not depend on the rows beside
+    it and no dense rotation or whole-weight float64 copy is made. A dense
+    ``r_rear``, and any ``r_front``, are multiplied as matrices.
     """
-    out = np.asarray(w, dtype=np.float64)
+    out = np.asarray(w)
     if out.ndim != 2:
         raise ShapeError("fuse expects a 2-D weight")
     if r_front is not None:
         r_front = np.asarray(r_front, dtype=np.float64)
         if r_front.shape[0] != out.shape[0]:
             raise ShapeError(f"front rotation {r_front.shape} does not match weight {out.shape}")
-        out = r_front.T @ out
+        out = r_front.T @ out.astype(np.float64, copy=False)
+    if isinstance(r_rear, RandomizedHadamard):
+        return _fuse_transform(out, r_rear)
+    out = out.astype(np.float64, copy=False)
     if r_rear is not None:
         r_rear = np.asarray(r_rear, dtype=np.float64)
         if r_rear.shape[0] != out.shape[1]:
             raise ShapeError(f"rear rotation {r_rear.shape} does not match weight {out.shape}")
         out = out @ r_rear
     return out.astype(np.float32)
+
+
+_FUSE_ROWS = 256  # rows per float64 block: ~8 MB each at n = 4096
+
+
+def _fuse_transform(w: np.ndarray, r: RandomizedHadamard) -> np.ndarray:
+    n = r.signs.size
+    if w.shape[1] != n:
+        raise ShapeError(f"rear rotation ({n}, {n}) does not match weight {w.shape}")
+    out = np.empty(w.shape, dtype=np.float32)
+    for start in range(0, w.shape[0], _FUSE_ROWS):
+        out[start : start + _FUSE_ROWS] = _rotate_rows(w[start : start + _FUSE_ROWS], r)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,6 +171,13 @@ def _hadamard_transform(x: np.ndarray) -> np.ndarray:
     return y.reshape(rows, n)
 
 
+def _rotate_rows(x: np.ndarray, r: RandomizedHadamard) -> np.ndarray:
+    """``x @ np.asarray(r)`` in float64 by signs, the transform and one scaling."""
+    y = _hadamard_transform(x * r.signs)
+    y *= 1.0 / np.sqrt(r.signs.size)
+    return y
+
+
 def apply_online(x: np.ndarray, r: Rotation) -> np.ndarray:
     """Rotate activations on the fly: ``x @ r`` in the dtype of ``x``.
 
@@ -162,9 +189,7 @@ def apply_online(x: np.ndarray, r: Rotation) -> np.ndarray:
     x = np.asarray(x)
     if isinstance(r, RandomizedHadamard):
         _check_columns(x, r.signs.size)
-        y = _hadamard_transform(x * r.signs)
-        y *= 1.0 / np.sqrt(r.signs.size)
-        return y.astype(x.dtype, copy=False)
+        return _rotate_rows(x, r).astype(x.dtype, copy=False)
     r = np.asarray(r)
     _check_columns(x, r.shape[0])
     return x @ r.astype(x.dtype, copy=False)

@@ -22,12 +22,19 @@ from rcpq import (
     randomized_hadamard,
     write_rcpq,
 )
-from rcpq import cli
+from rcpq import cli, pipeline
 from rcpq.cli import main
 from rcpq.core import load_npy, make_rng, save_npy
 from rcpq.gemv import GemvTask, dense_oracle, gemv_fast, gemv_ref
-from rcpq.pack import pack_activation_codes, read_rcpq, unpack_activation_codes, unpack_weight_codes
-from rcpq.rotation import apply_online
+from rcpq.pack import (
+    pack_activation_codes,
+    read_rcpq,
+    stored_params,
+    unpack_activation_codes,
+    unpack_weight_codes,
+)
+from rcpq.pipeline import encode
+from rcpq.rotation import RandomizedHadamard, apply_online
 from rcpq.uniform import quant_act_per_token
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -144,10 +151,15 @@ class TestQuantizeVerifyBench:
 
         code = main([
             "verify", str(box), "--against", str(wp), "--acts", str(xp), "--rotate", "9",
+            "--json", str(tmp_path / "v.json"),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "OK" in out
+        rep = _report(tmp_path / "v.json")
+        assert rep["container_version"] == 2
+        assert rep["codes_match"] is True and rep["lut_match"] is True
+        assert rep["gemv_ref_gap"] <= cli.GEMV_TOL and rep["gemv_fast_gap"] <= cli.GEMV_TOL
 
     def test_verify_detects_corruption(self, weight_files, tmp_path, capsys):
         wp, xp = weight_files
@@ -419,6 +431,40 @@ class TestQuantizePipeline:
         code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp), "--rotate", "7"])
         assert code == 0
         assert "OK" in capsys.readouterr().out
+
+
+class TestContainerVersions:
+    """verify re-fuses a version-1 container by the dense product, a version-2 one by the transform."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_verify_fuses_as_the_version_says(self, version, laplace_files, tmp_path, monkeypatch):
+        wp, xp = laplace_files
+        w, x = load_npy(wp), load_npy(xp)
+        layout = GroupLayout(64, 256, 64)
+        rot = randomized_hadamard(256, 7)
+        w_r = fuse(w, None, np.asarray(rot) if version == 1 else rot)
+        search = grid_search_clip(w_r, apply_online(x, rot), layout, ClipSearchConfig(grid=16))
+        params = stored_params(ldp_init(search))
+        codes, lut = encode(w_r, layout, params)
+        box = tmp_path / "m.rcpq"
+        write_rcpq(box, pack_weight_codes(codes.reshape(w_r.shape), layout), lut, params)
+        blob = bytearray(box.read_bytes())
+        blob[4:6] = version.to_bytes(2, "little")
+        box.write_bytes(bytes(blob))
+
+        rears = []
+
+        def spy(w, r_front=None, r_rear=None):
+            rears.append(type(r_rear))
+            return fuse(w, r_front, r_rear)
+
+        monkeypatch.setattr(pipeline, "fuse", spy)
+        out = tmp_path / "v.json"
+        code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp), "--rotate", "7",
+                     "--json", str(out)])
+        assert code == 0
+        assert rears == [np.ndarray if version == 1 else RandomizedHadamard]
+        assert _report(out)["container_version"] == version
 
 
 class TestTrainToy:

@@ -213,8 +213,8 @@ class TestSharedTable:
         assert w_hat.tobytes() == gathered.tobytes()
 
     def test_transient_memory_bound(self):
-        # What is left per element: v, the (..., G, 3) compare, the uint8
-        # codes and the gathered values, ~2.3x the input.
+        # Per element: v, the uint8 codes and a bool compare buffer; v is
+        # freed before the gathered values are made. ~1.4x the input.
         rng = make_rng(38)
         groups = rng.normal(size=(512, 8, 128))
         params = LdpParams(*[rng.uniform(-3, 3, (512, 8)) for _ in range(4)])
@@ -224,7 +224,57 @@ class TestSharedTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * groups.nbytes
+        assert peak <= 1.5 * groups.nbytes
+
+
+def _fake_quant_whole_array(groups, params):
+    """``fake_quant`` written with whole-array temporaries and a (..., G, 3)
+    threshold compare: the reference its in-place buffers must reproduce."""
+    g = np.asarray(groups, dtype=np.float64)
+    grids = derive_grids(g, params)
+    v = np.clip((g - grids.lo[..., None]) / grids.span[..., None], 0.0, 1.0)
+    codes = (v[..., None] >= grids.thresholds[..., None, :]).sum(axis=-1, dtype=np.uint8)
+    return codes, np.take_along_axis(grids.table, codes, axis=-1)
+
+
+class TestInPlace:
+    @staticmethod
+    def _assert_same_bits(groups, params):
+        codes, values = fake_quant(groups, params)
+        ref_codes, ref_values = _fake_quant_whole_array(groups, params)
+        for got, ref in ((codes, ref_codes), (values, ref_values)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        return codes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_and_clipped_groups(self, dtype):
+        rng = make_rng(39)
+        groups = rng.laplace(scale=0.02, size=(64, 8, 128)).astype(dtype)
+        params = _sweep_logits(rng, (64, 8))
+        grids = derive_grids(groups, params)
+        assert np.any(grids.thresholds[..., 0] == 0.0)  # split1 = -800 underflows t1
+        assert np.any(groups < grids.lo[..., None]) and np.any(groups > grids.hi[..., None])
+        self._assert_same_bits(groups, params)
+
+    def test_values_on_thresholds(self):
+        # Clip logits of 800 give lo = 0 and span = 1 on [0, 1] groups, so
+        # v = w: each threshold and the float just below it are probed exactly.
+        rng = make_rng(40)
+        params = LdpParams(800.0, 800.0, rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16))
+        t = derive_grids(np.array([0.0, 1.0]), params).thresholds
+        below = np.nextafter(t, -np.inf)
+        groups = np.concatenate([np.zeros((16, 1)), t, below, np.ones((16, 1))], axis=-1)
+        codes = self._assert_same_bits(groups, params)
+        np.testing.assert_array_equal(codes[:, 1:4], np.broadcast_to([1, 2, 3], (16, 3)))
+        np.testing.assert_array_equal(codes[:, 4:7], np.broadcast_to([0, 1, 2], (16, 3)))
+
+    @pytest.mark.parametrize("logits", [(1.5, 2.0, -0.3, 0.4), (1.0, 1.0, -800.0, 800.0),
+                                        (-800.0, 800.0, 800.0, -800.0)])
+    def test_scalar_params_over_one_group(self, logits):
+        group = make_rng(41).laplace(size=64)
+        codes = self._assert_same_bits(group, LdpParams(*logits))
+        assert codes.shape == (64,)
 
 
 def _fd_param_grads(group, vals, up, eps=1e-4):

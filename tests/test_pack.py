@@ -247,6 +247,27 @@ class TestContainer:
         with pytest.raises(FormatError):
             read_rcpq(path)
 
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_versions_around_the_readable_ones(self, tmp_path, version):
+        path, *_ = _small_container(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<H", blob, 4, version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"unsupported version {version}"):
+            read_rcpq(path)
+
+    def test_reads_versions_1_and_2(self, tmp_path):
+        path, pw, lut, _ = _small_container(tmp_path)
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack_from("<H", blob, 4)[0] == pack.VERSION == 2
+        assert read_rcpq(path).version == 2
+        struct.pack_into("<H", blob, 4, 1)
+        path.write_bytes(bytes(blob))
+        box = read_rcpq(path)
+        assert box.version == 1
+        np.testing.assert_array_equal(box.weights.data, pw.data)
+        np.testing.assert_array_equal(box.lut.table, lut.table)
+
     def test_truncated_payload(self, tmp_path):
         path, *_ = _small_container(tmp_path)
         blob = path.read_bytes()

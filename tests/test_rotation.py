@@ -110,11 +110,43 @@ class TestFuse:
         assert fuse(w, None, rot).tobytes() == fuse(w, None, np.asarray(rot)).tobytes()
         assert fuse(w.T, rot, None).tobytes() == fuse(w.T, np.asarray(rot), None).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [64, 1024, 2048])
+    def test_transform_within_one_ulp_of_the_dense_product(self, n, dtype):
+        w = make_rng(14).laplace(scale=0.02, size=(300, n)).astype(dtype)
+        rot = randomized_hadamard(n, 7)
+        got = fuse(w, None, rot)
+        dense = fuse(w, None, np.asarray(rot))
+        assert got.dtype == dense.dtype == np.float32
+        ulp = np.spacing(np.maximum(np.abs(got), np.abs(dense)))
+        assert np.all(np.abs(got.astype(np.float64) - dense) <= ulp)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_row_does_not_depend_on_its_neighbours(self, dtype):
+        # Blocks are 256 rows; slices start inside one block and end in the next.
+        w = make_rng(15).laplace(scale=0.02, size=(600, 1024)).astype(dtype)
+        rot = randomized_hadamard(1024, 7)
+        whole = fuse(w, None, rot)
+        for rows in (1, 3, 256, 257):
+            for start in (0, 130, 255, 600 - rows):
+                part = fuse(w[start : start + rows], None, rot)
+                assert part.tobytes() == whole[start : start + rows].tobytes(), (rows, start)
+
+    def test_allocates_no_dense_rotation(self):
+        # Three float64 temporaries of one 256-row block are 24 MB; the dense
+        # rotation alone is 128 MB, a float64 copy of w 16 MB.
+        w = make_rng(16).laplace(scale=0.02, size=(512, 4096)).astype(np.float32)
+        rot = randomized_hadamard(4096, 7)
+        fuse(w, None, rot)  # warm the cached Hadamard factors
+        assert peak_bytes(fuse, w, None, rot) <= w.nbytes + (32 << 20)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             fuse(np.zeros((4, 8)), hadamard(8), None)
         with pytest.raises(ShapeError):
             fuse(np.zeros((4, 8)), None, hadamard(4))
+        with pytest.raises(ShapeError):
+            fuse(np.zeros((4, 8)), None, randomized_hadamard(4, 0))
 
 
 class TestApplyOnline:
