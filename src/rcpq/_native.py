@@ -1,0 +1,114 @@
+"""Build, cache and load the package's two C kernels.
+
+* ``w2a4`` (``_w2a4.c``): the exact integer row sums of ``gemv.gemv_fast``.
+* ``ldp`` (``_ldp.c``): the LDP encoder behind ``ldp.fake_quant``.
+
+Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
+``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
+``ctypes``. A library's file name carries a hash of its source and the
+flags, so a later process loads it without compiling. Both kernels are AVX2
+code compiled under a target attribute and chosen by the library's run-time
+probe ``rcpq_has_avx2``, so the flags carry no ``-march=native`` and a cache
+directory may be shared between machines. ``-ffp-contract=off`` keeps the
+compiler from fusing a multiply and an add into one FMA: the LDP encoder's
+bits equal numpy's only when each float operation rounds once, as numpy's
+do. The GEMV sums integers, which the flag cannot change.
+
+A kernel that fails to build or load, or a CPU without AVX2, gives ``None``
+for the rest of the process, and its caller runs its numpy reference.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+_U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_U16 = np.ctypeslib.ndpointer(np.uint16, flags="C_CONTIGUOUS")
+_I8 = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
+_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_i64 = ctypes.c_int64
+
+# Each kernel's entry point and its C signature; every one returns int64.
+_ENTRY = {
+    "w2a4": ("rcpq_w2a4_gemv", [_U8, _U16, _I8, _I64, _i64, _i64, _i64, _I64]),
+    # values is a pointer or None (NULL): the caller asks for codes alone.
+    "ldp": ("rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),
+}
+
+
+def source_of(name: str) -> Path:
+    """The C source of kernel ``name``."""
+    return Path(__file__).with_name(f"_{name}.c")
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "rcpq"
+
+
+def _build(source: bytes, lib: Path) -> None:
+    """Compile ``source`` to ``lib``, through a temp file renamed onto it."""
+    fd, tmp = tempfile.mkstemp(dir=lib.parent, prefix=lib.name, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            ["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp], input=source, capture_output=True, check=True
+        )
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _has_avx2(lib) -> bool:
+    """The library's run-time probe: whether this CPU runs its AVX2 code."""
+    lib.rcpq_has_avx2.argtypes = []
+    lib.rcpq_has_avx2.restype = ctypes.c_int
+    return bool(lib.rcpq_has_avx2())
+
+
+def open_kernel(name: str, path: Path):
+    """Kernel ``name``'s entry point in the built library at ``path``; None if the CPU lacks AVX2."""
+    lib = ctypes.CDLL(str(path))
+    if not _has_avx2(lib):
+        return None
+    entry, argtypes = _ENTRY[name]
+    kernel = getattr(lib, entry)
+    kernel.argtypes = argtypes
+    kernel.restype = _i64
+    return kernel
+
+
+@functools.cache
+def kernel(name: str):
+    """Kernel ``name``, built into the cache on first use; None if that
+    fails or the CPU lacks AVX2.
+
+    A failure is not retried: the process keeps the numpy path.
+    """
+    try:
+        code = source_of(name).read_bytes()
+        digest = hashlib.sha256(code + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+        lib = _cache_dir() / f"{name}-{digest}.so"
+        if not lib.exists():
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            _build(code, lib)
+        return open_kernel(name, lib)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def path(name: str) -> str:
+    """Which path kernel ``name``'s caller runs in this process: ``"c"`` or ``"numpy"``."""
+    return "numpy" if kernel(name) is None else "c"

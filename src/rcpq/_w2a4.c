@@ -26,7 +26,7 @@
  * code(o + 4 i + j) for each chunk or piece of n bytes of codes at channel
  * o, then 8 zero bytes that a piece's loads may reach; total: each group's
  * sum of codes; sums: rows. Requires gsize % 4 == 0 and an AVX2 CPU
- * (rcpq_w2a4_has_avx2); gemv.py runs its numpy spec everywhere else.
+ * (rcpq_has_avx2); gemv.py runs its numpy spec everywhere else.
  * Returns -1, or h * groups + g for the first (row h, group g) whose LUT
  * entries hold an inf or NaN; rows from h on are then left unset.
  */
@@ -37,7 +37,7 @@
 /* A chunk or piece adds at most 4 * 2 * 8 to an int16 lane: widen before 512. */
 #define WIDEN_EVERY 256
 
-int rcpq_w2a4_has_avx2(void)
+int rcpq_has_avx2(void)
 {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2");

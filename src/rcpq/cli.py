@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from .calib import ClipSearchConfig, clipped_uniform_quantizer
 from .core import GroupLayout, load_npy, make_rng
 from .errors import RcpqError, ZeroTokenError
@@ -145,6 +145,7 @@ def _cmd_quantize(args) -> int:
         compression_vs_fp16=fp16_bytes / (weight_bytes + lut_bytes),
         mean_objective=float(search.objective.mean()),
         degenerate_groups=len(search.degenerate_groups),
+        ldp_kernel=_native.path("ldp"),
         seconds=elapsed,
     )
     print(f"wrote {args.out}: weights {weight_bytes} B + LUT {lut_bytes} B "
@@ -213,8 +214,8 @@ def _cmd_verify(args) -> int:
     gap_ref = _relative_gap(gemv_ref(task), oracle, magnitude)
     gap_fast = _relative_gap(gemv_fast(task), oracle, magnitude)
     report = _base_report("verify", args)
-    report.update(container_version=container.version, codes_match=True, lut_match=True,
-                  gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
+    report.update(container_version=container.version, ldp_kernel=_native.path("ldp"), codes_match=True,
+                  lut_match=True, gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
     if not (gap_ref <= GEMV_TOL and gap_fast <= GEMV_TOL):  # a NaN gap fails too
         print(f"FAIL: GEMV gap ref={gap_ref:.2e} fast={gap_fast:.2e} exceeds {GEMV_TOL:.0e}")
         _emit(report, args.json)

@@ -18,13 +18,12 @@ their order, so the output depends on neither the path, the tile, the
 compiler and its flags, nor the lane width.
 
 The sums come from a small C kernel (``_w2a4.c``), compiled on the first
-``gemv_fast`` call that it covers, with ``cc -O3`` into
-``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
-``ctypes``. It is an AVX2 bit-plane kernel (after T-MAC, arXiv 2407.00088):
-per (row, group) it takes the exact sums S0, S1 and S3 of the activation
-codes under bit 0, bit 1 and both bits of the weight codes, turns them into
-the four bucket sums of codes per weight code, and adds each bucket times
-its LUT entry in int64. It covers ``G % 4 == 0``, which includes the
+``gemv_fast`` call that it covers; ``_native`` builds, caches and loads it.
+It is an AVX2 bit-plane kernel (after T-MAC, arXiv 2407.00088): per (row,
+group) it takes the exact sums S0, S1 and S3 of the activation codes under
+bit 0, bit 1 and both bits of the weight codes, turns them into the four
+bucket sums of codes per weight code, and adds each bucket times its LUT
+entry in int64. It covers ``G % 4 == 0``, which includes the
 default 128, and runs on one thread. The numpy tile loop (``_row_sums``) is
 its spec and its fallback: other group sizes, CPUs without AVX2 (probed at
 run time), and any process where the build or load fails use the loop. An
@@ -34,18 +33,12 @@ the first such (row, group).
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
-import os
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .core import GroupLayout
 from .errors import ConfigError, DataError, ShapeError
 from .pack import (
@@ -106,80 +99,14 @@ def gemv_ref(task: GemvTask) -> np.ndarray:
     return acc
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_w2a4.c")
-# No -march=native: the cache key does not name the CPU, and a home
-# directory may be shared between machines. The kernel compiles its AVX2
-# code under a target attribute and the library probes the CPU at run time.
-_CFLAGS = ("-O3", "-fPIC", "-shared")
 _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
-_U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-_U16 = np.ctypeslib.ndpointer(np.uint16, flags="C_CONTIGUOUS")
-_I8 = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
-_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-
-
-def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "rcpq"
-
-
-def _build(source: bytes, lib: Path) -> None:
-    """Compile ``source`` to ``lib``, through a temp file renamed onto it."""
-    fd, tmp = tempfile.mkstemp(dir=lib.parent, prefix=lib.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        subprocess.run(
-            ["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp], input=source, capture_output=True, check=True
-        )
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _has_avx2(lib) -> bool:
-    """The library's run-time probe: whether this CPU runs the AVX2 kernel."""
-    lib.rcpq_w2a4_has_avx2.argtypes = []
-    lib.rcpq_w2a4_has_avx2.restype = ctypes.c_int
-    return bool(lib.rcpq_w2a4_has_avx2())
-
-
-def _open(path: Path):
-    """The kernel in the built library at ``path``; None if the CPU lacks AVX2."""
-    lib = ctypes.CDLL(str(path))
-    if not _has_avx2(lib):
-        return None
-    kernel = lib.rcpq_w2a4_gemv
-    i64 = ctypes.c_int64
-    kernel.argtypes = [_U8, _U16, _I8, _I64, i64, i64, i64, _I64]
-    kernel.restype = i64
-    return kernel
-
-
-@functools.cache
-def _load_kernel():
-    """The compiled kernel, built into the cache on first use; None if that
-    fails or the CPU lacks AVX2.
-
-    A failure is not retried: the process keeps the numpy path.
-    """
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-        digest = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-        lib = _cache_dir() / f"w2a4-{digest}.so"
-        if not lib.exists():
-            lib.parent.mkdir(parents=True, exist_ok=True)
-            _build(source, lib)
-        return _open(lib)
-    except (OSError, subprocess.CalledProcessError):
-        return None
 
 
 def _kernel_for(layout: GroupLayout):
     """The compiled kernel when it covers ``layout`` and builds, else None."""
     if layout.group_size % 4 != 0:
         return None
-    return _load_kernel()
+    return _native.kernel("w2a4")
 
 
 def _not_finite(row: int, group: int) -> DataError:

@@ -12,8 +12,8 @@ and the split logits carve that range into three partitions whose shares
 always sum to one and never reorder. Thresholds sit at partition centers
 (t1 = p1/2, then t_i = t_{i-1} + (p_{i-1} + p_i)/2) and the four dequant
 levels are 0, the two threshold midpoints, and 1. The dequantization table
-``table = lo + span * levels`` (trailing axis 4) is the one place that rule
-is evaluated: ``fake_quant`` gathers its entries by code and
+``table = lo + span * levels`` (trailing axis 4) is the one rule for
+dequantized values: ``fake_quant`` gathers its entries by code and
 ``pack.build_lut`` stores them in float16, so code 0 always lands on ``lo``
 and code 3 on ``lo + span``. The backward pass treats the step
 functions as straight-through: it takes the codes the forward pass computed
@@ -22,6 +22,13 @@ and holds them constant, and everything else is differentiated analytically.
 All functions broadcast: ``groups`` has shape (..., G) and each parameter
 field has shape (...), so a single group with scalar logits and a whole
 (H, N) parameter grid go through the same code path.
+
+``fake_quant`` (and ``encode_codes``, its codes alone) runs a compiled
+encoder, ``_ldp.c``, built and loaded by ``_native``: one AVX2 pass per
+group does the float64 operations of ``_fake_quant_numpy`` in the same
+order, so the bits are the same. ``_fake_quant_numpy`` is its reference and
+its fallback where the kernel does not build or the CPU lacks AVX2. Both
+take the data-free part of the grids (``_partition``) from one place.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import DegenerateGroupError, InvalidRangeError
 
 __all__ = [
@@ -41,6 +49,7 @@ __all__ = [
     "uniform_split_logits",
     "derive_grids",
     "fake_quant",
+    "encode_codes",
     "grads",
     "nf3_fake_quant",
     "UNIFORM_SIDE_GRID",
@@ -105,26 +114,34 @@ class LdpGrids:
     span: np.ndarray
 
 
-def _range_from_logits(
-    groups: np.ndarray, lo_logit: np.ndarray, hi_logit: np.ndarray
+def _invalid_range(index) -> InvalidRangeError:
+    return InvalidRangeError(
+        f"clip logits give non-positive range at group index {tuple(int(i) for i in index)}"
+    )
+
+
+def _range(
+    groups: np.ndarray, s_lo, s_hi
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(mn, mx, lo, hi, span) per group, from the sigmoids of the clip logits."""
     g = np.asarray(groups)
     mn = g.min(axis=-1).astype(np.float64)
     mx = g.max(axis=-1).astype(np.float64)
-    lo = sigmoid(lo_logit) * mn
-    span = sigmoid(hi_logit) * mx - lo
+    lo = s_lo * mn
+    span = s_hi * mx - lo
     if np.any(span <= 0.0):
-        bad = np.argwhere(np.atleast_1d(span) <= 0.0)[0]
-        raise InvalidRangeError(
-            f"clip logits give non-positive range at group index {tuple(bad)}"
-        )
+        raise _invalid_range(np.argwhere(np.atleast_1d(span) <= 0.0)[0])
     # hi is defined as lo + span so the endpoint identity holds bit-exactly.
     return mn, mx, np.asarray(lo), np.asarray(lo + span), np.asarray(span)
 
 
-def derive_grids(groups: np.ndarray, params: LdpParams) -> LdpGrids:
-    """Partition shares, thresholds, and dequant levels for each group."""
-    _, _, lo, hi, span = _range_from_logits(groups, params.lo_logit, params.hi_logit)
+def _partition(params: LdpParams) -> tuple:
+    """The part of ``derive_grids`` that reads no data: the sigmoids of the
+    clip logits, and shares, thresholds and levels from the split logits.
+
+    Returns ``(s_lo, s_hi, shares, thresholds, levels)``; the numpy and the
+    compiled encoder both take it from here.
+    """
     a = np.asarray(sigmoid(params.split1))
     b = np.asarray(sigmoid(params.split2))
     p1 = a
@@ -138,6 +155,13 @@ def derive_grids(groups: np.ndarray, params: LdpParams) -> LdpGrids:
     shares = np.stack([p1, p2, p3], axis=-1)
     thresholds = np.stack([t1, t2, t3], axis=-1)
     levels = np.stack([np.zeros_like(w1), w1, w2, np.ones_like(w1)], axis=-1)
+    return sigmoid(params.lo_logit), sigmoid(params.hi_logit), shares, thresholds, levels
+
+
+def derive_grids(groups: np.ndarray, params: LdpParams) -> LdpGrids:
+    """Partition shares, thresholds, and dequant levels for each group."""
+    s_lo, s_hi, shares, thresholds, levels = _partition(params)
+    _, _, lo, hi, span = _range(groups, s_lo, s_hi)
     table = lo[..., None] + span[..., None] * levels
     return LdpGrids(shares, thresholds, levels, table, lo, hi, span)
 
@@ -148,9 +172,49 @@ def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.nd
     Values are normalized as ``v = clamp((w - lo)/span, 0, 1)``; the code
     counts the thresholds at or below ``v`` (ties go to the upper bin) and
     picks that code's entry of ``derive_grids(...).table``, so clipped
-    inputs land exactly on the clip endpoints.
+    inputs land exactly on the clip endpoints. Runs the compiled encoder
+    when it loads, and otherwise ``_fake_quant_numpy``; both give the same
+    bits. Raises ``InvalidRangeError`` at the first group whose clip logits
+    give ``span <= 0``.
     """
+    return _encode(groups, params, values=True)
+
+
+def encode_codes(groups: np.ndarray, params: LdpParams) -> np.ndarray:
+    """``fake_quant``'s codes alone: the compiled encoder makes no values."""
+    return _encode(groups, params, values=False)[0]
+
+
+def _encode(groups, params: LdpParams, values: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Codes, and values if asked: the compiled encoder, or the numpy one where it does not load."""
     g = np.asarray(groups, dtype=np.float64)
+    kernel = _native.kernel("ldp")
+    if kernel is None or g.ndim == 0 or g.size == 0:  # the kernel needs at least one value per group
+        return _fake_quant_numpy(g, params, values)
+    s_lo, s_hi, _, thresholds, levels = _partition(params)
+    batch = np.broadcast_shapes(g.shape[:-1], np.shape(s_lo), np.shape(s_hi), thresholds.shape[:-1])
+
+    def per_group(a, *tail):
+        if np.shape(a) != batch + tail:  # broadcast_to costs more than the kernel on a small layer
+            a = np.broadcast_to(a, batch + tail)
+        return np.ascontiguousarray(a, dtype=np.float64)
+
+    x = per_group(g, g.shape[-1])
+    codes = np.empty(x.shape, dtype=np.uint8)
+    out = np.empty(x.shape, dtype=np.float64) if values else None
+    bad = kernel(
+        x, x.size // x.shape[-1], x.shape[-1], per_group(s_lo), per_group(s_hi), per_group(thresholds, 3),
+        per_group(levels, 4), codes, None if out is None else out.ctypes.data,
+    )
+    if bad >= 0:
+        raise _invalid_range(np.unravel_index(bad, batch or (1,)))
+    return codes, out
+
+
+def _fake_quant_numpy(
+    g: np.ndarray, params: LdpParams, values: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The reference encoder, and the fallback where the compiled one does not load."""
     grids = derive_grids(g, params)
     v = np.subtract(g, grids.lo[..., None])
     v /= grids.span[..., None]
@@ -162,7 +226,7 @@ def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.nd
     for k in (1, 2):
         codes += v >= t[..., k, None]
     del v
-    return codes, np.take_along_axis(grids.table, codes, axis=-1)
+    return codes, np.take_along_axis(grids.table, codes, axis=-1) if values else None
 
 
 def grads(
@@ -186,7 +250,9 @@ def grads(
     for name, arr in (("codes", idx), ("upstream", up)):
         if arr.shape != g.shape:
             raise ValueError(f"{name} {arr.shape} does not match groups {g.shape}")
-    mn, mx, lo, hi, span = _range_from_logits(g, params.lo_logit, params.hi_logit)
+    s_lo = sigmoid(params.lo_logit)
+    s_hi = sigmoid(params.hi_logit)
+    mn, mx, lo, hi, span = _range(g, s_lo, s_hi)
     a = np.asarray(sigmoid(params.split1))
     b = np.asarray(sigmoid(params.split2))
     da = a * (1.0 - a)
@@ -201,8 +267,6 @@ def grads(
     dlev_ds2 = np.stack([zeros, (1.0 - a) * db / 4.0, (1.0 - a) * db / 2.0, zeros], axis=-1)
 
     lev = np.take_along_axis(levels, idx, axis=-1)
-    s_lo = sigmoid(params.lo_logit)
-    s_hi = sigmoid(params.hi_logit)
     dlo_dlogit = np.asarray(s_lo * (1.0 - s_lo) * mn)
     dhi_dlogit = np.asarray(s_hi * (1.0 - s_hi) * mx)
 
@@ -247,7 +311,7 @@ def nf3_fake_quant(
     is the center and +/-3 the clip endpoints.
     """
     g = np.asarray(groups, dtype=np.float64)
-    _, _, lo, hi, span = _range_from_logits(g, params.lo_logit, params.hi_logit)
+    _, _, lo, hi, span = _range(g, sigmoid(params.lo_logit), sigmoid(params.hi_logit))
     center = lo + span * sigmoid(params.split1)
     scale_neg = center - lo
     scale_pos = hi - center

@@ -11,7 +11,7 @@ import numpy as np
 
 from .calib import ClipSearchConfig, ClipSearchResult, grid_search_clip, ldp_init
 from .core import GroupLayout
-from .ldp import LdpParams, fake_quant
+from .ldp import LdpParams, encode_codes
 from .pack import VERSION, DequantLut, PackedWeights, build_lut, pack_weight_codes, stored_params
 from .rotation import apply_online, fuse, randomized_hadamard
 
@@ -35,7 +35,7 @@ def rotate(
 
 def encode(w_r: np.ndarray, layout: GroupLayout, params: LdpParams) -> tuple[np.ndarray, DequantLut]:
     """2-bit codes, shaped ``layout.grouped``, and the dequantization LUT."""
-    codes, _ = fake_quant(layout.grouped(np.asarray(w_r, dtype=np.float64)), params)
+    codes = encode_codes(layout.grouped(np.asarray(w_r)), params)
     return codes, build_lut(w_r, layout, params)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpq import gemv
+from rcpq import _native, gemv
 from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import ConfigError, DataError, ShapeError
 from rcpq.gemv import GemvTask, bench_gemv, dense_oracle, gemv_fast, gemv_ref, random_activation
@@ -29,19 +29,9 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 
 @pytest.fixture(scope="module")
-def kernel(tmp_path_factory):
-    """The kernel, built afresh: a compile or load error fails the test.
-
-    Skips without ``cc``, or where the built library's probe finds no AVX2.
-    """
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH")
-    lib = tmp_path_factory.mktemp("kernel") / "w2a4.so"
-    gemv._build(gemv._KERNEL_SOURCE.read_bytes(), lib)
-    built = gemv._open(lib)
-    if built is None:
-        pytest.skip("CPU without AVX2")
-    return built
+def kernel(build_kernel):
+    """The GEMV kernel, built afresh (see ``conftest.build_kernel``)."""
+    return build_kernel("w2a4")
 
 
 def make_task(rng, h, c, g, lut_values=None):
@@ -81,15 +71,6 @@ def compiled_calls(monkeypatch):
 
     monkeypatch.setattr(gemv, "_row_sums_compiled", spy)
     return calls
-
-
-@pytest.fixture
-def fresh_kernel(monkeypatch, tmp_path):
-    """An empty kernel cache directory, and a process that has not loaded the kernel."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    gemv._load_kernel.cache_clear()
-    yield tmp_path / "cache" / "rcpq"
-    gemv._load_kernel.cache_clear()
 
 
 def rel_gap(a, b):
@@ -275,7 +256,7 @@ class TestCompiledKernel:
     @needs_cc  # so the library builds here, and only the probe says no
     def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch, compiled_calls):
         probes = []
-        monkeypatch.setattr(gemv, "_has_avx2", lambda lib: probes.append(lib) or False)
+        monkeypatch.setattr(_native, "_has_avx2", lambda lib: probes.append(lib) or False)
         task = make_task(make_rng(80), 8, 256, 128)
         for _ in range(2):
             assert gemv_fast(task).tobytes() == converted(python_row_sums(task), task.scale).tobytes()
@@ -301,14 +282,14 @@ class TestCompiledKernel:
                 raise FileNotFoundError(cmd[0])
             return run(cmd, **kwargs)
 
-        monkeypatch.setattr(gemv.subprocess, "run", counted_run)
+        monkeypatch.setattr(_native.subprocess, "run", counted_run)
         def failed_load(path):
             raise OSError(f"cannot load {path}")
 
         if failure == "compile error":
-            monkeypatch.setattr(gemv, "_CFLAGS", gemv._CFLAGS + ("-include", "no-such-header.h"))
+            monkeypatch.setattr(_native, "_CFLAGS", _native._CFLAGS + ("-include", "no-such-header.h"))
         if failure == "load error":
-            monkeypatch.setattr(gemv.ctypes, "CDLL", failed_load)
+            monkeypatch.setattr(_native.ctypes, "CDLL", failed_load)
         rng = make_rng(76)
         for _ in range(3):
             task = make_task(rng, 8, 256, 32)
@@ -339,7 +320,7 @@ class TestCompiledKernel:
     def test_bench_reports_kernel_and_bandwidth(self):
         task = make_task(make_rng(77), 16, 256, 32)
         bench = bench_gemv(task, iters=3)
-        expect = "numpy" if gemv._load_kernel() is None else "c"
+        expect = "numpy" if gemv._kernel_for(task.layout) is None else "c"
         assert bench["kernel"] == expect
         read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
         assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])

@@ -1,17 +1,23 @@
 """Partition grids, fake quantization, exact gradients, NF3 variant."""
 
+import shutil
+import subprocess
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcpq.core import make_rng
+from rcpq import _native, ldp
+from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import DegenerateGroupError, InvalidRangeError
 from rcpq.ldp import (
     UNIFORM_SIDE_GRID,
     LdpParams,
     Nf3Params,
     derive_grids,
+    encode_codes,
     fake_quant,
     grads,
     logit,
@@ -19,6 +25,7 @@ from rcpq.ldp import (
     sigmoid,
     uniform_split_logits,
 )
+from rcpq.pipeline import encode
 from rcpq.uniform import asym_quant_dequant
 
 SAT = 20.0  # saturated clip logits: sigmoid(20) ~ 1 - 2e-9
@@ -275,6 +282,165 @@ class TestInPlace:
         group = make_rng(41).laplace(size=64)
         codes = self._assert_same_bits(group, LdpParams(*logits))
         assert codes.shape == (64,)
+
+
+@pytest.fixture(scope="module")
+def kernel(build_kernel):
+    """The LDP encoder, built afresh (see ``conftest.build_kernel``)."""
+    return build_kernel("ldp")
+
+
+def _on(kernel, fn, *args):
+    """``fn(*args)`` with ``kernel`` as the process's LDP encoder (None: the numpy path)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "kernel", lambda name: kernel)
+        return fn(*args)
+
+
+def _outcome(fn, *args):
+    """Codes and values as (dtype, shape, bytes), or the InvalidRangeError's message."""
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf groups
+            out = fn(*args)
+    except InvalidRangeError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Counts the calls that run the numpy encoder."""
+    calls = []
+    run = ldp._fake_quant_numpy
+    monkeypatch.setattr(ldp, "_fake_quant_numpy", lambda *a: calls.append(a) or run(*a))
+    return calls
+
+
+SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+class TestCompiledEncoder:
+    # The hypothesis examples share the module's kernel fixture.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.sampled_from([1, 2, 3, 4, 5, 7, 16, 31, 33, 128]),
+        shapes=st.sampled_from([((), ()), ((1,), ()), ((3,), (3,)), ((3,), ()), ((2, 5), (2, 5)),
+                                ((2, 5), (5,)), ((2, 5), (2, 1)), ((4,), (2, 4))]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        data=st.sampled_from(["laplace", "specials", "one_sign", "thresholds"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_numpy(self, kernel, g, shapes, dtype, data, seed):
+        # groups (*batch, g) and params of shape ``pshape``; the last case
+        # broadcasts the groups up to the params.
+        batch, pshape = shapes
+        rng = make_rng(seed)
+        params = _sweep_logits(rng, pshape)
+        groups = rng.laplace(scale=rng.uniform(0.01, 10.0), size=batch + (g,))
+        if data == "specials":  # NaN, +-inf and +-0 in about a third of the groups
+            hit = rng.random(groups.shape) < rng.choice([0.05, 0.5]) * (rng.random(batch + (1,)) < 0.3)
+            groups = np.where(hit, rng.choice(SPECIAL_VALUES, groups.shape), groups)
+        elif data == "one_sign":  # lo above hi in some groups: InvalidRangeError
+            groups = np.abs(groups) * rng.choice([-1.0, 1.0])
+        elif data == "thresholds":  # lo = 0 and span = 1, so v = w: on and just below each threshold
+            params.lo_logit = np.full(pshape, 800.0)
+            params.hi_logit = np.full(pshape, 800.0)
+            t = derive_grids(np.array([0.0, 1.0]), params).thresholds
+            t = np.broadcast_to(t, np.broadcast_shapes(batch, pshape) + (3,))
+            picks = np.concatenate([t, np.nextafter(t, -np.inf), np.zeros_like(t[..., :1]),
+                                    np.ones_like(t[..., :1])], axis=-1)
+            groups = np.take_along_axis(picks, rng.integers(0, 8, t.shape[:-1] + (g,)), axis=-1)
+            groups[..., :1] = 0.0
+            groups[..., -1:] = 1.0
+        groups = groups.astype(dtype)
+        want = _outcome(_on, None, fake_quant, groups, params)
+        assert _outcome(_on, kernel, fake_quant, groups, params) == want
+        codes_only = _outcome(_on, kernel, encode_codes, groups, params)
+        assert codes_only == (want if isinstance(want, str) else want[:1])
+
+    def test_error_names_the_first_flat_group(self, kernel):
+        groups = np.ones((3, 4, 8))
+        groups[..., 0] = -1.0
+        groups[1, 2] = 2.0  # all positive: lo = 1.98 > hi = 0.2
+        groups[2, 0] = 2.0
+        params = LdpParams(SAT, -2.2, 0.0, 0.0)
+        for k in (None, kernel):
+            with pytest.raises(InvalidRangeError, match=r"at group index \(1, 2\)$"):
+                _on(k, fake_quant, groups, params)
+
+    def test_empty_groups_use_numpy(self, kernel, numpy_calls):
+        p = _uniform_params()
+        assert _on(kernel, fake_quant, np.empty((0, 4)), p)[0].shape == (0, 4)
+        with pytest.raises(ValueError):
+            _on(kernel, fake_quant, np.empty((2, 0)), p)
+        assert len(numpy_calls) == 2
+
+    @needs_cc  # so the library builds here, and only the probe says no
+    def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch, numpy_calls):
+        probes = []
+        monkeypatch.setattr(_native, "_has_avx2", lambda lib: probes.append(lib) or False)
+        groups = make_rng(42).laplace(size=(8, 4, 16))
+        params = _sweep_logits(make_rng(43), (8, 4))
+        for _ in range(2):
+            assert _outcome(fake_quant, groups, params) == _outcome(_on, None, fake_quant, groups, params)
+        assert len(probes) == 1  # the library built and loaded, and was probed once
+        assert len(numpy_calls) == 4  # fake_quant's and the reference's, twice
+        assert _native.path("ldp") == "numpy"
+
+    @pytest.mark.usefixtures("kernel")
+    def test_builds_into_cache(self, fresh_kernel, numpy_calls):
+        groups = make_rng(44).laplace(size=(8, 4, 16))
+        codes, _ = fake_quant(groups, _uniform_params())
+        assert codes.shape == (8, 4, 16) and numpy_calls == []
+        assert [p.name.split("-")[0] for p in fresh_kernel.iterdir()] == ["ldp"]
+        assert _native.path("ldp") == "c"
+
+    @pytest.mark.parametrize("failure", ["no compiler", "compile error", "load error"])
+    def test_failed_build_falls_back(self, failure, fresh_kernel, monkeypatch, numpy_calls):
+        builds = []
+        run = subprocess.run
+
+        def counted_run(cmd, **kwargs):
+            builds.append(cmd)
+            if failure == "no compiler":
+                raise FileNotFoundError(cmd[0])
+            return run(cmd, **kwargs)
+
+        def failed_load(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(_native.subprocess, "run", counted_run)
+        if failure == "compile error":
+            monkeypatch.setattr(_native, "_CFLAGS", _native._CFLAGS + ("-include", "no-such-header.h"))
+        if failure == "load error":
+            monkeypatch.setattr(_native.ctypes, "CDLL", failed_load)
+        rng = make_rng(45)
+        for _ in range(3):
+            groups = rng.laplace(size=(8, 4, 16))
+            params = _sweep_logits(rng, (8, 4))
+            assert _outcome(fake_quant, groups, params) == _outcome(_on, None, fake_quant, groups, params)
+        assert len(numpy_calls) == 6  # fake_quant's and the reference's, three times
+        assert len(builds) <= 1  # not retried per call
+        assert not list(fresh_kernel.glob("*.tmp"))
+        assert _native.path("ldp") == "numpy"
+
+    def test_encode_makes_no_values(self, kernel):
+        # A float32 2048x4096 layer: encode holds the float64 copy of the
+        # layer (64 MiB), the codes (8 MiB) and ~6 MiB of per-group grids,
+        # 78 MiB measured. The values fake_quant makes would add 64 MiB;
+        # with them, and the numpy encoder's temporaries, it peaked at 153 MiB.
+        rng = make_rng(46)
+        layout = GroupLayout(2048, 4096, 128)
+        w = rng.laplace(scale=0.02, size=(2048, 4096)).astype(np.float32)
+        params = LdpParams(*[rng.uniform(-4, 4, (2048, 32)) for _ in range(4)])
+        tracemalloc.start()
+        try:
+            _on(kernel, encode, w, layout, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2**20
 
 
 def _fd_param_grads(group, vals, up, eps=1e-4):

@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcpq import pack
 from rcpq.calib import ClipSearchConfig, grid_search_clip, ldp_init
 from rcpq.core import GroupLayout, make_rng
-from rcpq.errors import DataError, EncodeError, FormatError
+from rcpq.errors import DataError, EncodeError, FormatError, RcpqError
 from rcpq.ldp import LdpParams, derive_grids, fake_quant, uniform_split_logits
 from rcpq.pack import (
     DequantLut,
@@ -373,3 +375,44 @@ class TestContainer:
         total = pw.data.nbytes + lut.table.nbytes
         assert total * 8 / (4096 * 4096) == 2.5
         assert (4096 * 4096 * 2) / total == 6.4
+
+
+@pytest.fixture(scope="module")
+def container_bytes(tmp_path_factory):
+    """The bytes of ``_small_container`` (with params), and a directory to write variants into."""
+    path, *_ = _small_container(tmp_path_factory.mktemp("fuzz"))
+    return path.read_bytes(), path.parent
+
+
+class TestCorruptedContainers:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=6),
+        cut=st.none() | st.integers(0, 2**16),
+    )
+    def test_fail_closed_or_read_back_valid(self, container_bytes, flips, cut):
+        # Random byte flips, then perhaps a truncation: the reader raises an
+        # RcpqError, or what it returns satisfies every documented invariant.
+        blob, where = container_bytes
+        data = bytearray(blob)
+        for pos, mask in flips:
+            data[pos % len(data)] ^= mask
+        if cut is not None:
+            data = data[: cut % len(data)]
+        path = where / "fuzzed.rcpq"
+        path.write_bytes(bytes(data))
+        try:
+            box = read_rcpq(path)
+        except RcpqError:
+            return
+        lay = box.weights.layout
+        rows, groups = lay.out_channels, lay.num_groups
+        assert box.version in (1, 2)
+        assert box.weights.data.dtype == np.uint8 and box.weights.data.shape == (rows, lay.in_channels // 4)
+        table = box.lut.table
+        assert table.dtype == np.float16 and table.shape == (rows, groups, 4)
+        assert np.isfinite(table).all() and (np.diff(table.astype(np.float64), axis=-1) >= 0).all()
+        if box.params is not None:
+            for name in ("lo_logit", "hi_logit", "split1", "split2"):
+                field = getattr(box.params, name)
+                assert field.shape == (rows, groups) and np.isfinite(field).all()
