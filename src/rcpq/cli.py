@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -104,19 +105,7 @@ def _cmd_stats(args) -> int:
 def _cmd_lemma1(args) -> int:
     rep = rotation_kurtosis_mc(args.dist, args.n, args.trials, args.seed)
     report = _base_report("lemma1", args)
-    report.update(
-        n=rep.n,
-        dist=rep.dist,
-        trials=rep.trials,
-        kurt_before=rep.kurt_before,
-        kurt_after=rep.kurt_after,
-        expected_after=rep.expected_after,
-        mean_first=rep.mean_first,
-        mean_rest=rep.mean_rest,
-        var_before=rep.var_before,
-        var_after=rep.var_after,
-        analytic_before=analytic_kurtosis(args.dist),
-    )
+    report.update(dataclasses.asdict(rep), analytic_before=analytic_kurtosis(args.dist))
     print(f"{rep.dist} n={rep.n} trials={rep.trials}")
     print(f"kurtosis before: {rep.kurt_before:+.5f} (analytic {analytic_kurtosis(args.dist):+.2f})")
     print(f"kurtosis after : {rep.kurt_after:+.5f} (law predicts {rep.expected_after:+.5f})")
@@ -236,11 +225,11 @@ def _cmd_gemv_bench(args) -> int:
         lut=container.lut,
         layout=layout,
     )
-    bench = bench_gemv(task, iters=args.iters, tile=args.bh)  # rejects iters < 1 before the decode
-    gap = _relative_gap(gemv_fast(task, args.bh), *_oracle(task))
+    bench = bench_gemv(task, iters=args.iters)  # rejects iters < 1 before the decode
+    gap = _relative_gap(gemv_fast(task), *_oracle(task))
     report = _base_report("gemv-bench", args)
     report.update(bench, oracle_gap=gap)
-    print(f"H={layout.out_channels} C={layout.in_channels} G={layout.group_size} BH={args.bh}")
+    print(f"H={layout.out_channels} C={layout.in_channels} G={layout.group_size}")
     print(f"ref : {bench['ref_ns_per_call'] / 1e6:.3f} ms/call ({bench['ref_iters']} iters)")
     print(f"fast: {bench['fast_ns_per_call'] / 1e6:.3f} ms/call ({bench['fast_iters']} iters, "
           f"{bench['kernel']} kernel, {bench['fast_gbytes_per_s']:.2f} GB/s)")
@@ -322,7 +311,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gemv-bench", help="latency of the reference vs fast GEMV")
     p.add_argument("container")
     p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--bh", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_gemv_bench)

@@ -63,11 +63,9 @@ LOGIT_LIMIT = 20.0  # training clamps logits here so sigmoid never saturates
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -x, x))  # not -|x|, which would flip a NaN's sign bit
+    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 

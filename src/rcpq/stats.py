@@ -5,7 +5,8 @@ Excess kurtosis here is the biased sample estimator ``m4 / m2**2 - 3``
 flatter than Gaussian. A normalized Hadamard rotation divides the excess
 kurtosis of i.i.d. inputs by the transform size, so flat (platykurtic)
 weight groups become more peaked after rotation, and ``qerr_vs_kurt``
-measures how that shift tracks the output quantization error.
+measures how that shift tracks the output quantization error by Spearman
+rank correlation, computed in numpy with the same bits as scipy's spearmanr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 from .core import GroupLayout, make_rng
 from .errors import ConfigError, DegenerateDistributionError
@@ -75,15 +75,27 @@ class QErrReport:
 
     @property
     def spearman(self) -> float:
-        """Rank correlation between the kurtosis and error increases."""
-        rho = sps.spearmanr(self.delta_kurt, self.delta_qerr).statistic
-        return float(rho)
+        """Rank correlation of the kurtosis and error increases: NaN if either is constant or has a NaN."""
+        # Two columns, as scipy's spearmanr lays them out: np.corrcoef of two
+        # rows rounds differently and misses scipy's bits on some tied inputs.
+        ranks = np.column_stack((_average_ranks(self.delta_kurt), _average_ranks(self.delta_qerr)))
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, a tie getting the mean of the ranks it spans; all NaN if ``x`` has a NaN."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 @dataclass
 class McReport:
-    dist: str
+    # The field order is the key order of ``rcpq lemma1 --json``.
     n: int
+    dist: str
     trials: int
     kurt_before: float
     kurt_after: float
@@ -256,8 +268,8 @@ def rotation_kurtosis_mc(
         rest_sum += y[:, 1:].sum()
         done += take
     return McReport(
-        dist=dist,
         n=n,
+        dist=dist,
         trials=trials,
         kurt_before=before.kurtosis(),
         kurt_after=after.kurtosis(),

@@ -99,6 +99,18 @@ class TestLemma1:
             outs.append(_report(out))
         assert outs[0]["kurt_after"] == outs[1]["kurt_after"]
 
+    def test_cli_loads_no_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import rcpq.cli\n"
+            f"assert rcpq.cli.main(['lemma1', '--n', '8', '--trials', '500', '--json', {str(tmp_path / 'r.json')!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
 
 class TestStats:
     def test_plain_report(self, weight_files, tmp_path, capsys):
@@ -302,7 +314,7 @@ class TestQuantizeVerifyBench:
             "--grid", "8", "--out", str(box),
         ])
         out = tmp_path / "bench.json"
-        code = main(["gemv-bench", str(box), "--iters", "5", "--bh", "4", "--json", str(out)])
+        code = main(["gemv-bench", str(box), "--iters", "5", "--json", str(out)])
         assert code == 0
         rep = _report(out)
         assert rep["fast_ns_per_call"] > 0

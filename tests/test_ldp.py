@@ -566,7 +566,33 @@ class TestNf3:
             nf3_fake_quant(np.array([-1.0, 1.0]), Nf3Params(5.0, 5.0, 50.0))
 
 
+def _two_branch_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 5e-324, -5e-324, np.nan, 20.0, -20.0, 0.3, -0.3]
+
+
 class TestLogitSigmoid:
+    @pytest.mark.parametrize("v", _SIGMOID_EDGES)
+    def test_bits_equal_two_branch_formula(self, v):
+        want = _two_branch_sigmoid(np.array([v]))
+        got = sigmoid(np.array([v]))
+        assert got.tobytes() == want.tobytes()
+        scalar = sigmoid(v)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == want[0].tobytes()
+
+    def test_bits_equal_two_branch_formula_on_arrays(self):
+        x = np.concatenate([_SIGMOID_EDGES, make_rng(4).standard_normal(987) * 40]).reshape(-1, 8)
+        assert sigmoid(x).tobytes() == _two_branch_sigmoid(x).tobytes()
+
     def test_inverse_pair(self):
         x = np.linspace(-15, 15, 101)
         np.testing.assert_allclose(logit(sigmoid(x)), x, atol=1e-9)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from scipy.stats import kurtosis as scipy_kurtosis
+from scipy.stats import spearmanr
 
 from rcpq.calib import ClipSearchConfig, clipped_uniform_quantizer
 from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import ConfigError, DegenerateDistributionError
 from rcpq.rotation import randomized_hadamard
 from rcpq.stats import (
+    QErrReport,
     excess_kurtosis,
     groupwise_kurtosis,
     qerr_vs_kurt,
@@ -162,3 +164,42 @@ class TestQerrVsKurt:
         rep = qerr_vs_kurt(w, x, randomized_hadamard(64, 1), quant, layout)
         assert rep.spearman > 0.3
         assert rep.tokens == 128
+
+
+def _rank_inputs(kind, seed):
+    rng = make_rng(seed)
+    n = int(rng.integers(3, 400))
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n) + 0.5 * a
+    if kind == "rounded_ties":
+        a, b = np.round(a, 1), np.round(b, 1)
+    elif kind == "integer_ties":
+        a, b = rng.integers(0, 4, n).astype(np.float64), rng.integers(0, 3, n).astype(np.float64)
+    elif kind == "all_equal":
+        a = np.full(n, 0.25)
+    elif kind == "nan":
+        a[rng.integers(0, n)] = np.nan
+    return a, b
+
+
+class TestSpearman:
+    """``QErrReport.spearman`` against scipy's ``spearmanr`` as the oracle."""
+
+    @pytest.mark.parametrize("kind", ["no_ties", "rounded_ties", "integer_ties"])
+    def test_bits_equal_scipy(self, kind):
+        for seed in range(40):
+            a, b = _rank_inputs(kind, seed)
+            zeros = np.zeros_like(a)
+            ours = QErrReport(zeros, b, zeros, a, tokens=1).spearman
+            theirs = spearmanr(a, b).statistic
+            assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), (kind, seed)
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("kind", ["all_equal", "nan"])
+    def test_undefined_is_nan(self, kind):
+        for seed in range(5):
+            a, b = _rank_inputs(kind, seed)
+            zeros = np.zeros_like(a)
+            assert np.isnan(QErrReport(zeros, b, zeros, a, tokens=1).spearman)
+            assert np.isnan(QErrReport(zeros, a, zeros, b, tokens=1).spearman)
+            assert np.isnan(spearmanr(a, b).statistic)
