@@ -6,9 +6,10 @@
 Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
 ``ctypes``. A library's file name carries a hash of its source and the
-flags, so a later process loads it without compiling. Both kernels are AVX2
-code compiled under a target attribute and chosen by the library's run-time
-probe ``rcpq_has_avx2``, so the flags carry no ``-march=native`` and a cache
+flags, so a later process loads it without compiling, and a build removes
+that kernel's libraries of other hashes. Both kernels are AVX2 code
+compiled under a target attribute and chosen by the library's run-time probe
+``rcpq_has_avx2``, so the flags carry no ``-march=native`` and a cache
 directory may be shared between machines. ``-ffp-contract=off`` keeps the
 compiler from fusing a multiply and an add into one FMA: the LDP encoder's
 bits equal numpy's only when each float operation rounds once, as numpy's
@@ -20,6 +21,7 @@ for the rest of the process, and its caller runs its numpy reference.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -104,6 +106,11 @@ def kernel(name: str):
         if not lib.exists():
             lib.parent.mkdir(parents=True, exist_ok=True)
             _build(code, lib)
+            # Best-effort: drop the builds of other sources or flags; a .tmp file does not match.
+            for old in lib.parent.glob(f"{name}-{'[0-9a-f]' * 16}.so"):
+                if old != lib:
+                    with contextlib.suppress(OSError):
+                        old.unlink()
         return open_kernel(name, lib)
     except (OSError, subprocess.CalledProcessError):
         return None

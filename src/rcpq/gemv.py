@@ -1,34 +1,33 @@
 """LUT-decoding W2A4 matrix-vector product.
 
-Three evaluators of the same task, in increasing speed and decreasing
-transparency:
+Three evaluators of the same task:
 
+* ``gemv_ref`` is the spec. Each row is one exact integer sum, taken by a
+  numpy loop that decodes a few rows per step, and rounded once.
+* ``gemv_fast`` gives the spec's bits from a compiled kernel where one
+  covers the task, and runs the spec elsewhere.
 * ``dense_oracle`` fully decodes weights and activations and multiplies in
   float64 - the brute-force ground truth.
-* ``gemv_ref`` walks input channels in ascending order with one float32
-  accumulator per output row - the scalar reference semantics.
-* ``gemv_fast`` sums each row exactly in integers and rounds it once.
 
-The fast path rests on two facts. A finite float16 LUT entry is an integer
+The spec rests on two facts. A finite float16 LUT entry is an integer
 number of units 2^-24, below 2^40 in magnitude, and an activation code is an
 integer in [-8, 7]. So each row's ``S_h = sum_c units(h, c) * code(c)`` is an
-exact int64 while ``C <= 2^20``, and ``gemv_fast`` returns
+exact int64 while ``C <= 2^20``, and both evaluators return
 ``float32(ldexp(float64(S_h), -24) * scale)``. Integer sums do not depend on
 their order, so the output depends on neither the path, the tile, the
-compiler and its flags, nor the lane width.
+compiler and its flags, nor the lane width: ``gemv_fast`` and ``gemv_ref``
+are bit-identical.
 
-The sums come from a small C kernel (``_w2a4.c``), compiled on the first
-``gemv_fast`` call that it covers; ``_native`` builds, caches and loads it.
-It is an AVX2 bit-plane kernel (after T-MAC, arXiv 2407.00088): per (row,
-group) it takes the exact sums S0, S1 and S3 of the activation codes under
-bit 0, bit 1 and both bits of the weight codes, turns them into the four
-bucket sums of codes per weight code, and adds each bucket times its LUT
-entry in int64. It covers ``G % 4 == 0``, which includes the
-default 128, and runs on one thread. The numpy tile loop (``_row_sums``) is
-its spec and its fallback: other group sizes, CPUs without AVX2 (probed at
-run time), and any process where the build or load fails use the loop. An
-inf or NaN LUT entry has no integer value: both paths raise ``DataError`` at
-the first such (row, group).
+The kernel (``_w2a4.c``) is compiled on the first ``gemv_fast`` call that it
+covers; ``_native`` builds, caches and loads it. It is an AVX2 bit-plane
+kernel (after T-MAC, arXiv 2407.00088): per (row, group) it takes the exact
+sums S0, S1 and S3 of the activation codes under bit 0, bit 1 and both bits
+of the weight codes, turns them into the four bucket sums of codes per
+weight code, and adds each bucket times its LUT entry in int64. It covers
+``G % 4 == 0``, which includes the default 128, and runs on one thread.
+Other group sizes, CPUs without AVX2 (probed at run time), and any process
+where the build or load fails run the spec. An inf or NaN LUT entry has no
+integer value: both paths raise ``DataError`` at the first such (row, group).
 """
 
 from __future__ import annotations
@@ -83,20 +82,8 @@ class GemvTask:
             raise ShapeError("packed weights do not match layout")
         if self.lut.table.shape != (lay.out_channels, lay.num_groups, 4):
             raise ShapeError("LUT does not match layout")
-
-
-def gemv_ref(task: GemvTask) -> np.ndarray:
-    """Scalar-order reference: ascending-channel float32 accumulation."""
-    lay = task.layout
-    xv = np.float32(task.scale) * unpack_activation_codes(task.x_packed).astype(np.float32)
-    wcodes = unpack_weight_codes(task.weights)
-    lut32 = task.lut.table.astype(np.float32)
-    rows = np.arange(lay.out_channels)
-    acc = np.zeros(lay.out_channels, dtype=np.float32)
-    for c in range(lay.in_channels):
-        vals = lut32[rows, c // lay.group_size, wcodes[:, c]]
-        acc += xv[c] * vals
-    return acc
+        if not 0.0 < float(self.scale) < np.inf:  # a NaN fails too
+            raise DataError(f"scale must be finite and > 0, got {self.scale}")
 
 
 _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
@@ -104,9 +91,7 @@ _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
 
 def _kernel_for(layout: GroupLayout):
     """The compiled kernel when it covers ``layout`` and builds, else None."""
-    if layout.group_size % 4 != 0:
-        return None
-    return _native.kernel("w2a4")
+    return _native.kernel("w2a4") if layout.group_size % 4 == 0 else None
 
 
 def _not_finite(row: int, group: int) -> DataError:
@@ -154,7 +139,7 @@ def _gather(table: np.ndarray, wcodes: np.ndarray, layout: GroupLayout) -> np.nd
 
 
 def _row_sums(task: GemvTask, tile: int) -> np.ndarray:
-    """The int64 row sums, ``tile`` rows per step: the kernel's spec and fallback."""
+    """The int64 row sums, ``tile`` rows per step: the spec that the kernel's sums equal."""
     lay = task.layout
     bad = ~np.isfinite(task.lut.table).all(axis=-1)
     if bad.any():
@@ -169,27 +154,40 @@ def _row_sums(task: GemvTask, tile: int) -> np.ndarray:
     return sums
 
 
-def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
-    """Fast path: exact integer row sums, each rounded once to float32.
-
-    Equals ``gemv_ref`` within 1e-5 relative. Runs the compiled kernel when
-    it is available and covers the group size, and otherwise the numpy loop,
-    which decodes ``tile`` rows per step and so bounds its int64 scratch at
-    ``tile x C``. The output depends neither on ``tile`` nor on the path.
-    Raises ``DataError`` at the first (row, group) whose LUT holds an inf or
-    NaN, and ``ShapeError`` past 2^20 input channels.
-    """
-    if tile < 2 or (tile & (tile - 1)) != 0:
-        raise ConfigError(f"tile must be a power of two >= 2, got {tile}")
+def _gemv(task: GemvTask, tile: int, kernel) -> np.ndarray:
+    """Both evaluators: check ``task``, take its row sums from ``kernel``, or
+    from the spec at ``tile`` if it is None, and round each once."""
     # Checked again because a field may have been replaced since construction,
     # and the layout's sizes bound every read the kernel makes.
     task._check()
     lay = task.layout
     if lay.in_channels > _MAX_IN_CHANNELS:
         raise ShapeError(f"{lay.in_channels} input channels exceed 2^20; int64 row sums could overflow")
-    kernel = _kernel_for(lay)
     sums = _row_sums(task, tile) if kernel is None else _row_sums_compiled(kernel, task)
     return (np.ldexp(sums.astype(np.float64), -24) * float(task.scale)).astype(np.float32)
+
+
+def gemv_ref(task: GemvTask) -> np.ndarray:
+    """The spec: exact integer row sums from the numpy loop at 8 rows per step, each rounded once.
+
+    Raises ``DataError`` at the first (row, group) whose LUT holds an inf or
+    NaN and for a scale that is not finite and > 0, and ``ShapeError`` past
+    2^20 input channels.
+    """
+    return _gemv(task, 8, None)
+
+
+def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
+    """The spec's bits, from the compiled kernel where it is available and
+    covers the group size.
+
+    Bit-identical to ``gemv_ref``, and raises the same errors. Elsewhere it
+    runs the spec, which decodes ``tile`` rows per step and so bounds its
+    int64 scratch at ``tile x C``; the output does not depend on ``tile``.
+    """
+    if tile < 2 or (tile & (tile - 1)) != 0:
+        raise ConfigError(f"tile must be a power of two >= 2, got {tile}")
+    return _gemv(task, tile, _kernel_for(task.layout))
 
 
 def decode_dense(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +203,7 @@ def dense_oracle(task: GemvTask) -> np.ndarray:
     return w_full @ x64
 
 
-def random_activation(
-    rng: np.random.Generator, channels: int
-) -> tuple[PackedActivations, float]:
+def random_activation(rng: np.random.Generator, channels: int) -> tuple[PackedActivations, float]:
     """Random packed 4-bit activation vector with a positive scale."""
     codes = rng.integers(-8, 8, size=channels).astype(np.int8)
     scale = float(np.exp(rng.uniform(-1.0, 1.0)))
@@ -215,10 +211,11 @@ def random_activation(
 
 
 def bench_gemv(task: GemvTask, iters: int = 100, tile: int = 8) -> dict:
-    """Wall-clock comparison of the reference and fast paths.
+    """Wall-clock comparison of ``gemv_fast`` with its spec, ``gemv_ref``.
 
-    The reference path is measured with at most 25 iterations (it exists
-    for semantics, not speed); both medians are reported in ns/call.
+    The spec is measured with at most 25 iterations (it exists for
+    semantics, not speed); both medians are reported in ns/call, and
+    ``speedup`` is the spec's over the fast path's.
     ``kernel`` names the fast path that ran (``"c"`` or ``"numpy"``), and
     ``fast_gbytes_per_s`` is the packed weights, float16 LUT and packed
     activations one call reads, over the fast median. Raises
@@ -226,7 +223,7 @@ def bench_gemv(task: GemvTask, iters: int = 100, tile: int = 8) -> dict:
     """
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
-    ref_iters = max(1, min(iters, 25))
+    ref_iters = min(iters, 25)
 
     def _time(fn, n):
         fn()  # warm-up

@@ -11,8 +11,8 @@ with alpha measured once, before training, as the teacher's mean probability
 on the reference labels. Gradients flow through the quantizer's step
 functions with the straight-through estimator; the clip and partition logits
 get their exact analytic derivatives. The optimizer is Adam (0.9/0.999,
-eps 1e-8, no weight decay) with a ~10x higher learning rate on quantizer
-logits than on weights. Everything runs in float64 with a counter-based RNG
+eps 1e-8, no weight decay) with learning rate 1e-3 on weights and 1e-2 on
+quantizer logits. Everything runs in float64 with a counter-based RNG
 keyed by (seed, stream), so a seed reproduces the loss trace bit-for-bit.
 """
 
@@ -67,8 +67,6 @@ TOY = ToyModelSpec()  # the one toy model every entry point builds
 
 @dataclass(frozen=True)
 class DistillConfig:
-    lr_weights: float = 1e-3
-    lr_quant: float = 1e-2
     steps: int = 200
     batch: int = 32
     seed: int = 0
@@ -162,6 +160,7 @@ def _quantize_weights(state: _State) -> tuple[list[np.ndarray], list[np.ndarray]
 
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_LR_WEIGHTS, _LR_QUANT = 1e-3, 1e-2
 
 
 class _Adam:
@@ -273,8 +272,8 @@ def train_toy(cfg: DistillConfig) -> TrainingReport:
     state = _build_state(cfg)
     trained = 2 if cfg.freeze_partitions else 4  # frozen: only the clip logits learn
     logits = [(p.lo_logit, p.hi_logit, p.split1, p.split2)[:trained] for p in state.params]
-    opt_w = _Adam(cfg.lr_weights, state.student)
-    opt_q = _Adam(cfg.lr_quant, [arr for layer in logits for arr in layer])
+    opt_w = _Adam(_LR_WEIGHTS, state.student)
+    opt_q = _Adam(_LR_QUANT, [arr for layer in logits for arr in layer])
     trace: list[float] = []
 
     for step in range(cfg.steps):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ZeroTokenError
+from .errors import DataError, ZeroTokenError
 
 __all__ = ["ACT_BITS", "ACT_CLIP_RATIO", "quant_act_per_token", "asym_quant_dequant"]
 
@@ -57,13 +57,17 @@ def quant_act_per_token(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Per token the scale is ``ACT_CLIP_RATIO * max|x| / qmax`` and codes are
     ``clip(round(x/scale), -qmax-1, qmax)``, i.e. [-8, 7] at 4 bits.
-    Tokens that are identically zero have no scale and raise.
+    Tokens that are identically zero have no scale and raise
+    ``ZeroTokenError``; a token holding an inf or NaN raises ``DataError``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected (tokens, channels)")
     qmax = (1 << (ACT_BITS - 1)) - 1
     maxabs = np.abs(x).max(axis=1)
+    finite = np.isfinite(maxabs)
+    if not finite.all():
+        raise DataError(f"non-finite activation in token {int(np.argmin(finite))}")
     if np.any(maxabs == 0.0):
         raise ZeroTokenError(f"all-zero token at row {int(np.argmin(maxabs))}")
     scale = ACT_CLIP_RATIO * maxabs / qmax

@@ -22,10 +22,10 @@ from rcpq import (
     randomized_hadamard,
     write_rcpq,
 )
-from rcpq import _native, cli, pipeline
+from rcpq import _native, cli, gemv, pipeline
 from rcpq.cli import main
 from rcpq.core import load_npy, make_rng, save_npy
-from rcpq.gemv import GemvTask, dense_oracle, gemv_fast, gemv_ref
+from rcpq.gemv import GemvTask, decode_dense
 from rcpq.pack import (
     pack_activation_codes,
     read_rcpq,
@@ -306,6 +306,31 @@ class TestQuantizeVerifyBench:
         assert code == 2
         assert "FAIL: GEMV gap ref=nan" in capsys.readouterr().out
 
+    def test_kernel_off_by_one_unit_fails(self, weight_files, tmp_path, monkeypatch, capsys):
+        # one float32 ulp more in row 11's sum: far inside the oracle bound, but not the spec's bits
+        if _native.kernel("w2a4") is None:
+            pytest.skip("no compiled GEMV kernel on this host")
+        wp, xp = weight_files
+        box = tmp_path / "m.rcpq"
+        main([
+            "quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+            "--grid", "8", "--out", str(box),
+        ])
+        run = gemv._row_sums_compiled
+
+        def off_by_one(kernel, task):
+            sums = run(kernel, task)
+            sums[11] += 1 << max(0, abs(int(sums[11])).bit_length() - 24)
+            return sums
+
+        monkeypatch.setattr(gemv, "_row_sums_compiled", off_by_one)
+        code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp),
+                     "--json", str(tmp_path / "v.json")])
+        assert code == 2
+        assert "FAIL: fast GEMV differs from gemv_ref at row 11: " in capsys.readouterr().out
+        rep = _report(tmp_path / "v.json")
+        assert rep["gemv_ref_gap"] <= cli.GEMV_TOL and rep["gemv_fast_gap"] <= cli.GEMV_TOL
+
     def test_bench_report(self, weight_files, tmp_path, capsys):
         wp, xp = weight_files
         box = tmp_path / "m.rcpq"
@@ -400,10 +425,9 @@ class TestVerifyGemvGap:
 
     def test_cancelling_two_row_layer_passes(self, two_row_files, capsys):
         wp, _, tp, box = two_row_files
-        task = self._task(box, tp)
-        oracle = dense_oracle(task)
-        old_gap = max(np.abs(f(task) - oracle).max() for f in (gemv_ref, gemv_fast)) / np.abs(oracle).max()
-        assert old_gap > 1e-5  # what a scale of max |oracle| rejected
+        w, x = decode_dense(self._task(box, tp))
+        # the outputs cancel: max |oracle| is over 1000x below each row's sum of |terms|
+        assert (np.abs(w) @ np.abs(x)).min() > 1000 * np.abs(w @ x).max()
         assert main(["verify", str(box), "--against", str(wp), "--acts", str(tp)]) == 0
         assert capsys.readouterr().out.startswith("OK: codes and LUT reproduce")
 

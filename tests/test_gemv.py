@@ -1,7 +1,8 @@
-"""LUT-decoding GEMV: reference, compiled and numpy fast paths, dense oracle."""
+"""LUT-decoding GEMV: the spec (``gemv_ref``), the compiled kernel behind ``gemv_fast``, dense oracle."""
 
 import dataclasses
 import math
+import re
 import shutil
 import subprocess
 from fractions import Fraction
@@ -50,13 +51,6 @@ def make_task(rng, h, c, g, lut_values=None):
 
 # float16 extremes, subnormals and signed zeros
 SPECIALS = np.array([65504, -65504, 6e-8, -6e-8, 0.0, -0.0, 1e-5, -1.0, 1.0], dtype=np.float16)
-
-
-def numpy_fast(task, tile=8):
-    """``gemv_fast`` on its numpy tile loop: the spec the compiled kernel must match."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gemv, "_kernel_for", lambda layout: None)
-        return gemv_fast(task, tile)
 
 
 @pytest.fixture
@@ -143,13 +137,14 @@ class TestGemvRef:
 
 class TestGemvFast:
     def test_matches_ref_over_random_tasks(self):
+        # G = 2 and 6 run the spec in gemv_fast too; the rest run the kernel where it builds
         rng = make_rng(64)
         for _ in range(100):
-            g = int(rng.choice([4, 8, 16, 32]))
-            c = g * int(rng.integers(1, 9))
+            g = int(rng.choice([2, 4, 6, 8, 16, 32, 64, 128, 256, 2076]))
+            c = g * 2 * int(rng.integers(1, 5))  # a multiple of 4
             h = int(rng.integers(1, 65))
             task = make_task(rng, h, c, g)
-            assert rel_gap(gemv_fast(task, tile=2), gemv_ref(task)) <= 1e-5
+            assert gemv_fast(task, tile=2).tobytes() == gemv_ref(task).tobytes()
 
     def test_bit_deterministic(self):
         rng = make_rng(65)
@@ -160,11 +155,11 @@ class TestGemvFast:
 
     def test_tile_independent(self):
         rng = make_rng(66)
-        task = make_task(rng, 48, 128, 32)
-        base = gemv_fast(task, tile=2)
-        for tile in (2, 4, 8, 16, 64):
-            assert gemv_fast(task, tile=tile).tobytes() == base.tobytes()
-            assert numpy_fast(task, tile=tile).tobytes() == base.tobytes()
+        for g in (32, 6):  # the kernel's group size, where it builds, and the spec's
+            task = make_task(rng, 48, 4 * g, g)
+            base = gemv_ref(task)
+            for tile in (2, 4, 8, 16, 64):
+                assert gemv_fast(task, tile=tile).tobytes() == base.tobytes()
 
     def test_linearity_in_scale(self):
         rng = make_rng(67)
@@ -216,8 +211,19 @@ class TestGemvTaskDtypes:
         # a task changed after construction is checked again before C reads it
         task = make_task(make_rng(72), 4, 32, 8)
         task.weights = PackedWeights(task.weights.data[:2], task.layout)
-        with pytest.raises(ShapeError, match="do not match layout"):
-            gemv_fast(task)
+        for run in (gemv_fast, gemv_ref):
+            with pytest.raises(ShapeError, match="do not match layout"):
+                run(task)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_not_finite_and_positive_rejected(self, scale):
+        task = make_task(make_rng(81), 4, 32, 8)
+        with pytest.raises(DataError, match="scale must be finite and > 0"):
+            dataclasses.replace(task, scale=scale)
+        task.scale = scale  # replaced after construction
+        for run in (gemv_fast, gemv_ref):
+            with pytest.raises(DataError, match="scale must be finite and > 0"):
+                run(task)
 
 
 class TestCompiledKernel:
@@ -242,13 +248,13 @@ class TestCompiledKernel:
             for _ in range(20):
                 tasks.append(make_task(rng, int(rng.integers(1, 50)), g * int(rng.integers(1, 9)), g))
         for task in tasks:
-            assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
+            assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
         assert len(compiled_calls) == len(tasks)
 
     @pytest.mark.parametrize("g", [2, 6])
     def test_uncovered_group_sizes_use_numpy(self, g, compiled_calls):
         task = make_task(make_rng(74), 6, 4 * g, g)
-        assert rel_gap(gemv_fast(task), gemv_ref(task)) <= 1e-5
+        assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
         assert gemv_fast(task).tobytes() == converted(python_row_sums(task), task.scale).tobytes()
         assert compiled_calls == []
         assert bench_gemv(task, iters=1)["kernel"] == "numpy"
@@ -267,9 +273,27 @@ class TestCompiledKernel:
     @pytest.mark.usefixtures("kernel")
     def test_builds_into_cache(self, fresh_kernel, compiled_calls):
         task = make_task(make_rng(75), 8, 64, 32)
-        assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
+        assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
         assert compiled_calls
         assert [p.suffix for p in fresh_kernel.iterdir()] == [".so"]
+
+    @needs_cc
+    def test_build_prunes_stale_builds(self, fresh_kernel, monkeypatch):
+        fresh_kernel.mkdir(parents=True)
+        stale = fresh_kernel / "w2a4-0123456789abcdef.so"  # an earlier source's build
+        stale.write_bytes(b"old")
+        # another kernel's build, a build in progress, a name that is no build
+        kept = {"ldp-0123456789abcdef.so", "w2a4-0123456789abcdef.soXk3j.tmp", "w2a4-notes.so"}
+        for name in kept:
+            (fresh_kernel / name).write_bytes(b"")
+        busy = fresh_kernel / "w2a4-fedcba9876543210.so"
+        busy.mkdir()  # unlink fails: ignored
+        opened = []
+        monkeypatch.setattr(_native, "open_kernel", lambda name, path: opened.append(path.name) or "kernel")
+        assert _native.kernel("w2a4") == "kernel"
+        assert not stale.exists() and busy.exists()
+        new = {p.name for p in fresh_kernel.iterdir()} - kept - {busy.name}
+        assert new == set(opened) and re.fullmatch(r"w2a4-[0-9a-f]{16}\.so", opened[0])
 
     @pytest.mark.parametrize("failure", ["no compiler", "compile error", "load error"])
     def test_failed_build_falls_back(self, failure, fresh_kernel, monkeypatch, compiled_calls):
@@ -293,7 +317,7 @@ class TestCompiledKernel:
         rng = make_rng(76)
         for _ in range(3):
             task = make_task(rng, 8, 256, 32)
-            assert gemv_fast(task).tobytes() == numpy_fast(task).tobytes()
+            assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
         assert compiled_calls == []
         assert len(builds) <= 1  # not retried per call
         assert not list(fresh_kernel.glob("*.tmp"))
@@ -382,7 +406,7 @@ class TestExactContract:
         for task in contract_tasks([2, 4, 6, 8, 32]):
             sums = python_row_sums(task)
             assert gemv._row_sums(task, 2).tolist() == sums
-            assert numpy_fast(task).tobytes() == converted(sums, task.scale).tobytes()
+            assert gemv_ref(task).tobytes() == converted(sums, task.scale).tobytes()
 
     def test_kernel_row_sums(self, kernel, compiled_calls):
         tasks = contract_tasks([4, 8, 32, 128])
@@ -396,7 +420,7 @@ class TestExactContract:
     def test_widest_sum_is_exact(self, path, compiled_calls, request):
         task = widest_task()
         if path == "numpy":
-            sums, out = gemv._row_sums(task, 2), numpy_fast(task)
+            sums, out = gemv._row_sums(task, 2), gemv_ref(task)
         else:
             sums, out = gemv._row_sums_compiled(request.getfixturevalue("kernel"), task), gemv_fast(task)
         assert sums.tolist() == [65504 * 8 * 2**20 * 2**24]  # 2^63 - 2^52
@@ -413,8 +437,9 @@ class TestExactContract:
             lut=DequantLut(np.zeros((1, 1, 4), dtype=np.float16)),
             layout=layout,
         )
-        with pytest.raises(ShapeError, match="exceed 2\\^20"):
-            gemv_fast(task)
+        for run in (gemv_fast, gemv_ref):
+            with pytest.raises(ShapeError, match="exceed 2\\^20"):
+                run(task)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_lut_entry_is_named(self, bad):
@@ -423,9 +448,9 @@ class TestExactContract:
         table[11, 0, 3] = bad
         table[9, 2, 1] = bad
         task.lut = DequantLut(table)
-        for run in (gemv_fast, numpy_fast):
+        for run in (lambda t: gemv_fast(t, 4), gemv_ref):
             with pytest.raises(DataError, match=r"LUT at \(row 9, group 2\) is not finite"):
-                run(task, 4)
+                run(task)
 
 
 class TestDenseOracle:

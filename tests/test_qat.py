@@ -100,11 +100,13 @@ class TestTrainToy:
         assert rep1.loss_trace == rep2.loss_trace  # bit-for-bit
         assert rep1.final_loss < rep1.initial_loss
 
-    def test_zero_learning_rates_freeze_loss(self):
+    def test_zero_learning_rates_freeze_loss(self, monkeypatch):
         # With zero rates every per-step loss equals the untouched model's
         # loss on that batch (batches differ, so compare against a frozen
         # state instead of expecting a constant trace).
-        cfg = DistillConfig(seed=1, steps=5, batch=16, lr_weights=0.0, lr_quant=0.0)
+        monkeypatch.setattr(qat, "_LR_WEIGHTS", 0.0)
+        monkeypatch.setattr(qat, "_LR_QUANT", 0.0)
+        cfg = DistillConfig(seed=1, steps=5, batch=16)
         rep = train_toy(cfg)
         state = _build_state(cfg)
         for step, recorded in enumerate(rep.loss_trace):

@@ -1,10 +1,12 @@
 """Asymmetric group quantizer and the per-token activation path."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from rcpq.core import make_rng
-from rcpq.errors import ZeroTokenError
+from rcpq.errors import DataError, ZeroTokenError
 from rcpq.uniform import ACT_CLIP_RATIO, asym_quant_dequant, quant_act_per_token
 
 
@@ -100,6 +102,17 @@ class TestActQuant:
     def test_zero_token_raises(self):
         with pytest.raises(ZeroTokenError):
             quant_act_per_token(np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_token_raises(self, bad):
+        # tokens 2 and 4 hold the value; token 3 is all zero, which is not named first
+        x = make_rng(24).normal(size=(5, 8))
+        x[3] = 0.0
+        x[2, 5] = x[4, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+            with pytest.raises(DataError, match="non-finite activation in token 2"):
+                quant_act_per_token(x)
 
     def test_codes_within_int4(self):
         x = make_rng(23).normal(0, 10, size=(16, 32))
