@@ -233,7 +233,7 @@ def clipped_uniform_quantizer(cfg: ClipSearchConfig = ClipSearchConfig()):
         lo = search.ratio_lo * mn
         hi = search.ratio_hi * mx
         clipped = np.clip(groups, lo[..., None], hi[..., None])
-        _, deq, _, _, _ = asym_quant_dequant(groups, lo, hi, BITS)
+        _, deq, _, _, _ = asym_quant_dequant(clipped, None, None, BITS)
         return deq.reshape(w.shape), clipped.reshape(w.shape)
 
     return quantize

@@ -244,6 +244,7 @@ def _cmd_train_toy(args) -> int:
         initial_loss=rep.initial_loss,
         final_loss=rep.final_loss,
         loss_ratio=rep.final_loss / rep.initial_loss,
+        eval_loss=rep.eval_loss,
         max_loss_spike=rep.max_loss_spike,
         agreement=rep.agreement,
         loss_trace=rep.loss_trace,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, ShapeError, UnsupportedLayoutError
+from .errors import ConfigError, DataError, FormatError, ShapeError, UnsupportedLayoutError
 
 __all__ = [
     "GroupLayout",
@@ -65,7 +65,7 @@ class GroupLayout:
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic Philox-backed generator for (seed, stream)."""
     if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be non-negative")
+        raise ConfigError(f"seed and stream must be non-negative, got {seed} and {stream}")
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 

@@ -2,7 +2,7 @@
 
 A frozen full-precision teacher (two linear layers with a ReLU between,
 classification head) distills into a student that shares its architecture
-but fake-quantizes every weight group on each forward pass. The loss blends
+but fake-quantizes each weight once per pass over a batch. The loss blends
 both KL directions, weighted by the teacher's empirical confidence:
 
     loss = alpha * KL(P_student || P_teacher) + (1 - alpha) * KL(P_teacher || P_student)
@@ -53,13 +53,15 @@ _CLIP_GRID = 16
 _FD_DELTA = 1e-4  # finite-difference probe step of grad_check
 
 
-@dataclass(frozen=True)
 class ToyModelSpec:
-    in_dim: int = 64
-    hidden: int = 64
-    classes: int = 16
-    group_size: int = 16
-    head_gain: float = 4.0  # sharpens teacher logits so confidence is informative
+    """The toy model's shape; it is fixed, so nothing here is a setting."""
+
+    __slots__ = ()  # read-only: an instance cannot shadow these values
+    in_dim = 64
+    hidden = 64
+    classes = 16
+    group_size = 16
+    head_gain = 4.0  # sharpens teacher logits so confidence is informative
 
 
 TOY = ToyModelSpec()  # the one toy model every entry point builds
@@ -71,6 +73,10 @@ class DistillConfig:
     batch: int = 32
     seed: int = 0
     freeze_partitions: bool = False
+
+    def __post_init__(self):
+        if self.steps < 1 or self.batch < 1:
+            raise ConfigError(f"steps and batch must be >= 1, got {self.steps} and {self.batch}")
 
 
 @dataclass
@@ -136,27 +142,15 @@ def _teacher_weights(seed: int) -> list[np.ndarray]:
     return [w1, w2]
 
 
-def _layouts() -> list[GroupLayout]:
-    return [
-        GroupLayout(TOY.hidden, TOY.in_dim, TOY.group_size),
-        GroupLayout(TOY.classes, TOY.hidden, TOY.group_size),
-    ]
+_LAYOUTS = (
+    GroupLayout(TOY.hidden, TOY.in_dim, TOY.group_size),
+    GroupLayout(TOY.classes, TOY.hidden, TOY.group_size),
+)
 
 
 def _forward_full(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     h = np.maximum(x @ weights[0].T, 0.0)
     return h @ weights[1].T
-
-
-def _quantize_weights(state: _State) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each student layer's quantizer codes and its fake-quantized weight."""
-    codes = []
-    wq = []
-    for w, p, lay in zip(state.student, state.params, state.layouts):
-        c, w_hat = ldp.fake_quant(lay.grouped(w), p)
-        codes.append(c)
-        wq.append(w_hat.reshape(w.shape))
-    return codes, wq
 
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -188,13 +182,11 @@ class _State:
     teacher: list[np.ndarray]
     student: list[np.ndarray]
     params: list[ldp.LdpParams]
-    layouts: list[GroupLayout]
     alpha: float
 
 
 def _build_state(cfg: DistillConfig) -> _State:
     teacher = _teacher_weights(cfg.seed)
-    layouts = _layouts()
     calib_rng = make_rng(cfg.seed, _STREAM_CALIB)
     calib_x = calib_rng.standard_normal((_CALIB_TOKENS, TOY.in_dim))
     probs = _softmax(_forward_full(teacher, calib_x))
@@ -206,24 +198,40 @@ def _build_state(cfg: DistillConfig) -> _State:
     clip_cfg = ClipSearchConfig(grid=_CLIP_GRID)
     acts = calib_x
     params = []
-    for w, lay in zip(student, layouts):
+    for w, lay in zip(student, _LAYOUTS):
         search = grid_search_clip(w, acts, lay, clip_cfg)
         params.append(ldp_init(search))
         acts = np.maximum(acts @ w.T, 0.0)
-    return _State(teacher, student, params, layouts, alpha)
+    return _State(teacher, student, params, alpha)
 
 
-def _loss_and_upstream(state: _State, x: np.ndarray):
-    """CAKLD loss of the fake-quantized student on ``x``.
+@dataclass
+class _Pass:
+    """One forward and backward pass of the fake-quantized student on a batch."""
 
-    Returns ``(loss, codes, [dW1, dW2])``: the loss, each layer's quantizer
-    codes, and the loss's unmasked gradients at the fake-quantized weights,
+    loss: float
+    codes: list[np.ndarray]  # per layer
+    wq: list[np.ndarray]  # fake-quantized weights
+    relu_mask: np.ndarray  # first layer's pre-activation > 0
+    student_logits: np.ndarray
+    teacher_logits: np.ndarray
+    upstream: list[np.ndarray]  # d loss / d wq per layer
+
+
+def _loss_and_upstream(state: _State, x: np.ndarray) -> _Pass:
+    """CAKLD loss of the fake-quantized student on ``x``, quantizing each
+    layer once, with its unmasked gradients at the fake-quantized weights:
     the point where the straight-through estimator hands them to the
     quantizer.
     """
     teacher_logits = _forward_full(state.teacher, x)
-    codes, wq = _quantize_weights(state)
+    codes, wq = [], []
+    for w, p, lay in zip(state.student, state.params, _LAYOUTS):
+        c, w_hat = ldp.fake_quant(lay.grouped(w), p)
+        codes.append(c)
+        wq.append(w_hat.reshape(w.shape))
     z1 = x @ wq[0].T
+    relu_mask = z1 > 0.0
     h1 = np.maximum(z1, 0.0)
     z2 = h1 @ wq[1].T
 
@@ -245,26 +253,26 @@ def _loss_and_upstream(state: _State, x: np.ndarray):
 
     dwq2 = dz2.T @ h1
     dh1 = dz2 @ wq[1]
-    dz1 = dh1 * (z1 > 0.0)
+    dz1 = dh1 * relu_mask
     dwq1 = dz1.T @ x
-    return loss, codes, [dwq1, dwq2]
+    return _Pass(loss, codes, wq, relu_mask, z2, teacher_logits, [dwq1, dwq2])
 
 
 def _loss_and_grads(state: _State, x: np.ndarray):
-    """CAKLD loss plus gradients for weights and quantizer logits.
+    """One pass on ``x`` plus the gradients for weights and quantizer logits.
 
-    Returns ``(loss, weight_grads, param_grads)`` where ``param_grads`` is a
+    Returns ``(pass, weight_grads, param_grads)`` where ``param_grads`` is a
     list of (d_lo, d_hi, d_split1, d_split2) per layer. ``weight_grads`` are
     the straight-through gradients for the raw weights.
     """
-    loss, codes, upstream = _loss_and_upstream(state, x)
+    fwd = _loss_and_upstream(state, x)
     weight_grads = []
     param_grads = []
-    for w, p, lay, c, dwq in zip(state.student, state.params, state.layouts, codes, upstream):
+    for w, p, lay, c, dwq in zip(state.student, state.params, _LAYOUTS, fwd.codes, fwd.upstream):
         d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(lay.grouped(w), p, c, lay.grouped(dwq))
         weight_grads.append(d_group.reshape(w.shape))
         param_grads.append((d_lo, d_hi, d_s1, d_s2))
-    return loss, weight_grads, param_grads
+    return fwd, weight_grads, param_grads
 
 
 def train_toy(cfg: DistillConfig) -> TrainingReport:
@@ -278,50 +286,47 @@ def train_toy(cfg: DistillConfig) -> TrainingReport:
 
     for step in range(cfg.steps):
         x = make_rng(cfg.seed, _STREAM_BATCH0 + step).standard_normal((cfg.batch, TOY.in_dim))
-        loss, w_grads, p_grads = _loss_and_grads(state, x)
-        if not np.isfinite(loss):
+        fwd, w_grads, p_grads = _loss_and_grads(state, x)
+        if not np.isfinite(fwd.loss):
             raise TrainingFailureError(step)
-        trace.append(loss)
+        trace.append(fwd.loss)
         opt_w.step(w_grads)
         opt_q.step([g for layer in p_grads for g in layer[:trained]])
         for arr in opt_q.params:  # frozen split logits never move off their init
             np.clip(arr, -ldp.LOGIT_LIMIT, ldp.LOGIT_LIMIT, out=arr)
 
     eval_x = make_rng(cfg.seed, _STREAM_EVAL).standard_normal((_EVAL_TOKENS, TOY.in_dim))
-    eval_loss, _, _ = _loss_and_upstream(state, eval_x)
-    _, wq = _quantize_weights(state)
-    student_logits = _forward_full(wq, eval_x)
-    teacher_logits = _forward_full(state.teacher, eval_x)
-    agreement = float(np.mean(student_logits.argmax(axis=1) == teacher_logits.argmax(axis=1)))
+    final = _loss_and_upstream(state, eval_x)
+    agreement = float(np.mean(final.student_logits.argmax(1) == final.teacher_logits.argmax(1)))
 
     spikes = np.diff(np.asarray(trace)) if len(trace) > 1 else np.zeros(1)
     levels = [
         ldp.derive_grids(lay.grouped(w), p).levels
-        for w, p, lay in zip(state.student, state.params, state.layouts)
+        for w, p, lay in zip(state.student, state.params, _LAYOUTS)
     ]
     return TrainingReport(
         loss_trace=trace,
         alpha=state.alpha,
         initial_loss=trace[0],
         final_loss=trace[-1],
-        eval_loss=eval_loss,
+        eval_loss=final.loss,
         max_loss_spike=float(spikes.max()),
         agreement=agreement,
         levels=levels,
     )
 
 
-def _central_difference(arr: np.ndarray, idx: tuple, moved, loss) -> float | None:
+def _central_difference(arr: np.ndarray, idx: tuple, loss) -> float | None:
     """``(loss(+d) - loss(-d)) / 2d`` in the coordinate ``arr[idx]``, restored
-    afterwards; None when either probe makes ``moved()`` true."""
+    afterwards; None when ``loss()`` returns None at either probe."""
     original = arr[idx]
     vals = []
     try:
         for offset in (_FD_DELTA, -_FD_DELTA):
             arr[idx] = original + offset
-            if moved():
+            if (val := loss()) is None:
                 return None
-            vals.append(loss())
+            vals.append(val)
     finally:
         arr[idx] = original
     return (vals[0] - vals[1]) / (2 * _FD_DELTA)
@@ -332,7 +337,9 @@ def grad_check(points: int = 100, seed: int = 0) -> dict:
 
     Coordinates whose probe flips any quantizer code or ReLU sign are
     non-differentiable for the straight-through model and are excluded
-    (counted in the report). Weight gradients are validated at the
+    (counted in the report). One base pass gives the codes, ReLU mask and
+    analytic gradients; each logit probe is one pass, giving both its flip
+    verdict and its loss. Weight gradients are validated at the
     fake-quantized weights, the point where the straight-through estimator
     hands them off to the network.
     """
@@ -340,25 +347,17 @@ def grad_check(points: int = 100, seed: int = 0) -> dict:
     state = _build_state(cfg)
     x = make_rng(seed, _STREAM_GRADCHECK).standard_normal((cfg.batch, TOY.in_dim))
     rng = make_rng(seed, _STREAM_GRADCHECK + 1)
-    _, _, base_p_grads = _loss_and_grads(state, x)
-    _, _, base_upstream = _loss_and_upstream(state, x)
-
-    def snapshot() -> list[np.ndarray]:
-        """Each layer's quantizer codes, then the first layer's ReLU mask."""
-        codes, wq = _quantize_weights(state)
-        return codes + [x @ wq[0].T > 0.0]
-
-    base = snapshot()
+    base, _, base_p_grads = _loss_and_grads(state, x)
     attempts = 0  # shared by both sweeps
 
-    def sweep(draw, moved, loss, budget: int) -> tuple[int, int, float]:
+    def sweep(draw, loss, budget: int) -> tuple[int, int, float]:
         nonlocal attempts
         tested = excluded = 0
         max_rel = 0.0
         while tested < points and attempts < budget:
             attempts += 1
             arr, idx, analytic = draw()
-            fd = _central_difference(arr, idx, moved, loss)
+            fd = _central_difference(arr, idx, loss)
             if fd is None:
                 excluded += 1
                 continue
@@ -375,29 +374,29 @@ def grad_check(points: int = 100, seed: int = 0) -> dict:
         idx = tuple(rng.integers(0, s) for s in arr.shape)
         return arr, idx, base_p_grads[layer][k][idx]
 
-    tested, excluded, rel_p = sweep(
-        draw_param,
-        lambda: not all(np.array_equal(s, b) for s, b in zip(snapshot(), base)),
-        lambda: _loss_and_upstream(state, x)[0],
-        points * 20,
-    )
+    def param_loss() -> float | None:
+        probe = _loss_and_upstream(state, x)
+        same = map(np.array_equal, probe.codes + [probe.relu_mask], base.codes + [base.relu_mask])
+        return probe.loss if all(same) else None
 
-    # Weight gradients, checked at the quantized weights.
-    _, wq = _quantize_weights(state)
-    pt = _softmax(_forward_full(state.teacher, x))
+    tested, excluded, rel_p = sweep(draw_param, param_loss, points * 20)
+
+    # Weight gradients, checked at the quantized weights, which the probes move.
+    wq = base.wq
+    pt = _softmax(base.teacher_logits)
 
     def draw_weight():
         layer = int(rng.integers(0, 2))
         i = int(rng.integers(0, wq[layer].shape[0]))
         j = int(rng.integers(0, wq[layer].shape[1]))
-        return wq[layer], (i, j), base_upstream[layer][i, j]
+        return wq[layer], (i, j), base.upstream[layer][i, j]
 
-    w_tested, w_excluded, rel_w = sweep(
-        draw_weight,
-        lambda: not np.array_equal(x @ wq[0].T > 0.0, base[-1]),
-        lambda: cakld(pt, _softmax(_forward_full(wq, x)), state.alpha),
-        points * 40,
-    )
+    def weight_loss() -> float | None:
+        if not np.array_equal(x @ wq[0].T > 0.0, base.relu_mask):
+            return None
+        return cakld(pt, _softmax(_forward_full(wq, x)), state.alpha)
+
+    w_tested, w_excluded, rel_w = sweep(draw_weight, weight_loss, points * 40)
     return {
         "max_rel_err": max(rel_p, rel_w),
         "param_points": tested,
@@ -427,7 +426,7 @@ def invariance_check(rotation_seed: int = 0, seed: int = 0) -> dict:
     denom = max(1.0, float(np.abs(base).max()))
     deviation = float(np.abs(rotated - base).max()) / denom
 
-    lay = _layouts()[0]
+    lay = _LAYOUTS[0]
     kurt_base = groupwise_kurtosis(teacher[0], lay).per_group
     kurt_rot = groupwise_kurtosis(w1_fused64, lay).per_group
     return {

@@ -251,6 +251,8 @@ def rotation_kurtosis_mc(
     """
     if n < 2:
         raise ConfigError("transform size must be at least 2")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     h_t = hadamard(n, normalized=True).T
     before = _Pooled()
     after = _Pooled()

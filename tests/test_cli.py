@@ -11,6 +11,7 @@ import pytest
 
 from rcpq import (
     ClipSearchConfig,
+    DistillConfig,
     GroupLayout,
     build_lut,
     fake_quant,
@@ -20,6 +21,7 @@ from rcpq import (
     pack_weight_codes,
     quantize_layer,
     randomized_hadamard,
+    train_toy,
     write_rcpq,
 )
 from rcpq import _native, cli, gemv, pipeline
@@ -75,6 +77,35 @@ class TestUsageErrors:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["stats", "--weights", str(tmp_path / "nope.npy")])
         assert code == 2
+
+    # command line -> what its one error line must contain
+    OUT_OF_RANGE = {
+        "lemma1 --n 8 --seed -1": "got -1",
+        "lemma1 --n 8 --trials 0": "trials must be >= 1, got 0",
+        "lemma1 --n 8 --trials -3": "trials must be >= 1, got -3",
+        "train-toy --steps 1 --seed -1": "got -1",
+        "train-toy --steps 0": "got 0 and 32",
+        "train-toy --steps -2": "got -2 and 32",
+        "train-toy --batch 0": "got 200 and 0",
+        "gemv-bench {box} --iters 1 --seed -1": "got -1",
+        "stats --weights {w} --group 32 --rotate -1": "got -1",
+        "quantize --weights {w} --calib {x} --group 32 --grid 8 --rotate -1 --out {out}": "got -1",
+        "verify {box} --against {w} --acts {x} --rotate -1": "got -1",
+    }
+
+    @pytest.mark.parametrize("command", OUT_OF_RANGE)
+    def test_out_of_range_seed_or_count_exits_2(self, command, weight_files, tmp_path, capsys):
+        wp, xp = weight_files
+        box, out, report = tmp_path / "m.rcpq", tmp_path / "new.rcpq", tmp_path / "r.json"
+        if "{box}" in command:
+            main(["quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+                  "--grid", "8", "--out", str(box)])
+        argv = command.format(w=wp, x=xp, box=box, out=out).split() + ["--json", str(report)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and self.OUT_OF_RANGE[command] in err[0], err
+        assert not report.exists() and not out.exists()
 
 
 class TestLemma1:
@@ -525,6 +556,7 @@ class TestTrainToy:
         rep = _report(out)
         assert len(rep["loss_trace"]) == 10
         assert rep["config"]["freeze_partitions"] is False
+        assert rep["eval_loss"] == train_toy(DistillConfig(seed=0, steps=10)).eval_loss
 
     def test_freeze_flag(self, tmp_path):
         out = tmp_path / "t.json"

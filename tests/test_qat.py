@@ -8,13 +8,14 @@ from rcpq import ldp, qat
 from rcpq.qat import (
     TOY,
     DistillConfig,
+    ToyModelSpec,
     cakld,
     estimate_alpha,
     grad_check,
     invariance_check,
     train_toy,
 )
-from rcpq.qat import _build_state, _loss_and_grads, _STREAM_GRADCHECK  # noqa: F401
+from rcpq.qat import _LAYOUTS, _build_state, _loss_and_grads, _STREAM_GRADCHECK
 from rcpq.core import make_rng
 
 
@@ -23,6 +24,17 @@ def _kl(p, q):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     return float(np.sum(p * (np.log(p) - np.log(q))))
+
+
+class TestToyModelSpec:
+    def test_fixed_shape(self):
+        spec = ToyModelSpec()
+        assert (spec.in_dim, spec.hidden, spec.classes, spec.group_size) == (64, 64, 16, 16)
+        assert spec.head_gain == 4.0
+        with pytest.raises(TypeError):
+            ToyModelSpec(hidden=8)
+        with pytest.raises(AttributeError):
+            spec.hidden = 8
 
 
 class TestCakld:
@@ -111,8 +123,8 @@ class TestTrainToy:
         state = _build_state(cfg)
         for step, recorded in enumerate(rep.loss_trace):
             x = make_rng(cfg.seed, 16 + step).standard_normal((cfg.batch, 64))
-            loss, _, _ = _loss_and_grads(state, x)
-            assert loss == pytest.approx(recorded, rel=1e-12)
+            fwd, _, _ = _loss_and_grads(state, x)
+            assert fwd.loss == pytest.approx(recorded, rel=1e-12)
 
     def test_freeze_partitions_keeps_levels_uniform(self):
         cfg = DistillConfig(seed=2, steps=10, batch=16, freeze_partitions=True)
@@ -136,15 +148,31 @@ class TestTrainToy:
         real, calls = ldp.fake_quant, []
         monkeypatch.setattr(ldp, "fake_quant", lambda *args: calls.append(args) or real(*args))
         _loss_and_grads(state, x)
-        assert len(calls) == len(state.layouts) == 2
+        assert len(calls) == len(_LAYOUTS) == 2
+
+    def test_one_quantizer_pass_per_loss_evaluation(self, monkeypatch):
+        # Training, its evaluation and every grad_check probe quantize each
+        # layer once per pass; no caller re-runs a batch to read its codes,
+        # ReLU mask or logits.
+        real_quant, real_pass, calls, passes = ldp.fake_quant, qat._loss_and_upstream, [], []
+        monkeypatch.setattr(ldp, "fake_quant", lambda *args: calls.append(args) or real_quant(*args))
+        monkeypatch.setattr(qat, "_loss_and_upstream", lambda *args: passes.append(args) or real_pass(*args))
+        train_toy(DistillConfig(seed=0, steps=3))
+        assert len(calls) == len(_LAYOUTS) * len(passes) == 8  # 3 steps and the evaluation
+        calls.clear()
+        passes.clear()
+        grad_check(5, 1)
+        assert len(calls) == len(_LAYOUTS) * len(passes) == 22  # the base pass and 10 probes
 
     def test_non_finite_loss_stops_training(self, monkeypatch):
         real, steps = qat._loss_and_grads, []
 
         def nan_at_step_2(state, x):
             steps.append(len(steps))
-            loss, w_grads, p_grads = real(state, x)
-            return (float("nan") if steps[-1] == 2 else loss), w_grads, p_grads
+            fwd, w_grads, p_grads = real(state, x)
+            if steps[-1] == 2:
+                fwd.loss = float("nan")
+            return fwd, w_grads, p_grads
 
         monkeypatch.setattr(qat, "_loss_and_grads", nan_at_step_2)
         with pytest.raises(TrainingFailureError, match=r"^non-finite loss at step 2$") as err:
@@ -168,7 +196,7 @@ class TestGradCheck:
     def test_zero_upstream_zero_grads(self):
         cfg = DistillConfig(seed=4)
         state = _build_state(cfg)
-        lay = state.layouts[0]
+        lay = _LAYOUTS[0]
         groups = lay.grouped(state.student[0])
         zeros = np.zeros_like(groups)
         codes, _ = ldp.fake_quant(groups, state.params[0])
@@ -188,7 +216,7 @@ class TestSteConsistency:
             cfg = DistillConfig(seed=state_seed)
             state = _build_state(cfg)
             x = make_rng(state_seed, _STREAM_GRADCHECK).standard_normal((32, TOY.in_dim))
-            loss0, _, pgrads = _loss_and_grads(state, x)
+            base, _, pgrads = _loss_and_grads(state, x)
             gnorm2 = sum(
                 float((g**2).sum()) for layer in pgrads for g in layer
             )
@@ -200,9 +228,9 @@ class TestSteConsistency:
                 p.hi_logit -= eps * d_hi
                 p.split1 -= eps * d_s1
                 p.split2 -= eps * d_s2
-            loss1, _, _ = _loss_and_grads(state, x)
+            moved, _, _ = _loss_and_grads(state, x)
             predicted = -eps * gnorm2
-            actual = loss1 - loss0
+            actual = moved.loss - base.loss
             if actual == 0.0:
                 continue
             assert actual == pytest.approx(predicted, rel=5e-2)
