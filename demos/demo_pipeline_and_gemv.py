@@ -93,7 +93,7 @@ big = GemvTask(
     lut=DequantLut(big_lut.astype(np.float16)),
     layout=big_layout,
 )
-bench = bench_gemv(big, iters=5, tile=8)
+bench = bench_gemv(big, iters=5)
 print(f"spec     : {bench['ref_ns_per_call'] / 1e6:7.1f} ms/call")
 print(f"fast path: {bench['fast_ns_per_call'] / 1e6:7.1f} ms/call "
       f"({bench['speedup']:.1f}x)")

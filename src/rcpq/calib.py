@@ -217,26 +217,24 @@ def grid_search_clip(
     return out
 
 
-def clipped_uniform_quantizer(cfg: ClipSearchConfig = ClipSearchConfig()):
-    """Quantizer handle: clip search followed by uniform quantize-dequantize.
+def clipped_uniform_quantizer(
+    w: np.ndarray, x: np.ndarray, layout: GroupLayout, cfg: ClipSearchConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip search followed by uniform quantize-dequantize: ``(w_hat, w_target)``.
 
-    Returns a callable ``(w, x, layout) -> (w_hat, w_target)`` suitable for
-    the error-vs-kurtosis analysis: ``w_target`` is the clipped weight the
-    output error is measured against.
+    The scorer of the error-vs-kurtosis analysis: ``w_hat`` is the
+    fake-quantized weight and ``w_target`` the clipped weight the output
+    error is measured against.
     """
-
-    def quantize(w: np.ndarray, x: np.ndarray, layout: GroupLayout):
-        search = grid_search_clip(w, x, layout, cfg)
-        groups = layout.grouped(np.asarray(w, dtype=np.float64))
-        mn = groups.min(axis=-1)
-        mx = groups.max(axis=-1)
-        lo = search.ratio_lo * mn
-        hi = search.ratio_hi * mx
-        clipped = np.clip(groups, lo[..., None], hi[..., None])
-        _, deq, _, _, _ = asym_quant_dequant(clipped, None, None, BITS)
-        return deq.reshape(w.shape), clipped.reshape(w.shape)
-
-    return quantize
+    search = grid_search_clip(w, x, layout, cfg)
+    groups = layout.grouped(np.asarray(w, dtype=np.float64))
+    mn = groups.min(axis=-1)
+    mx = groups.max(axis=-1)
+    lo = search.ratio_lo * mn
+    hi = search.ratio_hi * mx
+    clipped = np.clip(groups, lo[..., None], hi[..., None])
+    _, deq, _, _, _ = asym_quant_dequant(clipped, None, None, BITS)
+    return deq.reshape(w.shape), clipped.reshape(w.shape)
 
 
 def ldp_init(clip: ClipSearchResult) -> LdpParams:

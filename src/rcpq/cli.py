@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, _native
-from .calib import ClipSearchConfig, clipped_uniform_quantizer
+from .calib import ClipSearchConfig
 from .core import GroupLayout, load_npy, make_rng
 from .errors import RcpqError, ZeroTokenError
 from .gemv import GemvTask, bench_gemv, decode_dense, gemv_fast, gemv_ref, random_activation
@@ -89,7 +89,7 @@ def _cmd_stats(args) -> int:
 
     if args.acts:
         x = load_npy(args.acts)
-        qr = qerr_vs_kurt(w, x, rot, clipped_uniform_quantizer(ClipSearchConfig(grid=args.grid)), layout)
+        qr = qerr_vs_kurt(w, x, rot, layout, ClipSearchConfig(grid=args.grid))
         report["qerr_vs_kurt"] = {
             "tokens": qr.tokens,
             "spearman": qr.spearman,
@@ -328,10 +328,7 @@ def main(argv=None) -> int:
         parser.error("stats: --acts requires --rotate")
     try:
         return args.func(args)
-    except RcpqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
-    except OSError as exc:
+    except (RcpqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE_EXIT
 

@@ -23,7 +23,6 @@ __all__ = [
     "make_rng",
     "load_npy",
     "save_npy",
-    "as_matrix",
 ]
 
 
@@ -69,16 +68,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def as_matrix(a: np.ndarray) -> np.ndarray:
-    """Validate and normalize an array to the package's matrix convention."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise UnsupportedLayoutError(f"expected a 2-D array, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise DataError("matrix contains NaN or Inf")
-    return np.ascontiguousarray(a, dtype=np.float32)
-
-
 def load_npy(path) -> np.ndarray:
     """Load a 2-D float matrix from an NPY file.
 
@@ -108,7 +97,12 @@ def load_npy(path) -> np.ndarray:
 
 
 def save_npy(m: np.ndarray, path) -> None:
-    """Write a matrix as little-endian float32 NPY v1.0; round-trips bit-exactly."""
-    m = as_matrix(m)
+    """Write a finite 2-D matrix as little-endian float32 NPY v1.0; round-trips bit-exactly."""
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise UnsupportedLayoutError(f"expected a 2-D array, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise DataError("matrix contains NaN or Inf")
+    m = np.ascontiguousarray(m, dtype=np.float32)
     with open(path, "wb") as fh:
         np.save(fh, m)

@@ -210,7 +210,7 @@ def random_activation(rng: np.random.Generator, channels: int) -> tuple[PackedAc
     return pack_activation_codes(codes), scale
 
 
-def bench_gemv(task: GemvTask, iters: int = 100, tile: int = 8) -> dict:
+def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
     """Wall-clock comparison of ``gemv_fast`` with its spec, ``gemv_ref``.
 
     The spec is measured with at most 25 iterations (it exists for
@@ -235,13 +235,12 @@ def bench_gemv(task: GemvTask, iters: int = 100, tile: int = 8) -> dict:
         return float(np.median(samples))
 
     ref_ns = _time(lambda: gemv_ref(task), ref_iters)
-    fast_ns = _time(lambda: gemv_fast(task, tile), iters)
+    fast_ns = _time(lambda: gemv_fast(task), iters)
     call_bytes = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
     return {
         "out_channels": task.layout.out_channels,
         "in_channels": task.layout.in_channels,
         "group_size": task.layout.group_size,
-        "tile": tile,
         "ref_iters": ref_iters,
         "fast_iters": iters,
         "ref_ns_per_call": ref_ns,

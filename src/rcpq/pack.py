@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroupLayout
-from .errors import DataError, EncodeError, FormatError, RcpqError
+from .errors import DataError, EncodeError, FormatError, RcpqError, ShapeError
 from .ldp import LdpParams, derive_grids
 
 __all__ = [
@@ -191,10 +191,22 @@ def write_rcpq(
     lut: DequantLut,
     params: LdpParams | None = None,
 ) -> None:
+    """Write a container atomically, or raise before writing anything where
+    ``read_rcpq`` would reject it: ``ShapeError`` for weights, LUT or params
+    that do not match ``pw.layout``, ``EncodeError`` for a float16 LUT that
+    is not finite or decreases."""
     layout = pw.layout
+    h, n = layout.out_channels, layout.num_groups
+    with np.errstate(over="ignore"):  # reported below by (row, group)
+        lut16 = np.ascontiguousarray(lut.table, dtype="<f2")
+    fields = [np.shape(getattr(params, name)) for name in _PARAM_FIELDS] if params is not None else []
+    if (layout.in_channels % 4 or np.shape(pw.data) != (h, layout.in_channels // 4)
+            or lut16.shape != (h, n, 4) or any(shape != (h, n) for shape in fields)):
+        raise ShapeError(f"weights, LUT or params do not match layout {layout}")
+    _check_lut(lut16, EncodeError, "float16 ")
     sections: list[tuple[int, bytes]] = [
         (_TAG_WEIGHTS, np.ascontiguousarray(pw.data, dtype=np.uint8).tobytes()),
-        (_TAG_LUT, np.ascontiguousarray(lut.table, dtype="<f2").tobytes()),
+        (_TAG_LUT, lut16.tobytes()),
     ]
     flags = 0
     if params is not None:

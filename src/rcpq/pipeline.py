@@ -11,6 +11,7 @@ import numpy as np
 
 from .calib import ClipSearchConfig, ClipSearchResult, grid_search_clip, ldp_init
 from .core import GroupLayout
+from .errors import ZeroTokenError
 from .ldp import LdpParams, encode_codes
 from .pack import VERSION, DequantLut, PackedWeights, build_lut, pack_weight_codes, stored_params
 from .rotation import apply_online, fuse, randomized_hadamard
@@ -47,8 +48,12 @@ def quantize_layer(
     Returns the clip search result, the params as the container stores them,
     the LUT and the packed weights: what ``write_rcpq`` needs plus the search
     diagnostics. Codes and LUT come from the stored params, so ``rcpq
-    verify`` reproduces them from the container.
+    verify`` reproduces them from the container. Raises ``ZeroTokenError``
+    when no token of ``x`` has a non-zero activation: every objective would
+    be 0.
     """
+    if not np.any(x):
+        raise ZeroTokenError(f"calibration activations {np.shape(x)}: no token has a non-zero activation")
     w_r, x_r = rotate(w, x, rotate_seed)
     search = grid_search_clip(w_r, x_r, layout, ClipSearchConfig(grid=grid))
     params = stored_params(ldp_init(search))

@@ -22,9 +22,8 @@ rows beside it.
   were made with the dense product ``w @ np.asarray(r)``, which ``fuse``
   still computes when given the dense matrix.
 * ``apply_online`` rotates activations on every call and narrows to the
-  dtype of ``x``.
+  dtype of ``x``. It takes only a ``RandomizedHadamard``.
 
-A dense ndarray rotation takes the plain matrix product, the reference.
 Fusion computes ``R_front^T @ W @ R_rear`` in float64 and narrows to float32,
 so a rotation baked into a weight is exact enough that rotating the matching
 activations online leaves layer outputs unchanged to ~1e-9 relative.
@@ -178,23 +177,17 @@ def _rotate_rows(x: np.ndarray, r: RandomizedHadamard) -> np.ndarray:
     return y
 
 
-def apply_online(x: np.ndarray, r: Rotation) -> np.ndarray:
-    """Rotate activations on the fly: ``x @ r`` in the dtype of ``x``.
+def apply_online(x: np.ndarray, r: RandomizedHadamard) -> np.ndarray:
+    """Rotate activations on the fly: ``x @ np.asarray(r)`` in the dtype of ``x``.
 
-    A ``RandomizedHadamard`` is applied as signs, the Kronecker-factored
-    transform and one scaling, in float64, narrowed once at the end; any
-    other ``r`` is taken as a dense matrix and multiplied in the dtype of
-    ``x``.
+    Applied as signs, the Kronecker-factored transform and one scaling, in
+    float64, narrowed once at the end. Raises ``TypeError`` for any ``r``
+    that is not a ``RandomizedHadamard``.
     """
+    if not isinstance(r, RandomizedHadamard):
+        raise TypeError(f"apply_online rotates by a RandomizedHadamard, got {type(r).__name__}")
     x = np.asarray(x)
-    if isinstance(r, RandomizedHadamard):
-        _check_columns(x, r.signs.size)
-        return _rotate_rows(x, r).astype(x.dtype, copy=False)
-    r = np.asarray(r)
-    _check_columns(x, r.shape[0])
-    return x @ r.astype(x.dtype, copy=False)
-
-
-def _check_columns(x: np.ndarray, n: int) -> None:
+    n = r.signs.size
     if x.ndim != 2 or x.shape[1] != n:
         raise ShapeError(f"activation {x.shape} does not match rotation of size {n}")
+    return _rotate_rows(x, r).astype(x.dtype, copy=False)

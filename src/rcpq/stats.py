@@ -12,13 +12,13 @@ rank correlation, computed in numpy with the same bits as scipy's spearmanr.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from .calib import ClipSearchConfig, clipped_uniform_quantizer
 from .core import GroupLayout, make_rng
 from .errors import ConfigError, DegenerateDistributionError
-from .rotation import Rotation, apply_online, fuse, hadamard
+from .rotation import RandomizedHadamard, apply_online, fuse, hadamard
 
 __all__ = [
     "KurtosisReport",
@@ -144,15 +144,15 @@ def groupwise_kurtosis(w: np.ndarray, layout: GroupLayout) -> KurtosisReport:
 def qerr_vs_kurt(
     w: np.ndarray,
     x: np.ndarray,
-    rotation: Rotation,
-    quantizer: Callable[[np.ndarray, np.ndarray, GroupLayout], tuple[np.ndarray, np.ndarray]],
+    rotation: RandomizedHadamard,
     layout: GroupLayout,
+    cfg: ClipSearchConfig,
 ) -> QErrReport:
     """Pair the rotation-induced changes in group kurtosis and output error.
 
-    ``quantizer(w, x, layout)`` must return ``(w_hat, w_target)``: the
-    fake-quantized weight and the (possibly clipped) weight the error is
-    measured against. Per output channel h the error is the token-mean of
+    Each weight is quantized by ``clipped_uniform_quantizer`` with ``cfg``,
+    which returns the fake-quantized weight and the clipped weight the error
+    is measured against. Per output channel h the error is the token-mean of
     ``|x @ (w_hat - w_target).T|`` and the kurtosis is the group-mean of the
     per-group excess kurtosis, evaluated on the plain and the rotated pair.
     """
@@ -166,7 +166,7 @@ def qerr_vs_kurt(
     x_rot = apply_online(x.astype(np.float64), rotation)
 
     def _channel_error(weights: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        w_hat, w_target = quantizer(weights, acts, layout)
+        w_hat, w_target = clipped_uniform_quantizer(weights, acts, layout, cfg)
         delta = w_hat.astype(np.float64) - w_target.astype(np.float64)
         out_err = np.abs(acts.astype(np.float64) @ delta.T)  # (T, H)
         return out_err.mean(axis=0)

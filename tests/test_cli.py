@@ -108,6 +108,69 @@ class TestUsageErrors:
         assert not report.exists() and not out.exists()
 
 
+def _key_paths(report: dict, prefix: str = "") -> list[str]:
+    """Every key of a report in order, a nested one as ``outer.inner``."""
+    paths = []
+    for key, value in report.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+_HEAD = ["tool", "version", "command", "config", "config.command"]
+
+# command line -> the ordered keys of its --json report. perfbench reads
+# verify's verdict keys by name; a change here is a change of the report format.
+REPORT_KEYS = {
+    "stats --weights {w} --group 32 --rotate 5 --acts {x} --grid 8": _HEAD + [
+        "config.weights", "config.group", "config.rotate", "config.acts", "config.grid", "config.json",
+        "kurtosis", "kurtosis.mean", "kurtosis.platykurtic_fraction",
+        "kurtosis_rotated", "kurtosis_rotated.mean", "kurtosis_rotated.platykurtic_fraction",
+        "kurtosis_rotated.mean_delta",
+        "qerr_vs_kurt", "qerr_vs_kurt.tokens", "qerr_vs_kurt.spearman", "qerr_vs_kurt.mean_delta_qerr",
+        "qerr_vs_kurt.mean_delta_kurt",
+    ],
+    "lemma1 --n 8 --trials 500": _HEAD + [
+        "config.dist", "config.n", "config.trials", "config.seed", "config.json",
+        "n", "dist", "trials", "kurt_before", "kurt_after", "expected_after", "mean_first", "mean_rest",
+        "var_before", "var_after", "analytic_before",
+    ],
+    "quantize --weights {w} --calib {x} --group 32 --grid 8 --out {out}": _HEAD + [
+        "config.weights", "config.calib", "config.group", "config.rotate", "config.grid", "config.out",
+        "config.json",
+        "weight_bytes", "lut_bytes", "effective_bits_per_weight", "compression_vs_fp16", "mean_objective",
+        "degenerate_groups", "ldp_kernel", "seconds",
+    ],
+    "verify {box} --against {w} --acts {x}": _HEAD + [
+        "config.container", "config.against", "config.acts", "config.rotate", "config.json",
+        "container_version", "ldp_kernel", "codes_match", "lut_match", "gemv_ref_gap", "gemv_fast_gap",
+    ],
+    "gemv-bench {box} --iters 1": _HEAD + [
+        "config.container", "config.iters", "config.seed", "config.json",
+        "out_channels", "in_channels", "group_size", "ref_iters", "fast_iters", "ref_ns_per_call",
+        "fast_ns_per_call", "speedup", "kernel", "fast_gbytes_per_s", "oracle_gap",
+    ],
+    "train-toy --steps 2": _HEAD + [
+        "config.seed", "config.steps", "config.batch", "config.freeze_partitions", "config.json",
+        "alpha", "initial_loss", "final_loss", "loss_ratio", "eval_loss", "max_loss_spike", "agreement",
+        "loss_trace", "levels",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", REPORT_KEYS)
+def test_report_keys_in_order(command, weight_files, tmp_path):
+    wp, xp = weight_files
+    box, out, report = tmp_path / "m.rcpq", tmp_path / "new.rcpq", tmp_path / "r.json"
+    if "{box}" in command:
+        main(["quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32",
+              "--grid", "8", "--out", str(box)])
+    argv = command.format(w=wp, x=xp, box=box, out=out).split() + ["--json", str(report)]
+    assert main(argv) == 0
+    assert _key_paths(_report(report)) == REPORT_KEYS[command]
+
+
 class TestLemma1:
     def test_report_and_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -296,6 +359,19 @@ class TestQuantizeVerifyBench:
         code = main(["verify", str(box), "--against", str(wp), "--acts", str(zp), "--rotate", "4"])
         assert code == 2
         assert "no token has a non-zero activation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tokens", [3, 0])
+    def test_quantize_without_non_zero_token(self, tokens, weight_files, tmp_path, capsys):
+        # every clip-search objective would be 0, and verify rejects the same file
+        wp, _ = weight_files
+        zp, box, report = tmp_path / "zeros.npy", tmp_path / "m.rcpq", tmp_path / "q.json"
+        save_npy(np.zeros((tokens, 64), dtype=np.float32), zp)
+        code = main(["quantize", "--weights", str(wp), "--calib", str(zp), "--group", "32", "--rotate", "4",
+                     "--grid", "8", "--out", str(box), "--json", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "no token has a non-zero activation" in err[0]
+        assert not box.exists() and not report.exists()
 
     def test_float16_overflow_fails_and_writes_nothing(self, tmp_path, capsys):
         # A group whose top level, 1e5, has no float16 value.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rcpq import pack
 from rcpq.calib import ClipSearchConfig, grid_search_clip, ldp_init
 from rcpq.core import GroupLayout, make_rng
-from rcpq.errors import DataError, EncodeError, FormatError, RcpqError
+from rcpq.errors import DataError, EncodeError, FormatError, RcpqError, ShapeError
 from rcpq.ldp import LdpParams, derive_grids, fake_quant, uniform_split_logits
 from rcpq.pack import (
     DequantLut,
@@ -327,6 +327,40 @@ class TestContainer:
         path.write_bytes(head + table + bytes(3) + np.zeros((2, 1, 4), "<f2").tobytes())
         with pytest.raises(FormatError, match="6 input channels are not a multiple of 4"):
             read_rcpq(path)
+
+    def test_write_rejects_in_channels_not_multiple_of_4(self, tmp_path):
+        lay = GroupLayout(2, 6, 6)
+        lut = DequantLut(np.zeros((2, 1, 4), dtype=np.float16))
+        with pytest.raises(ShapeError, match="do not match layout"):
+            write_rcpq(tmp_path / "m.rcpq", PackedWeights(np.zeros((2, 1), dtype=np.uint8), lay), lut)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("wrong", ["weights", "lut", "params"])
+    def test_write_rejects_a_section_of_another_layout(self, tmp_path, wrong):
+        # A 4x32 layout at G = 16 with 4x16 packed weights, or with a LUT or
+        # params at G = 8: read_rcpq would reject the file's section sizes.
+        rng = make_rng(55)
+        w = rng.standard_normal((4, 32))
+        coarse, fine = GroupLayout(4, 32, 16), GroupLayout(4, 32, 8)
+        s1, s2 = uniform_split_logits()
+        params = {lay: LdpParams(*(np.full((4, lay.num_groups), v) for v in (3.0, 3.0, s1, s2)))
+                  for lay in (coarse, fine)}
+        lut_lay, params_lay = (fine, coarse) if wrong == "lut" else (coarse, fine)
+        pw = pack_weight_codes(rng.integers(0, 4, size=(4, 32)), coarse)
+        if wrong == "weights":
+            pw = PackedWeights(pw.data[:, :4], coarse)
+        with pytest.raises(ShapeError, match="do not match layout"):
+            write_rcpq(tmp_path / "m.rcpq", pw, build_lut(w, lut_lay, params[lut_lay]), params[params_lay])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_rejects_a_lut_past_float16s_range(self, tmp_path):
+        # A float64 entry with no float16 value: the cast would write an inf.
+        path, pw, lut, params = _small_container(tmp_path)
+        table = lut.table.astype(np.float64)
+        table[1, 1, 3] = 1e5
+        with pytest.raises(EncodeError, match=r"float16 LUT at \(row 1, group 1\) is not finite"):
+            write_rcpq(tmp_path / "new.rcpq", pw, DequantLut(table), params)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path, pw, lut, _ = _small_container(tmp_path)

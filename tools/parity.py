@@ -139,7 +139,7 @@ def rotations():
                 rcpq.fuse(w.astype(dtype), None, r),
                 rcpq.fuse(w.T.astype(dtype), r, None),
                 rcpq.apply_online(x.astype(dtype), r),
-                rcpq.apply_online(x.astype(dtype), np.asarray(r, dtype=dtype)),
+                x.astype(dtype) @ np.asarray(r, dtype=dtype),
             ]
     return out
 
