@@ -28,9 +28,8 @@ rng = make_rng(0)
 
 print("=== 1. Uniform asymmetric baseline (2-bit) ===")
 group = np.array([-2.0, -1.0, 0.0, 4.0])
-codes, deq, step, zero, span = asym_quant_dequant(group, None, None, bits=2)
-print(f"group {group} -> span {span}, step {step}, zero {zero}")
-print(f"codes {codes} dequantized {deq}")
+deq, span = asym_quant_dequant(group, bits=2)
+print(f"group {group} -> span {span}, step {span / 3}, dequantized {deq}")
 
 print()
 print("=== 2. Learnable direct partitioning at its uniform start ===")
@@ -74,11 +73,11 @@ print("=== 6. Activation and KV-cache paths ===")
 x = rng.standard_normal((2, 8))
 codes_a, scales = quant_act_per_token(x)
 print(f"per-token scales {np.round(scales, 4)}; codes row 0: {codes_a[0]}")
-# KV4: each token's 128-channel group, its [min, max] shrunk to 0.95 about the
-# midpoint, through the 4-bit asymmetric quantizer.
+# KV4: each token's 128-channel group, clipped to its [min, max] shrunk to 0.95
+# about the midpoint, then through the 4-bit asymmetric quantizer.
 kv = rng.standard_normal((2, 128)).reshape(2, 1, 128)
-mid = 0.5 * (kv.min(axis=-1) + kv.max(axis=-1))
-half = 0.5 * (kv.max(axis=-1) - kv.min(axis=-1)) * 0.95
-kv_codes, _, _, _, kv_span = asym_quant_dequant(kv, mid - half, mid + half, 4)
-print(f"KV codes in [{kv_codes.min()}, {kv_codes.max()}], "
+mid = 0.5 * (kv.min(axis=-1, keepdims=True) + kv.max(axis=-1, keepdims=True))
+half = 0.5 * (kv.max(axis=-1, keepdims=True) - kv.min(axis=-1, keepdims=True)) * 0.95
+kv_hat, kv_span = asym_quant_dequant(np.clip(kv, mid - half, mid + half), 4)
+print(f"KV4 max |error| {np.abs(kv_hat - kv).max():.3f}, "
       f"per-group spans ~ {np.round(kv_span.mean(), 3)}")

@@ -182,7 +182,7 @@ def grid_search_clip(
             lo_c = rl * mn
             hi_c = rh * mx
             clipped = np.clip(g[None, :], lo_c[:, None], hi_c[:, None])
-            _, deq, _, _, span = asym_quant_dequant(clipped, None, None, BITS)
+            deq, span = asym_quant_dequant(clipped, BITS)
             err = np.subtract(deq, clipped, out=deq)
             screen, margin = _screen(err, grams[n], spare=clipped)
             screen[span == 0.0] = np.inf  # fully collapsed candidates are invalid
@@ -228,12 +228,10 @@ def clipped_uniform_quantizer(
     """
     search = grid_search_clip(w, x, layout, cfg)
     groups = layout.grouped(np.asarray(w, dtype=np.float64))
-    mn = groups.min(axis=-1)
-    mx = groups.max(axis=-1)
-    lo = search.ratio_lo * mn
-    hi = search.ratio_hi * mx
+    lo = search.ratio_lo * groups.min(axis=-1)
+    hi = search.ratio_hi * groups.max(axis=-1)
     clipped = np.clip(groups, lo[..., None], hi[..., None])
-    _, deq, _, _, _ = asym_quant_dequant(clipped, None, None, BITS)
+    deq, _ = asym_quant_dequant(clipped, BITS)
     return deq.reshape(w.shape), clipped.reshape(w.shape)
 
 

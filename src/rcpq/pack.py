@@ -151,6 +151,14 @@ def _check_lut(table: np.ndarray, error: type[RcpqError], where: str) -> None:
             raise error(f"{where}LUT at (row {row}, group {group}) {what}")
 
 
+def _check_params(raw: np.ndarray, error: type[RcpqError], where: str) -> None:
+    """Raise ``error`` at the first (row, group, field) of a params payload that is not finite."""
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        row, group, k = np.argwhere(bad)[0]
+        raise error(f"{where}params at (row {row}, group {group}) {_PARAM_FIELDS[k]} is not finite")
+
+
 def build_lut(w: np.ndarray, layout: GroupLayout, params: LdpParams) -> DequantLut:
     """Dequantization table per group: ``derive_grids(...).table`` cast to float16.
 
@@ -194,7 +202,7 @@ def write_rcpq(
     """Write a container atomically, or raise before writing anything where
     ``read_rcpq`` would reject it: ``ShapeError`` for weights, LUT or params
     that do not match ``pw.layout``, ``EncodeError`` for a float16 LUT that
-    is not finite or decreases."""
+    is not finite or decreases, or for params not finite in float32."""
     layout = pw.layout
     h, n = layout.out_channels, layout.num_groups
     with np.errstate(over="ignore"):  # reported below by (row, group)
@@ -210,7 +218,10 @@ def write_rcpq(
     ]
     flags = 0
     if params is not None:
-        sections.append((_TAG_PARAMS, _params_to_raw(params).tobytes()))
+        with np.errstate(over="ignore"):  # reported below by (row, group)
+            raw = _params_to_raw(params)
+        _check_params(raw, EncodeError, "")
+        sections.append((_TAG_PARAMS, raw.tobytes()))
         flags |= 1
 
     header_len = _HEADER.size + _SECTION.size * len(sections)
@@ -304,8 +315,6 @@ def read_rcpq(path) -> RcpqContainer:
         if _TAG_PARAMS not in sections or len(sections[_TAG_PARAMS]) != expect_p:
             raise DataError(f"{path}: params section missing or wrong size")
         raw = np.frombuffer(sections[_TAG_PARAMS], dtype="<f4").reshape(h, n, 4)
-        if not np.isfinite(raw).all():
-            row, group, k = np.argwhere(~np.isfinite(raw))[0]
-            raise DataError(f"{path}: params at (row {row}, group {group}) {_PARAM_FIELDS[k]} is not finite")
+        _check_params(raw, DataError, f"{path}: ")
         params = _params_from_raw(raw)
     return RcpqContainer(weights=pw, lut=lut, params=params, version=version)

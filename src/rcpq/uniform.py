@@ -1,10 +1,12 @@
 """The two uniform quantizers: asymmetric group-wise and per-token.
 
-The asymmetric one, which scores the clip search's candidates, maps a group
-to ``clip(round(w/s) + z, 0, 2^N - 1)`` with range ``h = max - min`` of the
-(optionally clipped) group, step ``s = h/(2^N - 1)`` and zero point
-``z = -round(min/h)``; a constant group gets ``span == 0``. The per-token one
-quantizes the W2A4 GEMV's activations. Rounding is half-to-even throughout.
+The asymmetric one scores the clip search's candidates. It takes each group
+as given (callers clip beforehand) and returns only what they read: the
+dequantized values ``(clip(round(w/s) + z, 0, 2^N - 1) - z) * s`` and the
+range ``h = max - min``, with step ``s = h/(2^N - 1)`` and zero point
+``z = -round(min/h)``. A constant group has ``h == 0`` and comes back
+unchanged. The per-token one quantizes the W2A4 GEMV's activations.
+Rounding is half-to-even throughout.
 """
 
 from __future__ import annotations
@@ -19,37 +21,27 @@ ACT_BITS = 4
 ACT_CLIP_RATIO = 0.9  # share of max|x| that maps to the top code
 
 
-def asym_quant_dequant(
-    values: np.ndarray,
-    lo: np.ndarray | float | None,
-    hi: np.ndarray | float | None,
-    bits: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized asymmetric quantize/dequantize over trailing-axis groups.
+def asym_quant_dequant(values: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize-dequantize each group, the trailing axis, of ``values``.
 
-    ``values`` has shape (..., G); ``lo``/``hi`` broadcast against (...) and
-    clip each group before its range is measured. Returns
-    ``(codes, dequant, step, zero_point, span)``. Groups whose post-clip
-    range collapses to zero get ``span == 0`` and all-zero codes; callers
-    decide whether that is an error.
+    Returns ``(dequant, span)``: the dequantized values and each group's
+    ``max - min``. A group with ``span == 0`` comes back as it is.
     """
     v = np.asarray(values, dtype=np.float64)
-    if lo is not None or hi is not None:
-        lo_b = -np.inf if lo is None else np.asarray(lo, dtype=np.float64)[..., None]
-        hi_b = np.inf if hi is None else np.asarray(hi, dtype=np.float64)[..., None]
-        v = np.clip(v, lo_b, hi_b)
     mn = v.min(axis=-1)
-    mx = v.max(axis=-1)
-    span = mx - mn
+    span = v.max(axis=-1) - mn
     levels = (1 << bits) - 1
     safe = np.where(span > 0.0, span, 1.0)
-    step = safe / levels
-    zero = -np.round(mn / safe)
-    codes = np.clip(np.round(v / step[..., None]) + zero[..., None], 0, levels)
-    codes = np.where(span[..., None] > 0.0, codes, 0.0).astype(np.int64)
-    deq = (codes - zero[..., None]) * step[..., None]
-    deq = np.where(span[..., None] > 0.0, deq, v)
-    return codes, deq, step, zero, span
+    step = (safe / levels)[..., None]
+    zero = -np.round(mn / safe)[..., None]
+    deq = v / step
+    np.round(deq, out=deq)
+    deq += zero
+    np.clip(deq, 0, levels, out=deq)  # the code, an integer in [0, levels]
+    deq -= zero
+    deq *= step
+    np.copyto(deq, v, where=~(span[..., None] > 0.0))
+    return deq, span
 
 
 def quant_act_per_token(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -373,6 +373,28 @@ class TestQuantizeVerifyBench:
         assert len(err) == 1 and err[0].startswith("error: ") and "no token has a non-zero activation" in err[0]
         assert not box.exists() and not report.exists()
 
+    # command line, given activations of 32 columns for the 64-column weight -> its one error line
+    MISMATCHED_ACTS = {
+        "quantize --weights {w} --calib {x32} --group 32 --grid 8 --out {out}": "do not match layout",
+        "quantize --weights {w} --calib {x32} --group 32 --grid 8 --rotate 4 --out {out}":
+            "does not match rotation of size 64",
+        "verify {box} --against {w} --acts {x32}": "do not match container layout",
+    }
+
+    @pytest.mark.parametrize("command", MISMATCHED_ACTS)
+    def test_mismatched_activations_exit_2(self, command, weight_files, tmp_path, capsys):
+        wp, xp = weight_files
+        box, out, x32, report = tmp_path / "m.rcpq", tmp_path / "new.rcpq", tmp_path / "x32.npy", tmp_path / "r.json"
+        main(["quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32", "--grid", "8",
+              "--out", str(box)])
+        save_npy(make_rng(93).standard_normal((16, 32)).astype(np.float32), x32)
+        argv = command.format(w=wp, x32=x32, box=box, out=out).split() + ["--json", str(report)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and self.MISMATCHED_ACTS[command] in err[0], err
+        assert not out.exists() and not report.exists()
+
     def test_float16_overflow_fails_and_writes_nothing(self, tmp_path, capsys):
         # A group whose top level, 1e5, has no float16 value.
         rng = make_rng(91)

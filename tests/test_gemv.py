@@ -341,6 +341,19 @@ class TestCompiledKernel:
             task = dataclasses.replace(task, x_packed=pack_activation_codes(np.full(c, -8, dtype=np.int8)))
         assert gemv._row_sums_compiled(kernel, task).tolist() == gemv._row_sums(task, 2).tolist()
 
+    @pytest.mark.parametrize("g", [256 * 128 + 4, 256 * 128 + 32, 512 * 128 + 12, 1024 * 128 + 4])
+    def test_kernel_sums_equal_spec_past_widening_with_a_tail(self, kernel, g):
+        # 256 or more full 128-channel chunks, so int16 lanes are widened,
+        # then pieces; past 512 chunks of -8s an unwidened lane would wrap.
+        task = make_task(make_rng(g), 2, g, g)
+        extreme = dataclasses.replace(  # weight code 3 and activation -8 everywhere: the largest plane sums
+            task,
+            x_packed=pack_activation_codes(np.full(g, -8, dtype=np.int8)),
+            weights=pack_weight_codes(np.full((2, g), 3), task.layout),
+        )
+        for t in (task, extreme):
+            assert gemv._row_sums_compiled(kernel, t).tolist() == gemv._row_sums(t, 2).tolist()
+
     def test_bench_reports_kernel_and_bandwidth(self):
         task = make_task(make_rng(77), 16, 256, 32)
         bench = bench_gemv(task, iters=3)

@@ -124,9 +124,9 @@ class TestFakeQuant:
         # With saturated clips and uniform thirds, levels coincide with the
         # integer grid codes/3, so grid-aligned inputs dequantize identically.
         group = np.array([0.0, 1.0, 2.0, 3.0])
-        codes, w_hat = fake_quant(group, _uniform_params())
-        ref_codes, ref_w_hat, *_ = asym_quant_dequant(group, None, None, 2)
-        np.testing.assert_array_equal(codes, ref_codes)
+        _, w_hat = fake_quant(group, _uniform_params())
+        # Levels lie span/3 apart, so equal values within atol mean equal codes.
+        ref_w_hat, _ = asym_quant_dequant(group, 2)
         np.testing.assert_allclose(w_hat, ref_w_hat, atol=1e-7)
 
     def test_broadcast_batched_groups(self):

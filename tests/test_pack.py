@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,17 @@ class TestContainer:
         table[1, 1, 3] = 1e5
         with pytest.raises(EncodeError, match=r"float16 LUT at \(row 1, group 1\) is not finite"):
             write_rcpq(tmp_path / "new.rcpq", pw, DequantLut(table), params)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("value", [np.nan, 1e300])
+    def test_write_rejects_params_not_finite_in_float32(self, tmp_path, value):
+        # NaN, or a finite float64 logit that float32 stores as inf: read_rcpq rejects both.
+        path, pw, lut, params = _small_container(tmp_path)
+        params.hi_logit[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from the float32 cast
+            with pytest.raises(EncodeError, match=r"params at \(row 1, group 0\) hi_logit is not finite"):
+                write_rcpq(tmp_path / "new.rcpq", pw, lut, params)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):

@@ -22,14 +22,17 @@ import time
 import numpy as np
 
 import rcpq
+from rcpq.calib import clipped_uniform_quantizer
 from rcpq.core import GroupLayout, make_rng
 from rcpq.gemv import random_activation
 from rcpq.pack import DequantLut
+from rcpq.stats import qerr_vs_kurt
 
 FAKE_QUANT_SEED = 1
 QUANTIZE_SEED = 2
 GEMV_SEED = 3
 ROTATION_SEED = 4
+UNIFORM_SEED = 5
 ROTATE = 7  # the --rotate seed of the quantize item
 
 
@@ -144,6 +147,20 @@ def rotations():
     return out
 
 
+def uniform_scorer():
+    """The uniform quantizer's dequantized bits, which the clip search's picks rarely show."""
+    rng = make_rng(UNIFORM_SEED)
+    cfg = rcpq.ClipSearchConfig(grid=16)
+    out = []
+    for h, c, g in ((16, 256, 64), (8, 1024, 128)):
+        layout = GroupLayout(h, c, g)
+        w = rng.laplace(scale=0.02, size=(h, c)).astype(np.float32)
+        x = rng.standard_normal((32, c)).astype(np.float32)
+        out.append(qerr_vs_kurt(w, x, rcpq.randomized_hadamard(c, ROTATE), layout, cfg))
+        out.append(clipped_uniform_quantizer(w, x, layout, cfg))
+    return out
+
+
 ITEMS = {
     "fake_quant+build_lut": fake_quant_and_lut,
     "quantize_layer+write_rcpq": quantize_containers,
@@ -151,6 +168,7 @@ ITEMS = {
     "grad_check+invariance_check": checks,
     "gemv_fast": gemv_outputs,
     "rotation": rotations,
+    "qerr_vs_kurt+clipped_uniform_quantizer": uniform_scorer,
 }
 
 
