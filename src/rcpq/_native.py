@@ -1,19 +1,22 @@
-"""Build, cache and load the package's two C kernels.
+"""Build, cache and load the package's three C kernels.
 
 * ``w2a4`` (``_w2a4.c``): the exact integer row sums of ``gemv.gemv_fast``.
 * ``ldp`` (``_ldp.c``): the LDP encoder behind ``ldp.fake_quant``.
+* ``clip`` (``_clip.c``): the uniform quantization error of every clip
+  candidate in ``calib.grid_search_clip``.
 
 Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
 ``ctypes``. A library's file name carries a hash of its source and the
 flags, so a later process loads it without compiling, and a build removes
-that kernel's libraries of other hashes. Both kernels are AVX2 code
+that kernel's libraries of other hashes. All kernels are AVX2 code
 compiled under a target attribute and chosen by the library's run-time probe
 ``rcpq_has_avx2``, so the flags carry no ``-march=native`` and a cache
 directory may be shared between machines. ``-ffp-contract=off`` keeps the
 compiler from fusing a multiply and an add into one FMA: the LDP encoder's
-bits equal numpy's only when each float operation rounds once, as numpy's
-do. The GEMV sums integers, which the flag cannot change.
+and the clip scorer's bits equal numpy's only when each float operation
+rounds once, as numpy's do. The GEMV sums integers, which the flag cannot
+change.
 
 A kernel that fails to build or load, or a CPU without AVX2, gives ``None``
 for the rest of the process, and its caller runs its numpy reference.
@@ -46,6 +49,7 @@ _ENTRY = {
     "w2a4": ("rcpq_w2a4_gemv", [_U8, _U16, _I8, _I64, _i64, _i64, _i64, _I64]),
     # values is a pointer or None (NULL): the caller asks for codes alone.
     "ldp": ("rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),
+    "clip": ("rcpq_clip_errors", [_F64, _i64, _F64, _F64, _i64, _F64, _F64]),
 }
 
 

@@ -19,23 +19,42 @@ Each candidate's score is ``err @ gram @ err``, with ``err`` its
 quantization error on the group and ``gram`` the group's ``x.T @ x``. The
 reference score is ``np.einsum("pg,gk,pk->p", err, gram, err)``: a sum of
 the G*G terms ``err_g * gram_gk * err_k``, run as a plain loop that costs
-~100 ms for the 4096 candidates of a 64-point grid at G = 128 on a 2-vCPU
+~110 ms for the 4096 candidates of a 64-point grid at G = 128 on a 2-vCPU
 x86 host. The search only runs it on the few candidates that can win:
 
-* A BLAS screen, ``((err @ gram) * err).sum(-1)``, scores every candidate.
+* A BLAS screen, ``einsum("pk,pk->p", err @ gram, err)``, scores every
+  candidate with one matrix product.
 * A margin bounds each screen's distance from that candidate's einsum:
-  ``(S * eps + 2 * tiny) * (G*G + 2*G + 4)``, with
-  ``S = ((|err| @ |gram|) * |err|).sum(-1)`` the sum of the terms' sizes,
-  ``eps`` the float64 machine epsilon and ``tiny`` its smallest subnormal.
-  With ``u = eps / 2``, the einsum forms each term with two roundings and
-  adds G*G of them in some order, so it is within ``gamma(G*G + 1) * S``
-  of the exact sum, where ``gamma(n) = n*u / (1 - n*u)``. The screen's
-  G-term dot products, product and G-term row sum keep it within
-  ``gamma(2*G) * S``, in any order and with or without fused multiply-adds.
-  The margin is twice their sum, which also covers the rounding of ``S``
-  itself and of ``screen +- margin``. Below the normal range a product
-  errs by up to ``tiny / 2`` absolutely; fewer than ``3*G*G + G`` products
-  do, which the ``tiny`` term covers.
+  ``(F * (N + G*tiny) * eps + 2*tiny * (N + F + 2*G)) * (G*G + 2*G + 4)``,
+  with ``N`` the computed ``||err||^2``, ``F`` the computed
+  ``sqrt(||gram||_F^2 + G*G*tiny)``, ``eps`` the float64 machine epsilon
+  and ``tiny`` its smallest subnormal. Let ``u = eps / 2``,
+  ``gamma(n) = n*u / (1 - n*u)`` and ``S`` the exact sum of the terms'
+  sizes, ``|err| @ |gram| @ |err|``. The einsum forms each term with two
+  roundings and adds G*G of them in some order, so it is within
+  ``gamma(G*G + 1) * S`` of the exact sum; the screen's G-term dot
+  products, product and G-term row sum keep it within ``gamma(2*G) * S``,
+  in any order and with or without fused multiply-adds. ``S`` needs no
+  second product: by Cauchy-Schwarz, ``S <= ||err|| * || |gram| |err| ||
+  <= ||gram||_F * ||err||^2``. Each of ``N``'s G squares and ``F``'s G*G
+  squares rounds by a factor within ``u`` or, below the normal range, by
+  at most ``tiny/2`` absolutely, and their sums, the added ``G*G*tiny`` and
+  the square root round relatively; so ``||err||^2 <= (N + G*tiny) * (1 +
+  gamma(G + 1))`` and ``||gram||_F <= F * (1 + gamma(G*G + 3))``. The
+  relative part of the margin is at least twice ``(gamma(2*G) +
+  gamma(G*G + 1)) * S`` with these bounds in, which also covers its own
+  rounding and that of ``screen +- margin``. Below the normal range a
+  product errs by up to ``tiny/2`` absolutely, and the factor it is then
+  multiplied by, an ``|err_k|`` or a ``|gram_gk|``, carries that error
+  along: at most ``G*G + G`` products of each sum do, which adds up to
+  ``tiny * G * (sum |err| + G)`` in the screen and ``tiny * G * (sum |err|
+  + F + G)`` in the einsum. With ``sum |err| <= sqrt(G * ||err||^2) <=
+  (G + ||err||^2) / 2``, the ``tiny`` part covers both.
+* The bounds hold while nothing overflows. A product of two errors is at
+  most ``||err||^2 / 2``, and every other product and partial sum of both
+  scores at most ``(1 + gamma(G*G + 1)) * ||gram||_F * (||err||^2 + 1)``.
+  So where ``F * (N + 1)`` reaches a quarter of the largest float64, or is
+  NaN, the margin is inf.
 * Collapsed candidates (span 0), which the reference scores inf, get an
   inf screen. The einsum re-scores the candidates that are not proven
   worse than another, i.e. not ``screen - margin > min(screen + margin)``,
@@ -47,10 +66,15 @@ E``; so the re-scored set holds the winner and all of its exact ties, and
 the tie-break sees the same scores in the same index order. numpy's einsum
 loops over the candidates outermost and sums each one's terms on its own,
 so a subset of rows gets the same bits as the whole. The outputs are
-therefore the reference's bit for bit, whatever order BLAS sums in. A score
-that overflows makes its margin inf, so ``screen - margin`` is NaN or the
-minimum is inf; either way the test is false and the candidate is
-re-scored.
+therefore the reference's bit for bit, whatever order BLAS sums in. An inf
+margin makes ``screen - margin`` -inf or NaN and ``min(screen + margin)``
+inf or NaN; either way the test is false and the candidate is re-scored.
+
+Each candidate's ``err`` comes from the compiled scorer ``_clip.c``
+(``_native`` builds it), which does the reference's float operations in
+its order in one AVX2 pass over the group per candidate, or, where it does
+not load, from ``np.clip`` and ``asym_quant_dequant``. Both give the same
+bits.
 """
 
 from __future__ import annotations
@@ -59,6 +83,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .core import GroupLayout
 from .errors import ConfigError, DataError
 from .ldp import LOGIT_LIMIT, LdpParams, logit, uniform_split_logits
@@ -76,6 +101,7 @@ __all__ = [
 BITS = 2
 RATIO_MIN = 0.5  # each clip ratio axis of the grid runs from here up to RATIO_MAX
 RATIO_MAX = 1.0  # no clipping: the candidate no_clip_objective reads
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -106,25 +132,29 @@ def _candidate_ratios(cfg: ClipSearchConfig) -> tuple[np.ndarray, np.ndarray]:
     return rl.ravel(), rh.ravel()
 
 
-def _screen(err, gram, spare):
+def _frobenius(gram):
+    """``F`` of the margin: ``sqrt(||gram||_F^2 + G*G*tiny)`` over the last two axes."""
+    g_dim = gram.shape[-1]
+    return np.sqrt(np.einsum("...gk,...gk->...", gram, gram) + g_dim * g_dim * _TINY)
+
+
+def _screen(err, gram, fro, spare):
     """BLAS screen of ``err_p @ gram @ err_p`` for every row ``p`` of
     ``err``, and a bound on its distance from the reference einsum.
 
     Returns ``(screen, margin)``, with ``|screen_p - einsum_p| <= margin_p``
-    whatever order either one sums in (see the module docstring).
-    ``spare`` is an ``err``-shaped buffer, overwritten with ``|err|``.
+    whatever order either one sums in (see the module docstring). ``fro``
+    is ``_frobenius(gram)``; ``spare`` is an ``err``-shaped buffer,
+    overwritten with ``err @ gram``.
     """
     g_dim = err.shape[1]
-    quad = err @ gram
-    quad *= err
-    screen = quad.sum(-1)
-    size = np.abs(err, out=spare)
-    np.matmul(size, np.abs(gram), out=quad)
-    quad *= size
-    terms = quad.sum(-1)  # sum over (g, k) of |err_g * gram_gk * err_k|
+    screen = np.einsum("pk,pk->p", np.matmul(err, gram, out=spare), err)
+    norm2 = np.einsum("pk,pk->p", err, err)
     eps = np.finfo(np.float64).eps
-    tiny = np.finfo(np.float64).smallest_subnormal
-    return screen, (terms * eps + 2 * tiny) * (g_dim * g_dim + 2 * g_dim + 4)
+    margin = fro * (norm2 + g_dim * _TINY) * eps + 2 * _TINY * (norm2 + fro + 2 * g_dim)
+    margin *= g_dim * g_dim + 2 * g_dim + 4
+    margin[~(fro * (norm2 + 1.0) < np.finfo(np.float64).max / 4)] = np.inf  # may overflow: no bound
+    return screen, margin
 
 
 def grid_search_clip(
@@ -141,10 +171,11 @@ def grid_search_clip(
     recorded in ``degenerate_groups``. Raises ``DataError`` at the first
     (row, group) whose scores overflow to NaN, which no candidate can win.
 
-    Per group, every candidate is screened with BLAS and only those within
-    the screen's rounding margin of the best are scored by the reference
-    einsum (see the module docstring). The result is that of scoring every
-    candidate with the einsum, bit for bit.
+    Per group, the compiled scorer (or its numpy reference) gives every
+    candidate's quantization error, every candidate is screened with BLAS,
+    and only those within the screen's rounding margin of the best are
+    scored by the reference einsum (see the module docstring). The result
+    is that of scoring every candidate with the einsum, bit for bit.
     """
     w = np.asarray(w_r, dtype=np.float64)
     x = np.asarray(x_r, dtype=np.float64)
@@ -153,7 +184,7 @@ def grid_search_clip(
         raise ConfigError(f"calibration activations {x.shape} do not match layout")
 
     rl, rh = _candidate_ratios(cfg)
-    groups = layout.grouped(w)
+    groups = np.ascontiguousarray(layout.grouped(w))
     h_dim, n_dim, g_dim = groups.shape
 
     # Gram matrices depend only on the column block, shared by all rows.
@@ -161,6 +192,7 @@ def grid_search_clip(
     for n in range(n_dim):
         xg = x[:, n * g_dim : (n + 1) * g_dim]
         grams[n] = xg.T @ xg
+    fros = _frobenius(grams)
 
     out = ClipSearchResult(
         lo_logit=np.zeros((h_dim, n_dim)),
@@ -171,6 +203,10 @@ def grid_search_clip(
         no_clip_objective=np.zeros((h_dim, n_dim)),
     )
     no_clip_idx = int(np.flatnonzero((rl == 1.0) & (rh == 1.0))[-1])
+    kernel = _native.kernel("clip")
+    err = np.empty((rl.size, g_dim))
+    span = np.empty(rl.size)
+    quad = np.empty_like(err)
 
     for h in range(h_dim):
         for n in range(n_dim):
@@ -181,10 +217,13 @@ def grid_search_clip(
                 continue
             lo_c = rl * mn
             hi_c = rh * mx
-            clipped = np.clip(g[None, :], lo_c[:, None], hi_c[:, None])
-            deq, span = asym_quant_dequant(clipped, BITS)
-            err = np.subtract(deq, clipped, out=deq)
-            screen, margin = _screen(err, grams[n], spare=clipped)
+            if kernel is None:
+                clipped = np.clip(g[None, :], lo_c[:, None], hi_c[:, None])
+                deq, span = asym_quant_dequant(clipped, BITS)
+                err = np.subtract(deq, clipped, out=deq)
+            else:
+                kernel(g, g_dim, lo_c, hi_c, rl.size, err, span)
+            screen, margin = _screen(err, grams[n], fros[n], quad)
             screen[span == 0.0] = np.inf  # fully collapsed candidates are invalid
             # Keep every candidate not proven worse than some other one. The
             # negated test keeps all of them when a score is inf or NaN.

@@ -132,6 +132,7 @@ def _cmd_quantize(args) -> int:
         compression_vs_fp16=fp16_bytes / (weight_bytes + lut_bytes),
         mean_objective=float(search.objective.mean()),
         degenerate_groups=len(search.degenerate_groups),
+        clip_kernel=_native.path("clip"),
         ldp_kernel=_native.path("ldp"),
         seconds=elapsed,
     )

@@ -1,4 +1,4 @@
-"""Fixtures shared by the tests of the two compiled kernels (``rcpq._native``)."""
+"""Fixtures shared by the tests of the compiled kernels (``rcpq._native``)."""
 
 import shutil
 

@@ -1,10 +1,13 @@
 """Clip-ratio grid search and quantizer initialization."""
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcpq import _native, calib
 from rcpq.calib import (
     BITS,
     RATIO_MAX,
@@ -12,6 +15,7 @@ from rcpq.calib import (
     ClipSearchConfig,
     ClipSearchResult,
     _candidate_ratios,
+    _frobenius,
     _screen,
     grid_search_clip,
     ldp_init,
@@ -78,25 +82,64 @@ def _reference_search(w_r, x_r, layout, cfg):
     return out
 
 
-def _assert_bitwise(w, x, layout, grid):
-    """``grid_search_clip`` equals the reference bit for bit."""
-    cfg = ClipSearchConfig(grid=grid)
-    got = grid_search_clip(w, x, layout, cfg)
-    want = _reference_search(w, x, layout, cfg)
+def _on(kernel, fn, *args):
+    """``fn(*args)`` with ``kernel`` as the process's clip scorer (None: the numpy path)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "kernel", lambda name: kernel)
+        return fn(*args)
+
+
+@pytest.fixture(scope="module")
+def kernel(build_kernel):
+    """The compiled clip scorer, built afresh (see ``conftest.build_kernel``)."""
+    return build_kernel("clip")
+
+
+@pytest.fixture(scope="module")
+def paths(build_kernel):
+    """The search's numpy path (None), then its compiled scorer where that builds."""
+    try:
+        return [None, build_kernel("clip")]
+    except pytest.skip.Exception:  # no cc, or no AVX2: only the numpy path can run
+        return [None]
+
+
+def _assert_same(got, want):
+    """Two search results are equal bit for bit."""
     for name in ("lo_logit", "hi_logit", "ratio_lo", "ratio_hi", "objective", "no_clip_objective"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
     assert got.degenerate_groups == want.degenerate_groups
+
+
+def _assert_bitwise(w, x, layout, grid, paths):
+    """``grid_search_clip`` equals the reference bit for bit on each of ``paths``."""
+    cfg = ClipSearchConfig(grid=grid)
+    want = _reference_search(w, x, layout, cfg)
+    for kernel in paths:
+        got = _on(kernel, grid_search_clip, w, x, layout, cfg)
+        _assert_same(got, want)
     return got
 
 
+def _scorer_outcome(kernel, group, lo, hi):
+    """Each candidate's ``(dequant - clipped, span)``: the compiled scorer's,
+    or with ``kernel`` None the numpy reference the search falls back to."""
+    with np.errstate(all="ignore"):
+        if kernel is None:
+            clipped = np.clip(group[None, :], lo[:, None], hi[:, None])
+            deq, span = asym_quant_dequant(clipped, BITS)
+            return deq - clipped, span
+        err, span = np.empty((lo.size, group.size)), np.empty(lo.size)
+        assert kernel(group, group.size, lo, hi, lo.size, err, span) == 0
+        return err, span
+
+
 def _candidate_errors(group, grid):
-    """``dequant - clipped`` of every grid candidate, built as the search does."""
+    """``dequant - clipped`` of every grid candidate, built as the search's numpy path does."""
     rl, rh = _candidate_ratios(ClipSearchConfig(grid=grid))
-    clipped = np.clip(group[None, :], (rl * group.min())[:, None], (rh * group.max())[:, None])
-    deq, _ = asym_quant_dequant(clipped, BITS)
-    return deq - clipped
+    return _scorer_outcome(None, group, rl * group.min(), rh * group.max())[0]
 
 
 def _term_sums(err, gram):
@@ -195,10 +238,11 @@ class TestGridSearchClip:
 
 
 class TestMatchesReference:
-    """Bit for bit against ``_reference_search`` on inputs that stress the
-    screen: exact ties, collapsed candidates, rank-deficient Gram matrices."""
+    """Bit for bit against ``_reference_search``, on the numpy path and the
+    compiled scorer's, on inputs that stress the screen: exact ties,
+    collapsed candidates, rank-deficient Gram matrices."""
 
-    def test_grid_aligned_integer_weights(self):
+    def test_grid_aligned_integer_weights(self, paths):
         # Lattice weights quantize without error under many clip pairs, so
         # whole rows and columns of the candidate grid tie exactly.
         rng = make_rng(50)
@@ -208,9 +252,9 @@ class TestMatchesReference:
         w[:, ::16] = 0.0
         w[:, 1::16] = 3.0
         x = rng.standard_normal((48, 64))
-        _assert_bitwise(w, x, layout, grid=16)
+        _assert_bitwise(w, x, layout, grid=16, paths=paths)
 
-    def test_single_sign_groups(self):
+    def test_single_sign_groups(self, paths):
         # lo = rl * min can exceed hi = rh * max, where np.clip returns hi:
         # such candidates collapse to span 0, which the reference scores inf.
         rng = make_rng(51)
@@ -219,9 +263,9 @@ class TestMatchesReference:
         w[2:] *= -1.0
         w[1, 16:] = rng.uniform(0.0, 2.0, size=16)
         x = rng.standard_normal((40, 32))
-        _assert_bitwise(w, x, layout, grid=16)
+        _assert_bitwise(w, x, layout, grid=16, paths=paths)
 
-    def test_constant_groups_and_zeroed_columns(self):
+    def test_constant_groups_and_zeroed_columns(self, paths):
         rng = make_rng(52)
         layout = GroupLayout(3, 64, 16)
         w = rng.standard_normal((3, 64))
@@ -231,41 +275,41 @@ class TestMatchesReference:
         x = rng.standard_normal((32, 64))
         x[:, 5:9] = 0.0  # zeroed activation columns: singular Gram matrix
         x[:, 48:] = 0.0  # a zero Gram matrix: every candidate scores 0
-        res = _assert_bitwise(w, x, layout, grid=8)
+        res = _assert_bitwise(w, x, layout, grid=8, paths=paths)
         assert res.degenerate_groups == [(0, 0), (1, 1)]
 
-    def test_few_tokens_with_outlier_channels(self):
+    def test_few_tokens_with_outlier_channels(self, paths):
         rng = make_rng(53)
         layout = GroupLayout(4, 64, 32)
         w = rng.laplace(0.0, 0.1, size=(4, 64))
         x = rng.standard_normal((5, 64))  # T=5 < G=32: rank-deficient
         x[:, [3, 17, 40, 63]] *= 1000.0
-        _assert_bitwise(w, x, layout, grid=16)
+        _assert_bitwise(w, x, layout, grid=16, paths=paths)
 
-    def test_subnormal_products(self):
+    def test_subnormal_products(self, paths):
         # err^2 * gram falls below the normal range, where rounding errs
         # by an absolute amount and the margin's relative part is no bound.
         rng = make_rng(54)
         layout = GroupLayout(2, 32, 16)
         w = rng.laplace(0.0, 1e-155, size=(2, 32))
         x = rng.standard_normal((24, 32))
-        _assert_bitwise(w, x, layout, grid=8)
+        _assert_bitwise(w, x, layout, grid=8, paths=paths)
 
-    def test_overflowing_scores(self):
+    def test_overflowing_scores(self, paths):
         # With x = I a score is a plain sum of squared errors, and at 1e156
-        # every one overflows to inf. The screen's inf - inf is NaN, so all
-        # candidates must reach the exact re-score, where the all-inf tie
-        # goes to the widest range: rl = 0.5 in an all-positive group.
+        # every one overflows to inf. So does ||err||^2, which makes every
+        # margin inf: all candidates must reach the exact re-score, where the
+        # all-inf tie goes to the widest range: rl = 0.5 in an all-positive group.
         rng = make_rng(56)
         layout = GroupLayout(2, 32, 16)
         w = rng.laplace(0.0, 1e156, size=(2, 32))
         w[1, 16:] = np.abs(w[1, 16:])
         with np.errstate(over="ignore", invalid="ignore"):
-            res = _assert_bitwise(w, np.eye(32), layout, grid=8)
+            res = _assert_bitwise(w, np.eye(32), layout, grid=8, paths=paths)
         assert np.isinf(res.objective).all()
         assert (res.ratio_lo[1, 1], res.ratio_hi[1, 1]) == (0.5, 1.0)
 
-    def test_nan_scores_name_the_group(self):
+    def test_nan_scores_name_the_group(self, paths):
         # At 1e154 the squared errors overflow with terms of both signs, and
         # inf - inf is NaN: no candidate can be ranked. Only group (1, 1) is
         # left at that scale; the reference loop fails there too, without a name.
@@ -276,22 +320,23 @@ class TestMatchesReference:
         w[0] *= 1e-154
         w[1, :16] *= 1e-154
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DataError, match=r"scores at \(row 1, group 1\) are NaN"):
-                grid_search_clip(w, x, layout, ClipSearchConfig(grid=8))
+            for kernel in paths:
+                with pytest.raises(DataError, match=r"scores at \(row 1, group 1\) are NaN"):
+                    _on(kernel, grid_search_clip, w, x, layout, ClipSearchConfig(grid=8))
             with pytest.raises(ValueError):
                 _reference_search(w, x, layout, ClipSearchConfig(grid=8))
 
     @pytest.mark.parametrize("group", [4, 16, 128])
     @pytest.mark.parametrize("grid", [2, 8, 64])
-    def test_grid_and_group_sizes(self, grid, group):
+    def test_grid_and_group_sizes(self, grid, group, paths):
         rng = make_rng(55, stream=grid * 1000 + group)
         layout = GroupLayout(2, 2 * group, group)
         w = rng.laplace(0.0, 0.02, size=(2, 2 * group))
         x = rng.standard_normal((group + 8, 2 * group))
         x[:, [0, group + 1]] *= 20.0
-        _assert_bitwise(w, x, layout, grid=grid)
+        _assert_bitwise(w, x, layout, grid=grid, paths=paths)
 
-    def test_benchmark_layer_slice(self):
+    def test_benchmark_layer_slice(self, paths):
         # The quantize benchmark's first layer at seed 913: a Laplace 2x1024
         # slice, 256 calibration tokens with 8 outlier channels at x20,
         # --rotate 7, --group 128, --grid 64. Generators as the benchmark's.
@@ -301,7 +346,7 @@ class TestMatchesReference:
         x[:, outliers] *= 20.0
         w = np.random.default_rng([seed, 2, 0]).laplace(scale=0.02, size=(2, 1024)).astype(np.float32)
         w_r, x_r = rotate(w, x, 7)
-        _assert_bitwise(w_r, x_r, GroupLayout(2, 1024, 128), grid=64)
+        _assert_bitwise(w_r, x_r, GroupLayout(2, 1024, 128), grid=64, paths=paths)
 
 
 class TestScreenMargin:
@@ -323,7 +368,7 @@ class TestScreenMargin:
         x[:, rng.choice(g_dim, size=max(1, g_dim // 16), replace=False)] *= 10.0**gain_exp
         gram = x.T @ x
         err = _candidate_errors(rng.laplace(size=g_dim) * 10.0**scale_exp, grid=8)
-        screen, margin = _screen(err, gram, np.empty_like(err))
+        screen, margin = _screen(err, gram, _frobenius(gram), np.empty_like(err))
         for total in [np.einsum("pg,gk,pk->p", err, gram, err), *_term_sums(err, gram)]:
             assert np.all(np.abs(screen - total) <= margin)
 
@@ -337,13 +382,115 @@ class TestScreenMargin:
         gram = np.full((g_dim, g_dim), eta)
         gram[0, 0] = 1.0
         err = np.ones((1, g_dim))
-        screen, margin = _screen(err, gram, np.empty_like(err))
+        screen, margin = _screen(err, gram, _frobenius(gram), np.empty_like(err))
         sums = _term_sums(err, gram)
         assert sums[2][0] == 1.0
         gap = np.abs(screen - sums[2])
         assert gap[0] > (2 * g_dim + 2) * EPS * (1.0 + (g_dim * g_dim - 1) * eta)
         for total in [np.einsum("pg,gk,pk->p", err, gram, err), *sums]:
             assert np.all(np.abs(screen - total) <= margin)
+
+    def test_frobenius_bound_needs_the_squared_factor(self):
+        # The same absorption at ||err||^2 ~ 1 and ||gram||_F ~ 1.4, where the
+        # margin's F * N is as small as the terms' sizes allow: err is
+        # (1, d, ..., d) and gram is [[1, c 1^T], [c 1, (c/d) 1 1^T]] with
+        # c = eta/d, of rank 2 and positive semidefinite as eta <= 1. Every
+        # term but the first is ~eta, so no margin linear in G covers the gap.
+        g_dim = 128
+        eta = 0.45 * EPS / 2
+        d = np.sqrt(g_dim * eta)
+        gram = np.full((g_dim, g_dim), eta / d**2)
+        gram[0, 1:] = gram[1:, 0] = eta / d
+        gram[0, 0] = 1.0
+        err = np.full((1, g_dim), d)
+        err[0, 0] = 1.0
+        fro = _frobenius(gram)
+        screen, margin = _screen(err, gram, fro, np.empty_like(err))
+        sums = _term_sums(err, gram)
+        assert sums[2][0] == 1.0
+        gap = np.abs(screen - sums[2])
+        assert gap[0] > (2 * g_dim + 2) * EPS * fro * np.sum(err**2)
+        for total in [np.einsum("pg,gk,pk->p", err, gram, err), *sums]:
+            assert np.all(np.abs(screen - total) <= margin)
+
+    def test_products_below_the_normal_range(self):
+        # err ~ 1e-162 against a Gram matrix ~ 1e11: each err_g * gram_gk is
+        # normal, and times err_k it rounds in the subnormal range, where the
+        # relative part of the margin underflows to 0 and only the tiny part bounds.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((24, 16)) * 1e5
+        gram = x.T @ x
+        err = _candidate_errors(rng.laplace(size=16) * 1e-162, grid=8)
+        fro = _frobenius(gram)
+        screen, margin = _screen(err, gram, fro, np.empty_like(err))
+        assert np.all(fro * np.einsum("pk,pk->p", err, err) * EPS == 0.0)
+        totals = [np.einsum("pg,gk,pk->p", err, gram, err), *_term_sums(err, gram)]
+        assert max(np.max(np.abs(screen - total)) for total in totals) > 0.0
+        for total in totals:
+            assert np.all(np.abs(screen - total) <= margin)
+
+    def test_no_bound_near_overflow(self):
+        # Rows whose product and partial sums could reach the float64 range
+        # get an inf margin, so the search re-scores them.
+        gram = np.eye(4)
+        err = np.array([[1.0, -2.0, 0.5, 0.0], [4e153, 0.0, 0.0, -4e153]])  # F = 2, N = 3.2e307
+        screen, margin = _screen(err, gram, _frobenius(gram), np.empty_like(err))
+        assert np.isfinite(screen).all()
+        assert np.isfinite(margin[0]) and margin[1] == np.inf
+
+
+class TestCompiledScorer:
+    # The hypothesis examples share the module's kernel fixture.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        g_dim=st.sampled_from([1, 2, 3, 5, 7, 16, 33, 128]),
+        grid=st.integers(2, 64),
+        data=st.sampled_from(["laplace", "one_sign", "zeros", "subnormal", "huge", "nan"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_numpy(self, kernel, g_dim, grid, data, seed):
+        rng = make_rng(seed)
+        group = rng.laplace(scale=rng.uniform(0.01, 10.0), size=g_dim)
+        if data == "one_sign":  # lo = rl * min above hi = rh * max: np.clip gives hi
+            group = np.abs(group) * rng.choice([-1.0, 1.0])
+        elif data == "zeros":  # +0 and -0 among the values, maybe all of them
+            hit = rng.random(g_dim) < rng.choice([0.3, 1.0])
+            group[hit] = rng.choice([0.0, -0.0], hit.sum())
+        elif data == "subnormal":
+            group *= 1e-310
+        elif data == "huge":  # the scale where the search's squared errors overflow
+            group *= 10.0 ** rng.uniform(154, 156) / np.abs(group).max()
+        elif data == "nan":
+            group[rng.integers(g_dim)] = np.nan
+        rl, rh = _candidate_ratios(ClipSearchConfig(grid=grid))
+        # the search's bounds; with a NaN, half the time the finite ones
+        lo_side, hi_side = group.min(), group.max()
+        if data == "nan" and g_dim > 1 and rng.random() < 0.5:
+            lo_side, hi_side = np.nanmin(group), np.nanmax(group)
+        lo, hi = rl * lo_side, rh * hi_side
+        want_err, want_span = _scorer_outcome(None, group, lo, hi)
+        err, span = _scorer_outcome(kernel, group, lo, hi)
+        assert err.tobytes() == want_err.tobytes()
+        # numpy's min and max may give either sign of a zero span
+        np.testing.assert_array_equal(span, want_span)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+    def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch):
+        probes, calls = [], []
+        monkeypatch.setattr(_native, "_has_avx2", lambda lib: probes.append(lib) or False)
+        run = calib.asym_quant_dequant
+        monkeypatch.setattr(calib, "asym_quant_dequant", lambda *a: calls.append(a) or run(*a))
+        rng = make_rng(57)
+        layout = GroupLayout(2, 32, 16)
+        w = rng.laplace(0.0, 0.1, size=(2, 32))
+        x = rng.standard_normal((24, 32))
+        cfg = ClipSearchConfig(grid=8)
+        want = _reference_search(w, x, layout, cfg)
+        for _ in range(2):
+            _assert_same(grid_search_clip(w, x, layout, cfg), want)
+        assert len(probes) == 1  # the library built and loaded, and was probed once
+        assert len(calls) == 8  # one per group and search: both ran the numpy path
+        assert _native.path("clip") == "numpy"
 
 
 class TestLdpInit:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -140,7 +141,7 @@ REPORT_KEYS = {
         "config.weights", "config.calib", "config.group", "config.rotate", "config.grid", "config.out",
         "config.json",
         "weight_bytes", "lut_bytes", "effective_bits_per_weight", "compression_vs_fp16", "mean_objective",
-        "degenerate_groups", "ldp_kernel", "seconds",
+        "degenerate_groups", "clip_kernel", "ldp_kernel", "seconds",
     ],
     "verify {box} --against {w} --acts {x}": _HEAD + [
         "config.container", "config.against", "config.acts", "config.rotate", "config.json",
@@ -254,6 +255,7 @@ class TestQuantizeVerifyBench:
         rep = _report(tmp_path / "q.json")
         assert rep["weight_bytes"] == 16 * 64 // 4
         assert rep["lut_bytes"] == 16 * 2 * 4 * 2
+        assert rep["clip_kernel"] == _native.path("clip")
         assert rep["ldp_kernel"] == _native.path("ldp")
 
         code = main([
@@ -280,6 +282,18 @@ class TestQuantizeVerifyBench:
                      "--json", str(tmp_path / "v.json")]) == 0
         assert _report(tmp_path / "q.json")["ldp_kernel"] == "numpy"
         assert _report(tmp_path / "v.json")["ldp_kernel"] == "numpy"
+
+    def test_reports_numpy_clip_path_without_the_kernel(self, weight_files, tmp_path, monkeypatch):
+        wp, xp = weight_files
+        kernel = _native.kernel
+        monkeypatch.setattr(_native, "kernel", lambda name: None if name == "clip" else kernel(name))
+        box = tmp_path / "m.rcpq"
+        assert main(["quantize", "--weights", str(wp), "--calib", str(xp), "--group", "32", "--grid", "8",
+                     "--out", str(box), "--json", str(tmp_path / "q.json")]) == 0
+        assert main(["verify", str(box), "--against", str(wp), "--acts", str(xp)]) == 0
+        rep = _report(tmp_path / "q.json")
+        assert rep["clip_kernel"] == "numpy"
+        assert rep["ldp_kernel"] == _native.path("ldp")
 
     def test_verify_detects_corruption(self, weight_files, tmp_path, capsys):
         wp, xp = weight_files
@@ -497,6 +511,7 @@ class TestQuantizeVerifyBench:
         assert _report(out)["fast_iters"] == 1
         assert len(oracle_calls) == 1
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
     def test_import_compiles_nothing_and_quantize_only_the_encoder(self, weight_files, tmp_path):
         wp, xp = weight_files
         cache = tmp_path / "cache"
@@ -511,8 +526,9 @@ class TestQuantizeVerifyBench:
         env = {**os.environ, "XDG_CACHE_HOME": str(cache), "PYTHONPATH": str(SRC)}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        # quantize encodes with the LDP kernel; the GEMV's is built only by a GEMV call
-        assert {p.name.split("-")[0] for p in (cache / "rcpq").glob("*")} <= {"ldp"}
+        # quantize scores clip candidates with the clip kernel and encodes with
+        # the LDP one; the GEMV's is built only by a GEMV call
+        assert {p.name.split("-")[0] for p in (cache / "rcpq").glob("*")} == {"clip", "ldp"}
 
 
 @pytest.fixture
