@@ -1,6 +1,9 @@
-"""Build, cache and load the package's three C kernels.
+"""Build, cache and load the package's four C kernels.
 
 * ``w2a4`` (``_w2a4.c``): the exact integer row sums of ``gemv.gemv_fast``.
+* ``w2a4_tiles`` (``_w2a4_tiles.c``): the one repack of a
+  ``pack.PackedWeights`` into that kernel's tiles, when the weights are
+  made. It is plain C in its own library, so that it builds in ~0.1 s.
 * ``ldp`` (``_ldp.c``): the LDP encoder behind ``ldp.fake_quant``.
 * ``clip`` (``_clip.c``): the uniform quantization error of every clip
   candidate in ``calib.grid_search_clip``.
@@ -9,11 +12,11 @@ Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
 ``ctypes``. A library's file name carries a hash of its source and the
 flags, so a later process loads it without compiling, and a build removes
-that kernel's libraries of other hashes. All kernels are AVX2 code
-compiled under a target attribute and chosen by the library's run-time probe
-``rcpq_has_avx2``, so the flags carry no ``-march=native`` and a cache
-directory may be shared between machines. ``-ffp-contract=off`` keeps the
-compiler from fusing a multiply and an add into one FMA: the LDP encoder's
+that kernel's libraries of other hashes. The kernels are AVX2 code
+compiled under a target attribute (the repack is plain C), and each library
+is chosen by its run-time probe ``rcpq_has_avx2``, so the flags carry no
+``-march=native`` and a cache directory may be shared between machines.
+``-ffp-contract=off`` keeps the compiler from fusing a multiply and an add into one FMA: the LDP encoder's
 and the clip scorer's bits equal numpy's only when each float operation
 rounds once, as numpy's do. The GEMV sums integers, which the flag cannot
 change.
@@ -46,7 +49,8 @@ _i64 = ctypes.c_int64
 
 # Each kernel's entry point and its C signature; every one returns int64.
 _ENTRY = {
-    "w2a4": ("rcpq_w2a4_gemv", [_U8, _U16, _I8, _I64, _i64, _i64, _i64, _I64]),
+    "w2a4": ("rcpq_w2a4_gemv", [_U8, _U16, _I8, _I8, _I64, _i64, _i64, _i64, _I64]),
+    "w2a4_tiles": ("rcpq_w2a4_tiles", [_U8, _i64, _i64, _i64, _U8]),
     # values is a pointer or None (NULL): the caller asks for codes alone.
     "ldp": ("rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),
     "clip": ("rcpq_clip_errors", [_F64, _i64, _F64, _F64, _i64, _F64, _F64]),

@@ -7,35 +7,50 @@
  * order: the lane width, the compiler and its flags cannot change them, and
  * they equal the sums of the numpy spec in gemv.py.
  *
- * Bit planes (T-MAC, arXiv 2407.00088): per (row, group), S0 and S1 are the
- * sums of the activation codes where bit 0, resp. bit 1, of the weight code
- * is set, and S3 where both are. Each is a dot product of a 0/1 byte mask
- * with the codes (_mm256_maddubs_epi16). The bucket sums of codes per
- * weight code k are then B3 = S3, B1 = S0 - S3, B2 = S1 - S3 and
- * B0 = total - S0 - S1 + S3, and the group adds sum_k units(lut[k]) * B_k
- * in int64 lanes: a finite float16 is +-mant << shift units, with
- * mant < 2^11, so each product is one 32x32-bit multiply and a shift.
+ * Table lookup (T-MAC, arXiv 2407.00088). Call 4 consecutive channels a
+ * block. Bit p of a row's four weight codes in a block forms a nibble, bit
+ * k from channel k: plane p. Per token, each block gets a 16-entry int8
+ * table, T[m] = the sum of the activation codes of the channels whose bit
+ * is set in m, so |T[m]| <= 32. Summed over a group's blocks, T[nibble]
+ * gives S0 and S1, the sums of the activation codes where bit 0, resp. bit
+ * 1, of the weight code is set, and T[plane 0 & plane 1] gives S3, where
+ * both are. The bucket sums of codes per weight code k are then B3 = S3,
+ * B1 = S0 - S3, B2 = S1 - S3 and B0 = total - S0 - S1 + S3, and the row
+ * adds sum_k units(lut[k]) * B_k in int64: a finite float16 is
+ * +-mant << shift units, with mant < 2^11, so each product is one 32x32-bit
+ * multiply and a shift.
  *
- * A group is gsize / 128 chunks of 128 channels, read in 32-byte lanes,
- * then at most 4 pieces of up to 32 channels, read in the low 8 bytes of
- * 16-byte lanes; a piece's n bytes of codes are zero-padded to 8.
+ * Tiles (built once per rcpq.pack.PackedWeights by _w2a4_tiles.c): rows in
+ * tiles of 32, the last padded with rows of zero codes. A group's blocks
+ * are taken in pairs, and a group of an odd number of blocks ends with a
+ * zero block, whose table is zero too. Per tile, group and pair, 64 bytes:
+ * plane 0 of the pair's first block, of its second, then plane 1 of each,
+ * 16 bytes each, where byte i holds row i's nibble in its low half and row
+ * i + 16's in its high half. So one pshufb looks up 16 rows' nibbles of two
+ * blocks in their two tables, one per 128-bit lane.
  *
- * w: (rows, groups * gsize / 4) packed codes, code j of a byte in bits
- * 7-2j and 6-2j; lut: (rows, groups, 4) float16 bit patterns; xp: the
- * groups * gsize activation codes in plane order, xp[o + n j + i] =
- * code(o + 4 i + j) for each chunk or piece of n bytes of codes at channel
- * o, then 8 zero bytes that a piece's loads may reach; total: each group's
- * sum of codes; sums: rows. Requires gsize % 4 == 0 and an AVX2 CPU
- * (rcpq_has_avx2); gemv.py runs its numpy spec everywhere else.
- * Returns -1, or h * groups + g for the first (row h, group g) whose LUT
- * entries hold an inf or NaN; rows from h on are then left unset.
+ * Widening: an int8 lane adds the lookups of 4 pairs (|sum| <= 128), an
+ * int16 lane those of at most SPAN pairs, then int32 lanes take a group's
+ * plane sums (|S| <= 8 * gsize <= 2^23). So no lane wraps up to 2^20
+ * channels.
+ *
+ * tiles, the weights in that layout; lut, (rows, groups, 4) float16 bit
+ * patterns; xp, the groups * gsize / 2 packed activation bytes, code 2i in
+ * the high nibble of byte i; table, 8 * groups * gsize bytes of scratch;
+ * total, groups int64 of scratch; sums, rows out. Requires gsize % 4 == 0
+ * and an AVX2 CPU (rcpq_has_avx2); gemv.py runs its numpy spec everywhere
+ * else.
+ * rcpq_w2a4_gemv returns 0, or 1 if some LUT entry is an inf or NaN: the
+ * sums are then unset, and gemv.py names the first such (row, group) in
+ * row-major order.
  */
 #include <immintrin.h>
 #include <stdint.h>
-#include <string.h>
 
-/* A chunk or piece adds at most 4 * 2 * 8 to an int16 lane: widen before 512. */
-#define WIDEN_EVERY 256
+#define TILE 32
+/* A pair adds at most 32 to an int16 lane: take the lookups of at most
+ * SPAN pairs, 2^14 in magnitude, before widening to int32. */
+#define SPAN 512
 
 int rcpq_has_avx2(void)
 {
@@ -43,92 +58,159 @@ int rcpq_has_avx2(void)
     return __builtin_cpu_supports("avx2");
 }
 
-/* The first group of a row's LUT with an inf or NaN entry; the row has one. */
-static int64_t first_inf_nan(const uint16_t *row)
+static int64_t pairs_of(int64_t gsize)
 {
-    int64_t i = 0;
-    while ((row[i] & 0x7c00) != 0x7c00)
-        i++;
-    return i / 4;
+    return (gsize / 4 + 1) / 2;
 }
 
-__attribute__((target("avx2"))) int64_t rcpq_w2a4_gemv(const uint8_t *w, const uint16_t *lut, const int8_t *xp,
-                                                       const int64_t *total, int64_t rows, int64_t groups,
-                                                       int64_t gsize, int64_t *sums)
+/* The per-token tables, 16 bytes per block of each group's pairs, and each group's sum of codes. */
+__attribute__((target("avx2"))) static void build_tables(const int8_t *xp, int64_t groups, int64_t gsize,
+                                                         int8_t *table, int64_t *total)
 {
-    const __m256i zero = _mm256_setzero_si256(), one8 = _mm256_set1_epi8(1), one16 = _mm256_set1_epi16(1);
-    const __m128i zero_x = _mm_setzero_si128(), one8_x = _mm_set1_epi8(1), one16_x = _mm_set1_epi16(1); /* pieces */
-    const __m256i exponent = _mm256_set1_epi64x(31), fraction = _mm256_set1_epi64x(1023),
-                  implicit = _mm256_set1_epi64x(1024);
-    for (int64_t h = 0; h < rows; h++) {
-        __m256i acc = zero, inf_nan = zero; /* int64 lanes, one per weight code */
-        for (int64_t g = 0; g < groups; g++) {
-            const uint8_t *b = w + (h * groups + g) * (gsize / 4);
-            const int8_t *xg = xp + g * gsize;
-            __m256i s0 = zero, s1 = zero, s3 = zero; /* int32 lanes */
-            for (int64_t k0 = 0; k0 < gsize / 128; k0 += WIDEN_EVERY) {
-                __m256i a0 = zero, a1 = zero, a3 = zero; /* int16 lanes */
-                int64_t k1 = k0 + WIDEN_EVERY < gsize / 128 ? k0 + WIDEN_EVERY : gsize / 128;
-                for (int64_t k = k0; k < k1; k++) {
-                    __m256i wk = _mm256_loadu_si256((const __m256i *)(b + 32 * k));
-                    for (int j = 0; j < 4; j++) {
-                        __m256i xj = _mm256_loadu_si256((const __m256i *)(xg + 128 * k + 32 * j));
-                        __m256i m0 = _mm256_and_si256(_mm256_srli_epi16(wk, 6 - 2 * j), one8);
-                        __m256i m1 = _mm256_and_si256(_mm256_srli_epi16(wk, 7 - 2 * j), one8);
-                        a0 = _mm256_add_epi16(a0, _mm256_maddubs_epi16(m0, xj));
-                        a1 = _mm256_add_epi16(a1, _mm256_maddubs_epi16(m1, xj));
-                        a3 = _mm256_add_epi16(a3, _mm256_maddubs_epi16(_mm256_and_si256(m0, m1), xj));
-                    }
-                }
-                s0 = _mm256_add_epi32(s0, _mm256_madd_epi16(a0, one16));
-                s1 = _mm256_add_epi32(s1, _mm256_madd_epi16(a1, one16));
-                s3 = _mm256_add_epi32(s3, _mm256_madd_epi16(a3, one16));
-            }
-            __m128i q = zero_x; /* lanes (S0, S1, S3, 0) */
-            if (gsize >= 128) {
-                __m256i t = _mm256_hadd_epi32(_mm256_hadd_epi32(s0, s1), _mm256_hadd_epi32(s3, zero));
-                q = _mm_add_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256(t, 1));
-            }
-            if (gsize % 128) {
-                __m128i p0 = zero_x, p1 = zero_x, p3 = zero_x; /* int16 lanes; at most 4 pieces */
-                for (int64_t c = gsize / 128 * 128; c < gsize; c += 32) {
-                    const int64_t n = gsize - c < 32 ? (gsize - c) / 4 : 8; /* bytes of codes */
-                    uint64_t bytes = 0;
-                    if (n == 8)
-                        memcpy(&bytes, b + c / 4, 8);
-                    else
-                        for (int64_t i = 0; i < n; i++)
-                            bytes |= (uint64_t)b[c / 4 + i] << 8 * i;
-                    __m128i wp = _mm_cvtsi64_si128((int64_t)bytes);
-                    for (int j = 0; j < 4; j++) {
-                        /* lanes n..7 hold the next activation codes, and 0 masks */
-                        __m128i xj = _mm_loadl_epi64((const __m128i *)(xg + c + n * j));
-                        __m128i m0 = _mm_and_si128(_mm_srli_epi16(wp, 6 - 2 * j), one8_x);
-                        __m128i m1 = _mm_and_si128(_mm_srli_epi16(wp, 7 - 2 * j), one8_x);
-                        p0 = _mm_add_epi16(p0, _mm_maddubs_epi16(m0, xj));
-                        p1 = _mm_add_epi16(p1, _mm_maddubs_epi16(m1, xj));
-                        p3 = _mm_add_epi16(p3, _mm_maddubs_epi16(_mm_and_si128(m0, m1), xj));
-                    }
-                }
-                __m128i u = _mm_hadd_epi32(_mm_madd_epi16(p0, one16_x), _mm_madd_epi16(p1, one16_x));
-                q = _mm_add_epi32(q, _mm_hadd_epi32(u, _mm_hadd_epi32(_mm_madd_epi16(p3, one16_x), zero_x)));
-            }
-            int64_t S0 = _mm_extract_epi32(q, 0), S1 = _mm_extract_epi32(q, 1), S3 = _mm_extract_epi32(q, 2);
-            __m256i bucket = _mm256_set_epi64x(S3, S1 - S3, S0 - S3, total[g] - S0 - S1 + S3);
-            /* float16 bits -> +-mant << shift; subnormals have no implicit bit and shift 0 */
-            __m256i bits = _mm256_cvtepu16_epi64(_mm_loadl_epi64((const __m128i *)(lut + (h * groups + g) * 4)));
-            __m256i e = _mm256_and_si256(_mm256_srli_epi64(bits, 10), exponent);
-            __m256i normal = _mm256_cmpgt_epi64(e, zero); /* -1 or 0 */
-            __m256i mant = _mm256_or_si256(_mm256_and_si256(bits, fraction), _mm256_and_si256(normal, implicit));
-            __m256i neg = _mm256_sub_epi64(zero, _mm256_srli_epi64(bits, 15));
-            __m256i term = _mm256_sllv_epi64(_mm256_mul_epi32(mant, bucket), _mm256_add_epi64(e, normal));
-            acc = _mm256_add_epi64(acc, _mm256_sub_epi64(_mm256_xor_si256(term, neg), neg));
-            inf_nan = _mm256_or_si256(inf_nan, _mm256_cmpeq_epi64(e, exponent));
-        }
-        if (!_mm256_testz_si256(inf_nan, inf_nan))
-            return h * groups + first_inf_nan(lut + h * groups * 4);
-        __m128i r = _mm_add_epi64(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1));
-        sums[h] = _mm_extract_epi64(r, 0) + _mm_extract_epi64(r, 1);
+    const int64_t blocks = gsize / 4, pairs = pairs_of(gsize);
+    /* byte m of bit[k] is -1 where bit k of m is set */
+    const __m128i index = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    __m128i bit[4];
+    for (int k = 0; k < 4; k++) {
+        const __m128i b = _mm_set1_epi8((char)(1 << k));
+        bit[k] = _mm_cmpeq_epi8(_mm_and_si128(index, b), b);
     }
-    return -1;
+    for (int64_t g = 0; g < groups; g++) {
+        int64_t sum = 0;
+        for (int64_t q = 0; q < 2 * pairs; q++) {
+            __m128i t = _mm_setzero_si128();
+            if (q < blocks) {
+                const uint8_t *b = (const uint8_t *)xp + (g * blocks + q) * 2;
+                const unsigned nib[4] = {b[0] >> 4u, b[0] & 15u, b[1] >> 4u, b[1] & 15u};
+                for (int k = 0; k < 4; k++) {
+                    const int code = (int)nib[k] - (int)(nib[k] & 8) * 2; /* two's complement nibble */
+                    sum += code;
+                    t = _mm_add_epi8(t, _mm_and_si128(bit[k], _mm_set1_epi8((char)code)));
+                }
+            }
+            _mm_storeu_si128((__m128i *)(table + (g * 2 * pairs + q) * 16), t);
+        }
+        total[g] = sum;
+    }
+}
+
+/* Sign-extended even and odd int8 lanes of v, added to int16 lanes e and o. */
+__attribute__((target("avx2"))) static inline void widen(__m256i v, __m256i *e, __m256i *o)
+{
+    *e = _mm256_add_epi16(*e, _mm256_srai_epi16(_mm256_slli_epi16(v, 8), 8));
+    *o = _mm256_add_epi16(*o, _mm256_srai_epi16(v, 8));
+}
+
+/* Adds one pair's lookups to the int8 lanes a: planes 0, 1 and both, each for rows 0-15, then 16-31. */
+__attribute__((target("avx2"))) static inline void lookup(const uint8_t *wp, const int8_t *tp, __m256i a[6])
+{
+    const __m256i low = _mm256_set1_epi8(0x0f);
+    const __m256i t = _mm256_loadu_si256((const __m256i *)tp);
+    const __m256i p0 = _mm256_loadu_si256((const __m256i *)wp), p1 = _mm256_loadu_si256((const __m256i *)(wp + 32));
+    const __m256i p0l = _mm256_and_si256(p0, low), p0h = _mm256_and_si256(_mm256_srli_epi16(p0, 4), low);
+    const __m256i p1l = _mm256_and_si256(p1, low), p1h = _mm256_and_si256(_mm256_srli_epi16(p1, 4), low);
+    a[0] = _mm256_add_epi8(a[0], _mm256_shuffle_epi8(t, p0l));
+    a[1] = _mm256_add_epi8(a[1], _mm256_shuffle_epi8(t, p0h));
+    a[2] = _mm256_add_epi8(a[2], _mm256_shuffle_epi8(t, p1l));
+    a[3] = _mm256_add_epi8(a[3], _mm256_shuffle_epi8(t, p1h));
+    a[4] = _mm256_add_epi8(a[4], _mm256_shuffle_epi8(t, _mm256_and_si256(p0l, p1l)));
+    a[5] = _mm256_add_epi8(a[5], _mm256_shuffle_epi8(t, _mm256_and_si256(p0h, p1h)));
+}
+
+__attribute__((target("avx2"))) int64_t rcpq_w2a4_gemv(const uint8_t *tiles, const uint16_t *lut, const int8_t *xp,
+                                                       int8_t *table, int64_t *total, int64_t rows,
+                                                       int64_t groups, int64_t gsize, int64_t *sums)
+{
+    const int64_t pairs = pairs_of(gsize);
+    const __m256i zero = _mm256_setzero_si256(), low32 = _mm256_set1_epi64x(0xffffffff);
+    const __m256i exponent = _mm256_set1_epi32(31), fraction = _mm256_set1_epi32(1023),
+                  implicit = _mm256_set1_epi32(1024);
+    __m256i inf_nan = zero;
+    build_tables(xp, groups, gsize, table, total);
+    for (int64_t r0 = 0; r0 < rows; r0 += TILE) {
+        /* int64 lanes per row pair (r, r + 8): buckets 0 + 1 and 2 + 3 of each */
+        __m256i acc[16];
+        const uint16_t *row[TILE]; /* each row's LUT; a padding row reads the last row's, and is not stored */
+        for (int i = 0; i < 16; i++)
+            acc[i] = zero;
+        for (int64_t r = 0; r < TILE; r++)
+            row[r] = lut + (r0 + r < rows ? r0 + r : rows - 1) * groups * 4;
+        for (int64_t g = 0; g < groups; g++) {
+            const uint8_t *wg = tiles + (r0 / TILE * groups + g) * pairs * 64;
+            const int8_t *tg = table + g * pairs * 32;
+            /* int32 plane sums: s[2 * (2 * plane + half) + parity] holds rows 16 half + 2 i + parity, i = 0..7 */
+            __m256i s[12];
+            for (int i = 0; i < 12; i++)
+                s[i] = zero;
+            for (int64_t p0 = 0; p0 < pairs; p0 += SPAN) {
+                const int64_t p1 = p0 + SPAN < pairs ? p0 + SPAN : pairs;
+                __m256i e[6], o[6]; /* int16: even and odd rows of a[i] */
+                for (int i = 0; i < 6; i++)
+                    e[i] = o[i] = zero;
+                for (int64_t p = p0; p < p1; p += 4) {
+                    __m256i a[6] = {zero, zero, zero, zero, zero, zero};
+                    if (p + 4 <= p1)
+                        for (int k = 0; k < 4; k++)
+                            lookup(wg + (p + k) * 64, tg + (p + k) * 32, a);
+                    else
+                        for (int64_t k = p; k < p1; k++)
+                            lookup(wg + k * 64, tg + k * 32, a);
+                    for (int i = 0; i < 6; i++)
+                        widen(a[i], &e[i], &o[i]);
+                }
+                /* the two lanes hold a pair's two blocks of the same rows */
+                for (int i = 0; i < 6; i++) {
+                    s[2 * i] = _mm256_add_epi32(s[2 * i], _mm256_add_epi32(
+                        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(e[i])),
+                        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(e[i], 1))));
+                    s[2 * i + 1] = _mm256_add_epi32(s[2 * i + 1], _mm256_add_epi32(
+                        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(o[i])),
+                        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(o[i], 1))));
+                }
+            }
+            const __m256i tot = _mm256_set1_epi32((int32_t)total[g]);
+            for (int set = 0; set < 4; set++) { /* rows 16 half + parity + 2 i, set = 2 half + parity */
+                const __m256i s0 = s[set], s1 = s[4 + set], s3 = s[8 + set];
+                const __m256i b1 = _mm256_sub_epi32(s0, s3), b2 = _mm256_sub_epi32(s1, s3);
+                const __m256i b0 = _mm256_sub_epi32(tot, _mm256_add_epi32(_mm256_add_epi32(b1, b2), s3));
+                /* to (row, bucket) lanes: b[i] holds rows of lanes i and i + 4, buckets 0-3 each */
+                const __m256i t0 = _mm256_unpacklo_epi32(b0, b1), t1 = _mm256_unpackhi_epi32(b0, b1);
+                const __m256i t2 = _mm256_unpacklo_epi32(b2, s3), t3 = _mm256_unpackhi_epi32(b2, s3);
+                const __m256i b[4] = {_mm256_unpacklo_epi64(t0, t2), _mm256_unpackhi_epi64(t0, t2),
+                                      _mm256_unpacklo_epi64(t1, t3), _mm256_unpackhi_epi64(t1, t3)};
+                for (int i = 0; i < 4; i++) {
+                    const int ra = 16 * (set / 2) + set % 2 + 2 * i, rb = ra + 8;
+                    const __m256i bits = _mm256_cvtepu16_epi32(_mm_castpd_si128(_mm_loadh_pd(
+                        _mm_castsi128_pd(_mm_loadl_epi64((const __m128i *)(row[ra] + 4 * g))),
+                        (const double *)(row[rb] + 4 * g))));
+                    /* float16 bits -> +-mant << shift; subnormals have no implicit bit and shift 0 */
+                    const __m256i e = _mm256_and_si256(_mm256_srli_epi32(bits, 10), exponent);
+                    const __m256i normal = _mm256_cmpgt_epi32(e, zero); /* -1 or 0 */
+                    const __m256i mant = _mm256_or_si256(_mm256_and_si256(bits, fraction),
+                                                         _mm256_and_si256(normal, implicit));
+                    const __m256i neg = _mm256_srai_epi32(_mm256_slli_epi32(bits, 16), 31);
+                    const __m256i smant = _mm256_sub_epi32(_mm256_xor_si256(mant, neg), neg);
+                    const __m256i shift = _mm256_add_epi32(e, normal);
+                    inf_nan = _mm256_or_si256(inf_nan, _mm256_cmpeq_epi32(e, exponent));
+                    const __m256i even = _mm256_sllv_epi64(_mm256_mul_epi32(smant, b[i]),
+                                                           _mm256_and_si256(shift, low32));
+                    const __m256i odd = _mm256_sllv_epi64(
+                        _mm256_mul_epi32(_mm256_srli_epi64(smant, 32), _mm256_srli_epi64(b[i], 32)),
+                        _mm256_srli_epi64(shift, 32));
+                    acc[4 * set + i] = _mm256_add_epi64(acc[4 * set + i], _mm256_add_epi64(even, odd));
+                }
+            }
+        }
+        for (int set = 0; set < 4; set++)
+            for (int i = 0; i < 4; i++) {
+                const int64_t ra = r0 + 16 * (set / 2) + set % 2 + 2 * i, rb = ra + 8;
+                int64_t lanes[4];
+                _mm256_storeu_si256((__m256i *)lanes, acc[4 * set + i]);
+                if (ra < rows)
+                    sums[ra] = lanes[0] + lanes[1];
+                if (rb < rows)
+                    sums[rb] = lanes[2] + lanes[3];
+            }
+    }
+    return !_mm256_testz_si256(inf_nan, inf_nan);
 }

@@ -18,16 +18,30 @@ their order, so the output depends on neither the path, the tile, the
 compiler and its flags, nor the lane width: ``gemv_fast`` and ``gemv_ref``
 are bit-identical.
 
-The kernel (``_w2a4.c``) is compiled on the first ``gemv_fast`` call that it
-covers; ``_native`` builds, caches and loads it. It is an AVX2 bit-plane
-kernel (after T-MAC, arXiv 2407.00088): per (row, group) it takes the exact
-sums S0, S1 and S3 of the activation codes under bit 0, bit 1 and both bits
-of the weight codes, turns them into the four bucket sums of codes per
-weight code, and adds each bucket times its LUT entry in int64. It covers
-``G % 4 == 0``, which includes the default 128, and runs on one thread.
-Other group sizes, CPUs without AVX2 (probed at run time), and any process
-where the build or load fails run the spec. An inf or NaN LUT entry has no
-integer value: both paths raise ``DataError`` at the first such (row, group).
+The kernel (``_w2a4.c``) is compiled on first use; ``_native`` builds,
+caches and loads it. It is a table-lookup kernel (after T-MAC, arXiv
+2407.00088) on one thread, over a layout built once per ``PackedWeights``
+(by ``_w2a4_tiles.c``), when the weights are made, and never per call:
+
+* Tiles. Rows go in tiles of 32, the last padded with zero codes. Bit p of
+  the weight codes of 4 channels (a block) is a nibble, plane p; per tile,
+  group and pair of blocks, the planes of 32 rows take 64 bytes, byte i of
+  each 16 holding rows i and i + 16.
+* Tables. Per call, the kernel builds a 16-entry int8 table of activation
+  subset sums per block. One ``pshufb`` looks up 16 rows' nibbles in two
+  blocks' tables, so a group's lookups of plane 0, plane 1 and both give
+  the sums of activation codes under each weight bit, and from them the
+  four bucket sums of codes per weight code. Each bucket times its LUT
+  entry is added in int64 lanes, two rows at a time.
+* Widening. The lookups are summed in int8 lanes over 4 pairs of blocks,
+  then in int16 lanes over at most 512 pairs, then in int32, so none wraps
+  up to ``C = 2^20``.
+
+It covers ``G % 4 == 0``, which includes the default 128. Other group
+sizes, CPUs without AVX2 (probed at run time), and any process where the
+build or load fails run the spec, as does a task whose weights were packed
+for another layout. An inf or NaN LUT entry has no integer value: both paths
+raise ``DataError`` at the first such (row, group) in row-major order.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ from .pack import (
     DequantLut,
     PackedActivations,
     PackedWeights,
+    _unpack_weight_bytes,
     pack_activation_codes,
     unpack_activation_codes,
     unpack_weight_codes,
@@ -89,46 +104,43 @@ class GemvTask:
 _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
 
 
-def _kernel_for(layout: GroupLayout):
-    """The compiled kernel when it covers ``layout`` and builds, else None."""
-    return _native.kernel("w2a4") if layout.group_size % 4 == 0 else None
+def _kernel_for(task: GemvTask):
+    """The compiled kernel when it covers ``task`` and builds, else None.
+
+    It covers the task when its weights hold tiles (``PackedWeights``
+    makes them where the kernel covers the group size) for the task's layout.
+    """
+    if task.weights._tiles is None or task.weights.layout != task.layout:
+        return None
+    return _native.kernel("w2a4")
 
 
-def _not_finite(row: int, group: int) -> DataError:
-    return DataError(f"LUT at (row {row}, group {group}) is not finite")
-
-
-def _plane_order(codes: np.ndarray) -> np.ndarray:
-    """The (groups, G) activation codes in the kernel's plane order: per group,
-    each 128-channel chunk, each 32-channel piece, and a last piece of
-    ``G % 32`` channels, as (4, n) with ``[j, i] = code(4 i + j)``; then 8
-    zero codes, which the kernel's 8-byte loads of a last piece may reach."""
-    g, parts, start = codes.shape[1], [], 0
-    for stop, n in ((g // 128 * 128, 32), (g // 32 * 32, 8), (g, g % 32 // 4)):
-        if stop > start:
-            part = codes[:, start:stop].reshape(len(codes), -1, n, 4)
-            parts.append(part.transpose(0, 1, 3, 2).reshape(len(codes), -1))
-        start = stop
-    return np.concatenate([np.concatenate(parts, axis=1).reshape(-1), np.zeros(8, np.int8)])
+def _check_finite(table: np.ndarray) -> None:
+    """Raise ``DataError`` at the first (row, group) whose LUT holds an inf or NaN."""
+    bad = ~np.isfinite(table).all(axis=-1)
+    if bad.any():
+        row, group = np.argwhere(bad)[0]
+        raise DataError(f"LUT at (row {row}, group {group}) is not finite")
 
 
 def _row_sums_compiled(kernel, task: GemvTask) -> np.ndarray:
     """The kernel's row sums on ``task``, which ``gemv_fast`` has checked against its layout."""
     lay = task.layout
-    codes = unpack_activation_codes(task.x_packed).reshape(lay.num_groups, lay.group_size)
     sums = np.empty(lay.out_channels, dtype=np.int64)
+    table = task.lut.table
     bad = kernel(
-        np.ascontiguousarray(task.weights.data),
-        np.ascontiguousarray(task.lut.table).view(np.uint16),
-        _plane_order(codes),
-        codes.sum(axis=1, dtype=np.int64),
+        task.weights._tiles,
+        np.ascontiguousarray(table).view(np.uint16),
+        np.ascontiguousarray(task.x_packed.data),
+        np.empty(8 * lay.in_channels, dtype=np.int8),
+        np.empty(lay.num_groups, dtype=np.int64),
         lay.out_channels,
         lay.num_groups,
         lay.group_size,
         sums,
     )
-    if bad >= 0:
-        raise _not_finite(*divmod(bad, lay.num_groups))
+    if bad:
+        _check_finite(table)
     return sums
 
 
@@ -141,15 +153,13 @@ def _gather(table: np.ndarray, wcodes: np.ndarray, layout: GroupLayout) -> np.nd
 def _row_sums(task: GemvTask, tile: int) -> np.ndarray:
     """The int64 row sums, ``tile`` rows per step: the spec that the kernel's sums equal."""
     lay = task.layout
-    bad = ~np.isfinite(task.lut.table).all(axis=-1)
-    if bad.any():
-        raise _not_finite(*np.argwhere(bad)[0])
+    _check_finite(task.lut.table)
     codes = unpack_activation_codes(task.x_packed).astype(np.int64)
     sums = np.empty(lay.out_channels, dtype=np.int64)
     for start in range(0, lay.out_channels, tile):
         stop = min(start + tile, lay.out_channels)
         units = np.ldexp(task.lut.table[start:stop].astype(np.float64), 24).astype(np.int64)
-        wcodes = unpack_weight_codes(PackedWeights(task.weights.data[start:stop], lay))
+        wcodes = _unpack_weight_bytes(task.weights.data[start:stop])
         sums[start:stop] = _gather(units, wcodes, lay) @ codes
     return sums
 
@@ -187,7 +197,7 @@ def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
     """
     if tile < 2 or (tile & (tile - 1)) != 0:
         raise ConfigError(f"tile must be a power of two >= 2, got {tile}")
-    return _gemv(task, tile, _kernel_for(task.layout))
+    return _gemv(task, tile, _kernel_for(task))
 
 
 def decode_dense(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +256,6 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
         "ref_ns_per_call": ref_ns,
         "fast_ns_per_call": fast_ns,
         "speedup": ref_ns / fast_ns,
-        "kernel": "numpy" if _kernel_for(task.layout) is None else "c",
+        "kernel": "numpy" if _kernel_for(task) is None else "c",
         "fast_gbytes_per_s": call_bytes / fast_ns,
     }

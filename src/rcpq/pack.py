@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .core import GroupLayout
 from .errors import DataError, EncodeError, FormatError, RcpqError, ShapeError
 from .ldp import LdpParams, derive_grids
@@ -71,12 +72,42 @@ _HEADER = struct.Struct("<4sHBIIIBI")
 _SECTION = struct.Struct("<IQQ")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackedWeights:
-    """2-bit weight codes, four per byte, shape (H, C/4)."""
+    """2-bit weight codes, four per byte, shape (H, C/4).
+
+    ``data`` is a read-only copy of the array passed in, and the fields
+    cannot be reassigned. Where the compiled GEMV covers the layout, the
+    codes are also repacked once, here, into that kernel's tiles (see
+    ``_w2a4.c``), so ``gemv_fast`` pays for no repack per token. Because
+    ``data`` cannot change, those tiles always hold its codes.
+    """
 
     data: np.ndarray
     layout: GroupLayout
+
+    def __post_init__(self):
+        data = np.array(self.data, order="C")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_tiles", _gemv_tiles(data, self.layout))
+
+
+def _gemv_tiles(data: np.ndarray, layout: GroupLayout) -> np.ndarray | None:
+    """The codes in ``data`` as the compiled GEMV's tiles, or None where that
+    kernel does not cover ``layout`` or is unavailable, or ``data`` is not
+    uint8 of shape (H, C/4), which ``GemvTask`` rejects."""
+    h, c, g = layout.out_channels, layout.in_channels, layout.group_size
+    if g % 4 or data.dtype != np.uint8 or data.shape != (h, c // 4):
+        return None
+    repack = _native.kernel("w2a4_tiles")
+    if repack is None:
+        return None
+    # Tiles of 32 rows; per group, pairs of 4-channel blocks at 64 bytes a pair.
+    pairs = (g // 4 + 1) // 2
+    tiles = np.empty(-(-h // 32) * layout.num_groups * pairs * 64, dtype=np.uint8)
+    repack(data, h, layout.num_groups, g, tiles)
+    return tiles
 
 
 @dataclass
@@ -114,7 +145,11 @@ def pack_weight_codes(codes: np.ndarray, layout: GroupLayout) -> PackedWeights:
 
 
 def unpack_weight_codes(pw: PackedWeights) -> np.ndarray:
-    b = pw.data
+    return _unpack_weight_bytes(pw.data)
+
+
+def _unpack_weight_bytes(b: np.ndarray) -> np.ndarray:
+    """The (rows, 4 * bytes) codes of packed weight bytes ``b``."""
     out = np.empty((b.shape[0], b.shape[1] * 4), dtype=np.uint8)
     out[:, 0::4] = b >> 6
     out[:, 1::4] = (b >> 4) & 0x03
@@ -301,8 +336,8 @@ def read_rcpq(path) -> RcpqContainer:
     if _TAG_LUT not in sections or len(sections[_TAG_LUT]) != expect_lut:
         raise DataError(f"{path}: LUT section missing or wrong size")
 
-    pw = PackedWeights(
-        data=np.frombuffer(sections[_TAG_WEIGHTS], dtype=np.uint8).reshape(h, c // 4).copy(),
+    pw = PackedWeights(  # which copies the section
+        data=np.frombuffer(sections[_TAG_WEIGHTS], dtype=np.uint8).reshape(h, c // 4),
         layout=layout,
     )
     lut = DequantLut(

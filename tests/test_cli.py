@@ -527,8 +527,9 @@ class TestQuantizeVerifyBench:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         # quantize scores clip candidates with the clip kernel and encodes with
-        # the LDP one; the GEMV's is built only by a GEMV call
-        assert {p.name.split("-")[0] for p in (cache / "rcpq").glob("*")} == {"clip", "ldp"}
+        # the LDP one; packing the codes builds the GEMV's tiles, and the
+        # GEMV's kernel is built only by a GEMV call
+        assert {p.name.split("-")[0] for p in (cache / "rcpq").glob("*")} == {"clip", "ldp", "w2a4_tiles"}
 
 
 @pytest.fixture

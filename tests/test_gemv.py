@@ -22,8 +22,10 @@ from rcpq.pack import (
     PackedWeights,
     pack_activation_codes,
     pack_weight_codes,
+    read_rcpq,
     unpack_activation_codes,
     unpack_weight_codes,
+    write_rcpq,
 )
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -275,7 +277,9 @@ class TestCompiledKernel:
         task = make_task(make_rng(75), 8, 64, 32)
         assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
         assert compiled_calls
-        assert [p.suffix for p in fresh_kernel.iterdir()] == [".so"]
+        # the task's weights built the repack's library, the call the kernel's
+        built = sorted((p.name.split("-")[0], p.suffix) for p in fresh_kernel.iterdir())
+        assert built == [("w2a4", ".so"), ("w2a4_tiles", ".so")]
 
     @needs_cc
     def test_build_prunes_stale_builds(self, fresh_kernel, monkeypatch):
@@ -327,7 +331,7 @@ class TestCompiledKernel:
     @given(
         g=st.sampled_from([4, 12, 28, 32, 64, 124, 128, 160, 256, 1024]),
         groups=st.integers(1, 3),
-        rows=st.sampled_from([1, 2, 3, 5, 13]),
+        rows=st.sampled_from([1, 2, 3, 5, 13, 31, 32, 33, 64, 97]),  # about the 32-row tiles
         lut_kind=st.sampled_from(["normal", "specials"]),
         all_negative=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -343,8 +347,10 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("g", [256 * 128 + 4, 256 * 128 + 32, 512 * 128 + 12, 1024 * 128 + 4])
     def test_kernel_sums_equal_spec_past_widening_with_a_tail(self, kernel, g):
-        # 256 or more full 128-channel chunks, so int16 lanes are widened,
-        # then pieces; past 512 chunks of -8s an unwidened lane would wrap.
+        # Over 4096 pairs of 4-channel blocks, so int16 lanes are widened
+        # after every 512 pairs and once after a short last span, some with
+        # a padding block; past 1024 pairs of -32 lookups an unwidened lane
+        # would wrap.
         task = make_task(make_rng(g), 2, g, g)
         extreme = dataclasses.replace(  # weight code 3 and activation -8 everywhere: the largest plane sums
             task,
@@ -354,13 +360,114 @@ class TestCompiledKernel:
         for t in (task, extreme):
             assert gemv._row_sums_compiled(kernel, t).tolist() == gemv._row_sums(t, 2).tolist()
 
+    @pytest.mark.usefixtures("kernel")
+    def test_first_non_finite_entry_in_row_major_order(self, compiled_calls):
+        # rows 33 and 35 share a tile, whose lookups see row 35's group 3
+        # first; row 70 is in the next tile, which a tile order would reach later
+        task = make_task(make_rng(83), 97, 6 * 16, 16)
+        table = task.lut.table.copy()
+        table[35, 3, 0], table[33, 5, 2], table[70, 0, 1] = np.inf, np.nan, -np.inf
+        task = dataclasses.replace(task, lut=DequantLut(table))
+        for run in (gemv_fast, gemv_ref):
+            with pytest.raises(DataError, match=r"LUT at \(row 33, group 5\) is not finite"):
+                run(task)
+        assert len(compiled_calls) == 1
+
     def test_bench_reports_kernel_and_bandwidth(self):
         task = make_task(make_rng(77), 16, 256, 32)
         bench = bench_gemv(task, iters=3)
-        expect = "numpy" if gemv._kernel_for(task.layout) is None else "c"
+        expect = "numpy" if gemv._kernel_for(task) is None else "c"
         assert bench["kernel"] == expect
         read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
         assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])
+
+
+@pytest.fixture
+def repacks(monkeypatch):
+    """Counts the calls of the compiled repack into the GEMV's tiles."""
+    calls = []
+    lookup = _native.kernel
+
+    def kernel(name):
+        entry = lookup(name)
+        if name != "w2a4_tiles" or entry is None:
+            return entry
+
+        def counted(*args):
+            calls.append(args[1:4])  # rows, groups, group size
+            return entry(*args)
+
+        return counted
+
+    monkeypatch.setattr(_native, "kernel", kernel)
+    return calls
+
+
+@pytest.mark.usefixtures("kernel")
+class TestTilesAtLoad:
+    """``PackedWeights`` repacks its codes into the kernel's tiles once, and they cannot go stale."""
+
+    def test_repacked_once_at_load_and_never_per_token(self, repacks, compiled_calls, tmp_path):
+        rng = make_rng(84)
+        task = make_task(rng, 64, 256, 32)
+        write_rcpq(tmp_path / "w.rcpq", task.weights, task.lut)
+        repacks.clear()
+        box = read_rcpq(tmp_path / "w.rcpq")
+        assert repacks == [(64, 8, 32)]
+        for _ in range(50):
+            x_packed, scale = random_activation(rng, 256)
+            token = GemvTask(x_packed=x_packed, scale=scale, weights=box.weights, lut=box.lut, layout=box.weights.layout)
+            gemv_fast(token)
+        assert len(repacks) == 1
+        assert len(compiled_calls) == 50
+        assert gemv_fast(token).tobytes() == gemv_ref(token).tobytes()
+
+    def test_data_is_read_only(self, tmp_path):
+        task = make_task(make_rng(85), 8, 64, 16)
+        write_rcpq(tmp_path / "w.rcpq", task.weights, task.lut)
+        direct = PackedWeights(np.array(task.weights.data), task.layout)
+        for pw in (task.weights, read_rcpq(tmp_path / "w.rcpq").weights, direct):
+            with pytest.raises(ValueError, match="read-only"):
+                pw.data[0, 0] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pw.data = np.zeros_like(pw.data)
+
+    def test_source_array_changed_after_construction(self, compiled_calls):
+        task = make_task(make_rng(86), 40, 128, 32)
+        source = np.array(task.weights.data)
+        task = dataclasses.replace(task, weights=PackedWeights(source, task.layout))
+        fast, ref = gemv_fast(task).tobytes(), gemv_ref(task).tobytes()
+        assert fast == ref
+        source ^= 0xFF  # every code changes
+        assert gemv_fast(task).tobytes() == fast
+        assert gemv_ref(task).tobytes() == ref
+        assert len(compiled_calls) == 2
+
+    def test_replaced_weights_compute_with_their_own_bytes(self, compiled_calls):
+        rng = make_rng(87)
+        task = make_task(rng, 40, 128, 32)
+        other = pack_weight_codes(rng.integers(0, 4, size=(40, 128)), task.layout)
+        swapped = dataclasses.replace(task, weights=other)
+        expect = converted(python_row_sums(swapped), task.scale).tobytes()
+        assert gemv_fast(swapped).tobytes() == gemv_ref(swapped).tobytes() == expect
+        assert gemv_fast(swapped).tobytes() != gemv_fast(task).tobytes()
+        assert len(compiled_calls) == 3
+
+    def test_weights_packed_for_another_layout_run_the_spec(self, compiled_calls):
+        # groups of 3 blocks are padded to 2 pairs in the tiles, groups of 6 are not
+        task = make_task(make_rng(89), 40, 96, 12)
+        regrouped = dataclasses.replace(task, lut=DequantLut(task.lut.table[:, ::2].copy()),
+                                        layout=GroupLayout(40, 96, 24))
+        assert gemv_fast(regrouped).tobytes() == gemv_ref(regrouped).tobytes()
+        assert compiled_calls == []
+
+    def test_bad_data_still_fails_in_the_task(self):
+        task = make_task(make_rng(88), 4, 32, 8)
+        for data, error in ((task.weights.data.astype(np.int32), DataError), (task.weights.data[:2], ShapeError)):
+            pw = PackedWeights(data, task.layout)  # builds no tiles and does not raise
+            assert pw._tiles is None
+            with pytest.raises(error, match="weights"):
+                dataclasses.replace(task, weights=pw)
 
 
 def python_row_sums(task):
