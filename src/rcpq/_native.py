@@ -4,6 +4,8 @@
 * ``w2a4_tiles`` (``_w2a4_tiles.c``): the one repack of a
   ``pack.PackedWeights`` into that kernel's tiles, when the weights are
   made. It is plain C in its own library, so that it builds in ~0.1 s.
+  Its probe also gates the integer units that ``pack.DequantLut`` builds
+  in numpy for the same kernel.
 * ``ldp`` (``_ldp.c``): the LDP encoder behind ``ldp.fake_quant``.
 * ``clip`` (``_clip.c``): the uniform quantization error of every clip
   candidate in ``calib.grid_search_clip``.
@@ -41,15 +43,16 @@ import numpy as np
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-_U16 = np.ctypeslib.ndpointer(np.uint16, flags="C_CONTIGUOUS")
-_I8 = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
-_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _i64 = ctypes.c_int64
+_ptr = ctypes.c_void_p
 
 # Each kernel's entry point and its C signature; every one returns int64.
 _ENTRY = {
-    "w2a4": ("rcpq_w2a4_gemv", [_U8, _U16, _I8, _I8, _I64, _i64, _i64, _i64, _I64]),
+    # Raw pointers: ndpointer checks cost ~10 us per call on a 2-vCPU AVX2
+    # host. gemv.py checks every array's dtype, shape and order before it
+    # passes them.
+    "w2a4": ("rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr]),
     "w2a4_tiles": ("rcpq_w2a4_tiles", [_U8, _i64, _i64, _i64, _U8]),
     # values is a pointer or None (NULL): the caller asks for codes alone.
     "ldp": ("rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),

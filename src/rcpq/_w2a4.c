@@ -16,9 +16,16 @@
  * 1, of the weight code is set, and T[plane 0 & plane 1] gives S3, where
  * both are. The bucket sums of codes per weight code k are then B3 = S3,
  * B1 = S0 - S3, B2 = S1 - S3 and B0 = total - S0 - S1 + S3, and the row
- * adds sum_k units(lut[k]) * B_k in int64: a finite float16 is
+ * adds sum_k units(lut[k]) * B_k in int64.
+ *
+ * Units (built once per rcpq.pack.DequantLut, in numpy): a finite float16 is
  * +-mant << shift units, with mant < 2^11, so each product is one 32x32-bit
- * multiply and a shift.
+ * multiply and a shift. Each LUT entry is stored as the int32
+ * smant << 8 | shift. Per tile, group, row set s = 0..3 and i = 0..3 come
+ * 8 of them: buckets 0-3 of the tile's row r = 16 (s / 2) + s % 2 + 2 i,
+ * then those of row r + 8. So one 8-lane load gives the entries that the
+ * combine multiplies by one vector of bucket sums. Padding rows hold 0. A
+ * LUT that holds an inf or NaN builds no units, and gemv.py runs its spec.
  *
  * Tiles (built once per rcpq.pack.PackedWeights by _w2a4_tiles.c): rows in
  * tiles of 32, the last padded with rows of zero codes. A group's blocks
@@ -34,15 +41,12 @@
  * plane sums (|S| <= 8 * gsize <= 2^23). So no lane wraps up to 2^20
  * channels.
  *
- * tiles, the weights in that layout; lut, (rows, groups, 4) float16 bit
- * patterns; xp, the groups * gsize / 2 packed activation bytes, code 2i in
- * the high nibble of byte i; table, 8 * groups * gsize bytes of scratch;
- * total, groups int64 of scratch; sums, rows out. Requires gsize % 4 == 0
- * and an AVX2 CPU (rcpq_has_avx2); gemv.py runs its numpy spec everywhere
- * else.
- * rcpq_w2a4_gemv returns 0, or 1 if some LUT entry is an inf or NaN: the
- * sums are then unset, and gemv.py names the first such (row, group) in
- * row-major order.
+ * tiles and units, the weights and the LUT in those layouts; xp, the
+ * groups * gsize / 2 packed activation bytes, code 2i in the high nibble
+ * of byte i; table, 8 * groups * gsize bytes of scratch; total, groups
+ * int64 of scratch; sums, rows out. Requires gsize % 4 == 0 and an AVX2 CPU
+ * (rcpq_has_avx2); gemv.py runs its numpy spec everywhere else, and checks
+ * every size and dtype before it passes these pointers. Returns 0.
  */
 #include <immintrin.h>
 #include <stdint.h>
@@ -117,27 +121,22 @@ __attribute__((target("avx2"))) static inline void lookup(const uint8_t *wp, con
     a[5] = _mm256_add_epi8(a[5], _mm256_shuffle_epi8(t, _mm256_and_si256(p0h, p1h)));
 }
 
-__attribute__((target("avx2"))) int64_t rcpq_w2a4_gemv(const uint8_t *tiles, const uint16_t *lut, const int8_t *xp,
+__attribute__((target("avx2"))) int64_t rcpq_w2a4_gemv(const uint8_t *tiles, const int32_t *units, const int8_t *xp,
                                                        int8_t *table, int64_t *total, int64_t rows,
                                                        int64_t groups, int64_t gsize, int64_t *sums)
 {
     const int64_t pairs = pairs_of(gsize);
-    const __m256i zero = _mm256_setzero_si256(), low32 = _mm256_set1_epi64x(0xffffffff);
-    const __m256i exponent = _mm256_set1_epi32(31), fraction = _mm256_set1_epi32(1023),
-                  implicit = _mm256_set1_epi32(1024);
-    __m256i inf_nan = zero;
+    const __m256i zero = _mm256_setzero_si256(), low8 = _mm256_set1_epi64x(0xff);
     build_tables(xp, groups, gsize, table, total);
     for (int64_t r0 = 0; r0 < rows; r0 += TILE) {
         /* int64 lanes per row pair (r, r + 8): buckets 0 + 1 and 2 + 3 of each */
         __m256i acc[16];
-        const uint16_t *row[TILE]; /* each row's LUT; a padding row reads the last row's, and is not stored */
         for (int i = 0; i < 16; i++)
             acc[i] = zero;
-        for (int64_t r = 0; r < TILE; r++)
-            row[r] = lut + (r0 + r < rows ? r0 + r : rows - 1) * groups * 4;
         for (int64_t g = 0; g < groups; g++) {
             const uint8_t *wg = tiles + (r0 / TILE * groups + g) * pairs * 64;
             const int8_t *tg = table + g * pairs * 32;
+            const int32_t *ug = units + (r0 / TILE * groups + g) * TILE * 4;
             /* int32 plane sums: s[2 * (2 * plane + half) + parity] holds rows 16 half + 2 i + parity, i = 0..7 */
             __m256i s[12];
             for (int i = 0; i < 12; i++)
@@ -179,24 +178,12 @@ __attribute__((target("avx2"))) int64_t rcpq_w2a4_gemv(const uint8_t *tiles, con
                 const __m256i b[4] = {_mm256_unpacklo_epi64(t0, t2), _mm256_unpackhi_epi64(t0, t2),
                                       _mm256_unpacklo_epi64(t1, t3), _mm256_unpackhi_epi64(t1, t3)};
                 for (int i = 0; i < 4; i++) {
-                    const int ra = 16 * (set / 2) + set % 2 + 2 * i, rb = ra + 8;
-                    const __m256i bits = _mm256_cvtepu16_epi32(_mm_castpd_si128(_mm_loadh_pd(
-                        _mm_castsi128_pd(_mm_loadl_epi64((const __m128i *)(row[ra] + 4 * g))),
-                        (const double *)(row[rb] + 4 * g))));
-                    /* float16 bits -> +-mant << shift; subnormals have no implicit bit and shift 0 */
-                    const __m256i e = _mm256_and_si256(_mm256_srli_epi32(bits, 10), exponent);
-                    const __m256i normal = _mm256_cmpgt_epi32(e, zero); /* -1 or 0 */
-                    const __m256i mant = _mm256_or_si256(_mm256_and_si256(bits, fraction),
-                                                         _mm256_and_si256(normal, implicit));
-                    const __m256i neg = _mm256_srai_epi32(_mm256_slli_epi32(bits, 16), 31);
-                    const __m256i smant = _mm256_sub_epi32(_mm256_xor_si256(mant, neg), neg);
-                    const __m256i shift = _mm256_add_epi32(e, normal);
-                    inf_nan = _mm256_or_si256(inf_nan, _mm256_cmpeq_epi32(e, exponent));
-                    const __m256i even = _mm256_sllv_epi64(_mm256_mul_epi32(smant, b[i]),
-                                                           _mm256_and_si256(shift, low32));
+                    const __m256i u = _mm256_loadu_si256((const __m256i *)(ug + (4 * set + i) * 8));
+                    const __m256i smant = _mm256_srai_epi32(u, 8);
+                    const __m256i even = _mm256_sllv_epi64(_mm256_mul_epi32(smant, b[i]), _mm256_and_si256(u, low8));
                     const __m256i odd = _mm256_sllv_epi64(
                         _mm256_mul_epi32(_mm256_srli_epi64(smant, 32), _mm256_srli_epi64(b[i], 32)),
-                        _mm256_srli_epi64(shift, 32));
+                        _mm256_and_si256(_mm256_srli_epi64(u, 32), low8));
                     acc[4 * set + i] = _mm256_add_epi64(acc[4 * set + i], _mm256_add_epi64(even, odd));
                 }
             }
@@ -212,5 +199,5 @@ __attribute__((target("avx2"))) int64_t rcpq_w2a4_gemv(const uint8_t *tiles, con
                     sums[rb] = lanes[2] + lanes[3];
             }
     }
-    return !_mm256_testz_si256(inf_nan, inf_nan);
+    return 0;
 }

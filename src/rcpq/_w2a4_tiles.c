@@ -9,7 +9,9 @@
  * w: (rows, groups * gsize / 4) packed codes, code j of a byte in bits
  * 7-2j and 6-2j; tiles: ceil(rows / 32) * groups * pairs * 64 bytes out,
  * where pairs = (gsize / 4 + 1) / 2. Requires gsize % 4 == 0. The AVX2
- * probe is here too: the tiles serve only the AVX2 kernel.
+ * probe is here too: the tiles serve only the AVX2 kernel, and so do the
+ * LUT's units, which rcpq.pack.DequantLut builds in numpy under this probe,
+ * so that making a LUT never compiles the kernel (~1 s).
  */
 #include <stdint.h>
 

@@ -20,19 +20,23 @@ are bit-identical.
 
 The kernel (``_w2a4.c``) is compiled on first use; ``_native`` builds,
 caches and loads it. It is a table-lookup kernel (after T-MAC, arXiv
-2407.00088) on one thread, over a layout built once per ``PackedWeights``
-(by ``_w2a4_tiles.c``), when the weights are made, and never per call:
+2407.00088) on one thread, over two layouts built once, when the weights
+and the LUT are made, and never per call:
 
-* Tiles. Rows go in tiles of 32, the last padded with zero codes. Bit p of
-  the weight codes of 4 channels (a block) is a nibble, plane p; per tile,
-  group and pair of blocks, the planes of 32 rows take 64 bytes, byte i of
-  each 16 holding rows i and i + 16.
+* Tiles, per ``PackedWeights`` (by ``_w2a4_tiles.c``). Rows go in tiles of
+  32, the last padded with zero codes. Bit p of the weight codes of 4
+  channels (a block) is a nibble, plane p; per tile, group and pair of
+  blocks, the planes of 32 rows take 64 bytes, byte i of each 16 holding
+  rows i and i + 16.
+* Units, per ``DequantLut`` (in numpy). Each finite float16 entry is
+  ``smant << shift`` units, stored as one int32 ``smant << 8 | shift`` in
+  the order in which the kernel's int64 lanes take them.
 * Tables. Per call, the kernel builds a 16-entry int8 table of activation
   subset sums per block. One ``pshufb`` looks up 16 rows' nibbles in two
   blocks' tables, so a group's lookups of plane 0, plane 1 and both give
   the sums of activation codes under each weight bit, and from them the
   four bucket sums of codes per weight code. Each bucket times its LUT
-  entry is added in int64 lanes, two rows at a time.
+  entry's units is added in int64 lanes, two rows at a time.
 * Widening. The lookups are summed in int8 lanes over 4 pairs of blocks,
   then in int16 lanes over at most 512 pairs, then in int32, so none wraps
   up to ``C = 2^20``.
@@ -40,8 +44,9 @@ caches and loads it. It is a table-lookup kernel (after T-MAC, arXiv
 It covers ``G % 4 == 0``, which includes the default 128. Other group
 sizes, CPUs without AVX2 (probed at run time), and any process where the
 build or load fails run the spec, as does a task whose weights were packed
-for another layout. An inf or NaN LUT entry has no integer value: both paths
-raise ``DataError`` at the first such (row, group) in row-major order.
+for another layout. An inf or NaN LUT entry has no integer value, so its
+LUT holds no units and runs the spec too, which raises ``DataError`` at the
+first such (row, group) in row-major order.
 """
 
 from __future__ import annotations
@@ -107,10 +112,11 @@ _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
 def _kernel_for(task: GemvTask):
     """The compiled kernel when it covers ``task`` and builds, else None.
 
-    It covers the task when its weights hold tiles (``PackedWeights``
+    It covers the task when its LUT holds units (``DequantLut`` makes them
+    for a finite float16 table) and its weights hold tiles (``PackedWeights``
     makes them where the kernel covers the group size) for the task's layout.
     """
-    if task.weights._tiles is None or task.weights.layout != task.layout:
+    if task.lut._units is None or task.weights._tiles is None or task.weights.layout != task.layout:
         return None
     return _native.kernel("w2a4")
 
@@ -124,23 +130,29 @@ def _check_finite(table: np.ndarray) -> None:
 
 
 def _row_sums_compiled(kernel, task: GemvTask) -> np.ndarray:
-    """The kernel's row sums on ``task``, which ``gemv_fast`` has checked against its layout."""
+    """The kernel's row sums on ``task``, which ``gemv_fast`` has checked against its layout.
+
+    The kernel takes raw pointers. ``GemvTask._check`` has checked every
+    dtype and shape, ``_kernel_for`` that the tiles and units, private
+    C-ordered arrays, were built for this layout, and the activations are
+    made contiguous here.
+    """
     lay = task.layout
+    x_packed = np.ascontiguousarray(task.x_packed.data)
+    table = np.empty(8 * lay.in_channels, dtype=np.int8)
+    total = np.empty(lay.num_groups, dtype=np.int64)
     sums = np.empty(lay.out_channels, dtype=np.int64)
-    table = task.lut.table
-    bad = kernel(
-        task.weights._tiles,
-        np.ascontiguousarray(table).view(np.uint16),
-        np.ascontiguousarray(task.x_packed.data),
-        np.empty(8 * lay.in_channels, dtype=np.int8),
-        np.empty(lay.num_groups, dtype=np.int64),
+    kernel(
+        task.weights._tiles.ctypes.data,
+        task.lut._units.ctypes.data,
+        x_packed.ctypes.data,
+        table.ctypes.data,
+        total.ctypes.data,
         lay.out_channels,
         lay.num_groups,
         lay.group_size,
-        sums,
+        sums.ctypes.data,
     )
-    if bad:
-        _check_finite(table)
     return sums
 
 
@@ -227,9 +239,11 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
     semantics, not speed); both medians are reported in ns/call, and
     ``speedup`` is the spec's over the fast path's.
     ``kernel`` names the fast path that ran (``"c"`` or ``"numpy"``), and
-    ``fast_gbytes_per_s`` is the packed weights, float16 LUT and packed
-    activations one call reads, over the fast median. Raises
-    ``ConfigError`` when ``iters < 1``, which would leave no sample.
+    ``fast_gbytes_per_s`` is the bytes one call of that path reads, over the
+    fast median: the tiles, the LUT's units and the packed activations for
+    the kernel, the packed weights, the float16 LUT and the packed
+    activations for the spec. Raises ``ConfigError`` when ``iters < 1``,
+    which would leave no sample.
     """
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
@@ -246,7 +260,9 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
 
     ref_ns = _time(lambda: gemv_ref(task), ref_iters)
     fast_ns = _time(lambda: gemv_fast(task), iters)
-    call_bytes = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
+    compiled = _kernel_for(task) is not None
+    read = (task.weights._tiles, task.lut._units) if compiled else (task.weights.data, task.lut.table)
+    call_bytes = sum(a.nbytes for a in read) + task.x_packed.data.nbytes
     return {
         "out_channels": task.layout.out_channels,
         "in_channels": task.layout.in_channels,
@@ -256,6 +272,6 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
         "ref_ns_per_call": ref_ns,
         "fast_ns_per_call": fast_ns,
         "speedup": ref_ns / fast_ns,
-        "kernel": "numpy" if _kernel_for(task) is None else "c",
+        "kernel": "c" if compiled else "numpy",
         "fast_gbytes_per_s": call_bytes / fast_ns,
     }

@@ -30,10 +30,17 @@ transform ``fuse(w, None, rot)``. The two can differ by one float32 ulp in
 rare entries, which can move a code or a LUT entry, so ``rcpq verify``
 re-fuses a version-1 file with the dense product. The layout is the same in
 both.
+
+``PackedWeights`` and ``DequantLut`` are frozen and hold read-only copies of
+their arrays. Where the compiled GEMV is available, each also holds its
+data in that kernel's layout, built once when it is made (tiles of packed
+codes, integer units of LUT entries), so no token pays for a repack or a
+float16 decode.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -117,11 +124,60 @@ class PackedActivations:
     data: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class DequantLut:
-    """Per-group dequantization table, shape (H, N, 4), float16, non-decreasing."""
+    """Per-group dequantization table, shape (H, N, 4), float16, non-decreasing.
+
+    ``table`` is a read-only copy of the array passed in, and the fields
+    cannot be reassigned. Where the compiled GEMV is available, a finite
+    float16 table is also decoded once, here, into the integer units that
+    kernel multiplies (see ``_w2a4.c``), so ``gemv_fast`` decodes no float16
+    per token. Because ``table`` cannot change, those units always hold its
+    entries.
+    """
 
     table: np.ndarray
+
+    def __post_init__(self):
+        table = np.array(self.table, order="C")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_units", _gemv_units(table))
+
+
+def _gemv_units(table: np.ndarray) -> np.ndarray | None:
+    """The entries of ``table`` as the compiled GEMV's units, or None where
+    that kernel is unavailable, ``table`` is not float16 of shape (H, N, 4)
+    (which ``GemvTask`` rejects), or it holds an inf or NaN (which the spec
+    names).
+    """
+    if table.dtype != np.float16 or table.ndim != 3 or table.shape[2] != 4:
+        return None
+    if _native.kernel("w2a4_tiles") is None:  # the probe of the kernel's tiles, which builds in ~0.1 s
+        return None
+    bits = table.view(np.uint16)
+    if ((bits & 0x7C00) == 0x7C00).any():  # all exponent bits set: an inf or NaN
+        return None
+    h, n, _ = table.shape
+    padded = np.zeros((-(-h // 32) * 32, n, 4), dtype=np.uint16)  # tiles of 32 rows; padding rows hold +0
+    padded[:h] = bits
+    # Row 16 half + 8 j + 2 i + parity of a tile -> (tile, group, set = 2 half + parity, i, j, bucket).
+    order = padded.reshape(-1, 2, 2, 4, 2, n, 4).transpose(0, 5, 1, 4, 3, 2, 6)
+    return np.take(_float16_units(), order).reshape(-1)
+
+
+@functools.cache
+def _float16_units() -> np.ndarray:
+    """The units of every float16 bit pattern, read-only: a finite float16 is
+    ``smant << shift`` units of 2^-24, with ``|smant| < 2^11``, stored as the
+    int32 ``smant << 8 | shift``. Inf and NaN patterns are never looked up."""
+    bits = np.arange(2**16, dtype=np.int32)
+    exponent = bits >> 10 & 31
+    normal = (exponent > 0).astype(np.int32)  # subnormals have no implicit bit and shift 0
+    mant = bits & 1023 | normal << 10
+    units = np.where(bits >> 15, -mant, mant) << 8 | exponent - normal
+    units.flags.writeable = False
+    return units
 
 
 @dataclass
@@ -340,9 +396,7 @@ def read_rcpq(path) -> RcpqContainer:
         data=np.frombuffer(sections[_TAG_WEIGHTS], dtype=np.uint8).reshape(h, c // 4),
         layout=layout,
     )
-    lut = DequantLut(
-        table=np.frombuffer(sections[_TAG_LUT], dtype="<f2").reshape(h, n, 4).copy()
-    )
+    lut = DequantLut(table=np.frombuffer(sections[_TAG_LUT], dtype="<f2").reshape(h, n, 4))  # which copies it
     _check_lut(lut.table, DataError, f"{path}: ")
     params = None
     if flags & 1:

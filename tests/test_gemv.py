@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpq import _native, gemv
+from rcpq import _native, gemv, pack
 from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import ConfigError, DataError, ShapeError
 from rcpq.gemv import GemvTask, bench_gemv, dense_oracle, gemv_fast, gemv_ref, random_activation
+from rcpq.ldp import LdpParams, uniform_split_logits
 from rcpq.pack import (
     DequantLut,
     PackedActivations,
     PackedWeights,
+    build_lut,
     pack_activation_codes,
     pack_weight_codes,
     read_rcpq,
@@ -363,7 +365,8 @@ class TestCompiledKernel:
     @pytest.mark.usefixtures("kernel")
     def test_first_non_finite_entry_in_row_major_order(self, compiled_calls):
         # rows 33 and 35 share a tile, whose lookups see row 35's group 3
-        # first; row 70 is in the next tile, which a tile order would reach later
+        # first; row 70 is in the next tile, which a tile order would reach
+        # later. The LUT builds no units, so both paths run the spec.
         task = make_task(make_rng(83), 97, 6 * 16, 16)
         table = task.lut.table.copy()
         table[35, 3, 0], table[33, 5, 2], table[70, 0, 1] = np.inf, np.nan, -np.inf
@@ -371,15 +374,21 @@ class TestCompiledKernel:
         for run in (gemv_fast, gemv_ref):
             with pytest.raises(DataError, match=r"LUT at \(row 33, group 5\) is not finite"):
                 run(task)
-        assert len(compiled_calls) == 1
+        assert len(compiled_calls) == 0
 
     def test_bench_reports_kernel_and_bandwidth(self):
-        task = make_task(make_rng(77), 16, 256, 32)
-        bench = bench_gemv(task, iters=3)
-        expect = "numpy" if gemv._kernel_for(task) is None else "c"
-        assert bench["kernel"] == expect
-        read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
-        assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])
+        # what the path that ran reads: tiles, units and activations, or codes,
+        # float16 LUT and activations (G = 6 has no kernel)
+        for g in (32, 6):
+            task = make_task(make_rng(77), 16, 8 * g, g)
+            bench = bench_gemv(task, iters=3)
+            compiled = gemv._kernel_for(task) is not None
+            assert bench["kernel"] == ("c" if compiled else "numpy")
+            if compiled:
+                read = task.weights._tiles.nbytes + task.lut._units.nbytes + task.x_packed.data.nbytes
+            else:
+                read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
+            assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])
 
 
 @pytest.fixture
@@ -468,6 +477,126 @@ class TestTilesAtLoad:
             assert pw._tiles is None
             with pytest.raises(error, match="weights"):
                 dataclasses.replace(task, weights=pw)
+
+
+@pytest.fixture
+def unit_builds(monkeypatch):
+    """Counts the decodes of a LUT into the GEMV's units."""
+    calls = []
+    decode = pack._gemv_units
+
+    def counted(table):
+        units = decode(table)
+        if units is not None:
+            calls.append(table.shape)
+        return units
+
+    monkeypatch.setattr(pack, "_gemv_units", counted)
+    return calls
+
+
+def lut_of(rng, layout):
+    """A LUT that ``build_lut`` makes for a random weight at ``layout``."""
+    s1, s2 = uniform_split_logits()
+    params = LdpParams(*(np.full((layout.out_channels, layout.num_groups), v) for v in (3.0, 3.0, s1, s2)))
+    return build_lut(rng.standard_normal((layout.out_channels, layout.in_channels)), layout, params)
+
+
+def units_by_row(lut):
+    """``lut._units`` back in (row, group, entry) order, each decoded to ``smant << shift``."""
+    h, n, _ = lut.table.shape
+    u = lut._units.astype(np.int64).reshape(-1, n, 2, 2, 4, 2, 4)  # tile, group, half, parity, i, j, entry
+    rows = ((u >> 8) << (u & 255)).transpose(0, 2, 5, 4, 3, 1, 6)  # row 16 half + 8 j + 2 i + parity
+    return rows.reshape(-1, n, 4)[:h]
+
+
+@pytest.mark.usefixtures("kernel")
+class TestLutAtLoad:
+    """``DequantLut`` decodes its float16 entries into the kernel's units once, and they cannot go stale."""
+
+    def test_decoded_once_at_load_and_never_per_token(self, unit_builds, compiled_calls, tmp_path):
+        rng = make_rng(90)
+        layout = GroupLayout(64, 256, 32)
+        lut = lut_of(rng, layout)
+        assert unit_builds == [(64, 8, 4)]
+        write_rcpq(tmp_path / "w.rcpq", pack_weight_codes(rng.integers(0, 4, size=(64, 256)), layout), lut)
+        box = read_rcpq(tmp_path / "w.rcpq")
+        DequantLut(np.array(lut.table))
+        assert unit_builds == [(64, 8, 4)] * 3  # build_lut, read_rcpq, direct
+        for _ in range(50):
+            x_packed, scale = random_activation(rng, 256)
+            token = GemvTask(x_packed=x_packed, scale=scale, weights=box.weights, lut=box.lut, layout=layout)
+            gemv_fast(token)
+        assert len(unit_builds) == 3
+        assert len(compiled_calls) == 50
+        assert gemv_fast(token).tobytes() == gemv_ref(token).tobytes()
+
+    def test_table_is_read_only(self, tmp_path):
+        rng = make_rng(91)
+        task = make_task(rng, 8, 64, 16)
+        write_rcpq(tmp_path / "w.rcpq", task.weights, task.lut)
+        direct = DequantLut(np.array(task.lut.table))
+        for lut in (lut_of(rng, task.layout), read_rcpq(tmp_path / "w.rcpq").lut, direct):
+            with pytest.raises(ValueError, match="read-only"):
+                lut.table[0, 0, 0] = 1
+            for field in ("table", "_units"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(lut, field, None)
+
+    def test_source_array_changed_after_construction(self, compiled_calls):
+        task = make_task(make_rng(92), 40, 128, 32)
+        source = np.array(task.lut.table)
+        task = dataclasses.replace(task, lut=DequantLut(source))
+        fast, ref = gemv_fast(task).tobytes(), gemv_ref(task).tobytes()
+        assert fast == ref
+        source *= -2  # every non-zero entry changes
+        assert gemv_fast(task).tobytes() == fast
+        assert gemv_ref(task).tobytes() == ref
+        assert len(compiled_calls) == 2
+
+    def test_replaced_lut_computes_with_its_own_units(self, compiled_calls):
+        rng = make_rng(93)
+        task = make_task(rng, 40, 128, 32)
+        swapped = dataclasses.replace(task, lut=DequantLut(rng.choice(SPECIALS, size=(40, 4, 4))))
+        expect = converted(python_row_sums(swapped), task.scale).tobytes()
+        assert gemv_fast(swapped).tobytes() == gemv_ref(swapped).tobytes() == expect
+        assert gemv_fast(swapped).tobytes() != gemv_fast(task).tobytes()
+        assert len(compiled_calls) == 3
+
+    def test_bad_table_builds_no_units(self, compiled_calls):
+        task = make_task(make_rng(94), 4, 32, 8)
+        table = task.lut.table
+        for bad, error in ((table.astype(np.float32), DataError), (table[..., :3], ShapeError),
+                           (table.reshape(4, -1), ShapeError)):
+            lut = DequantLut(bad)  # builds no units and does not raise
+            assert lut._units is None
+            with pytest.raises(error, match="(?i)lut"):
+                dataclasses.replace(task, lut=lut)
+        non_finite = table.copy()
+        non_finite[2, 1, 3] = np.inf
+        task = dataclasses.replace(task, lut=DequantLut(non_finite))
+        assert task.lut._units is None
+        for run in (gemv_fast, gemv_ref):
+            with pytest.raises(DataError, match=r"LUT at \(row 2, group 1\) is not finite"):
+                run(task)
+        assert compiled_calls == []
+
+    def test_every_finite_float16(self, compiled_calls):
+        every = np.arange(2**16, dtype=np.uint16).view(np.float16)
+        finite = np.sort(every[np.isfinite(every)])  # +-0, subnormals, normals up to +-65504
+        assert finite.size == 2 * 31 * 1024
+        h, n, g = 97, 164, 8  # a short last tile
+        table = np.concatenate([finite, np.full(h * n * 4 - finite.size, finite[-1])]).reshape(h, n, 4)
+        lut = DequantLut(table)
+        assert np.array_equal(units_by_row(lut), np.ldexp(table.astype(np.float64), 24).astype(np.int64))
+        layout = GroupLayout(h, n * g, g)
+        rng = make_rng(95)
+        codes = rng.permuted(np.tile(np.arange(4), (h, n, g // 4)), axis=-1)  # every entry of every group
+        weights = pack_weight_codes(codes.reshape(h, n * g), layout)
+        for x_codes in (np.full(n * g, -8), rng.integers(-8, 8, size=n * g)):
+            task = GemvTask(pack_activation_codes(x_codes.astype(np.int8)), 1.0, weights, lut, layout)
+            assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
+        assert len(compiled_calls) == 2
 
 
 def python_row_sums(task):
