@@ -1,11 +1,9 @@
-"""Build, cache and load the package's four C kernels.
+"""Build, cache and load the package's C kernels, from three C sources.
 
 * ``w2a4`` (``_w2a4.c``): the exact integer row sums of ``gemv.gemv_fast``.
-* ``w2a4_tiles`` (``_w2a4_tiles.c``): the one repack of a
-  ``pack.PackedWeights`` into that kernel's tiles, when the weights are
-  made. It is plain C in its own library, so that it builds in ~0.1 s.
-  Its probe also gates the integer units that ``pack.DequantLut`` builds
-  in numpy for the same kernel.
+  The same library holds ``w2a4_tiles``, the repack of a
+  ``pack.PackedWeights`` into that kernel's tiles, which ``gemv`` runs at
+  the weights' first call.
 * ``ldp`` (``_ldp.c``): the LDP encoder behind ``ldp.fake_quant``.
 * ``clip`` (``_clip.c``): the uniform quantization error of every clip
   candidate in ``calib.grid_search_clip``.
@@ -14,7 +12,7 @@ Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
 ``ctypes``. A library's file name carries a hash of its source and the
 flags, so a later process loads it without compiling, and a build removes
-that kernel's libraries of other hashes. The kernels are AVX2 code
+that source's libraries of other hashes. The kernels are AVX2 code
 compiled under a target attribute (the repack is plain C), and each library
 is chosen by its run-time probe ``rcpq_has_avx2``, so the flags carry no
 ``-march=native`` and a cache directory may be shared between machines.
@@ -47,22 +45,22 @@ _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
 
-# Each kernel's entry point and its C signature; every one returns int64.
+# Each kernel's source (``_<source>.c``), entry point and C signature; every one returns int64.
 _ENTRY = {
     # Raw pointers: ndpointer checks cost ~10 us per call on a 2-vCPU AVX2
     # host. gemv.py checks every array's dtype, shape and order before it
     # passes them.
-    "w2a4": ("rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr]),
-    "w2a4_tiles": ("rcpq_w2a4_tiles", [_U8, _i64, _i64, _i64, _U8]),
+    "w2a4": ("w2a4", "rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr]),
+    "w2a4_tiles": ("w2a4", "rcpq_w2a4_tiles", [_U8, _i64, _i64, _i64, _U8]),
     # values is a pointer or None (NULL): the caller asks for codes alone.
-    "ldp": ("rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),
-    "clip": ("rcpq_clip_errors", [_F64, _i64, _F64, _F64, _i64, _F64, _F64]),
+    "ldp": ("ldp", "rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),
+    "clip": ("clip", "rcpq_clip_errors", [_F64, _i64, _F64, _F64, _i64, _F64, _F64]),
 }
 
 
 def source_of(name: str) -> Path:
     """The C source of kernel ``name``."""
-    return Path(__file__).with_name(f"_{name}.c")
+    return Path(__file__).with_name(f"_{_ENTRY[name][0]}.c")
 
 
 def _cache_dir() -> Path:
@@ -96,7 +94,7 @@ def open_kernel(name: str, path: Path):
     lib = ctypes.CDLL(str(path))
     if not _has_avx2(lib):
         return None
-    entry, argtypes = _ENTRY[name]
+    _, entry, argtypes = _ENTRY[name]
     kernel = getattr(lib, entry)
     kernel.argtypes = argtypes
     kernel.restype = _i64
@@ -113,12 +111,13 @@ def kernel(name: str):
     try:
         code = source_of(name).read_bytes()
         digest = hashlib.sha256(code + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-        lib = _cache_dir() / f"{name}-{digest}.so"
+        source = _ENTRY[name][0]
+        lib = _cache_dir() / f"{source}-{digest}.so"
         if not lib.exists():
             lib.parent.mkdir(parents=True, exist_ok=True)
             _build(code, lib)
             # Best-effort: drop the builds of other sources or flags; a .tmp file does not match.
-            for old in lib.parent.glob(f"{name}-{'[0-9a-f]' * 16}.so"):
+            for old in lib.parent.glob(f"{source}-{'[0-9a-f]' * 16}.so"):
                 if old != lib:
                     with contextlib.suppress(OSError):
                         old.unlink()

@@ -18,23 +18,24 @@
  * B1 = S0 - S3, B2 = S1 - S3 and B0 = total - S0 - S1 + S3, and the row
  * adds sum_k units(lut[k]) * B_k in int64.
  *
- * Units (built once per rcpq.pack.DequantLut, in numpy): a finite float16 is
- * +-mant << shift units, with mant < 2^11, so each product is one 32x32-bit
- * multiply and a shift. Each LUT entry is stored as the int32
+ * Units (built in numpy by rcpq.gemv, at a LUT's first call): a finite
+ * float16 is +-mant << shift units, with mant < 2^11, so each product is
+ * one 32x32-bit multiply and a shift. Each LUT entry is stored as the int32
  * smant << 8 | shift. Per tile, group, row set s = 0..3 and i = 0..3 come
  * 8 of them: buckets 0-3 of the tile's row r = 16 (s / 2) + s % 2 + 2 i,
  * then those of row r + 8. So one 8-lane load gives the entries that the
  * combine multiplies by one vector of bucket sums. Padding rows hold 0. A
  * LUT that holds an inf or NaN builds no units, and gemv.py runs its spec.
  *
- * Tiles (built once per rcpq.pack.PackedWeights by _w2a4_tiles.c): rows in
- * tiles of 32, the last padded with rows of zero codes. A group's blocks
- * are taken in pairs, and a group of an odd number of blocks ends with a
- * zero block, whose table is zero too. Per tile, group and pair, 64 bytes:
- * plane 0 of the pair's first block, of its second, then plane 1 of each,
- * 16 bytes each, where byte i holds row i's nibble in its low half and row
- * i + 16's in its high half. So one pshufb looks up 16 rows' nibbles of two
- * blocks in their two tables, one per 128-bit lane.
+ * Tiles (built by rcpq_w2a4_tiles, at the end of this file, at the weights'
+ * first call): rows in tiles of 32, the last padded with rows of zero
+ * codes. A group's blocks are taken in pairs, and a group of an odd number
+ * of blocks ends with a zero block, whose table is zero too. Per tile,
+ * group and pair, 64 bytes: plane 0 of the pair's first block, of its
+ * second, then plane 1 of each, 16 bytes each, where byte i holds row i's
+ * nibble in its low half and row i + 16's in its high half. So one pshufb
+ * looks up 16 rows' nibbles of two blocks in their two tables, one per
+ * 128-bit lane.
  *
  * Widening: an int8 lane adds the lookups of 4 pairs (|sum| <= 128), an
  * int16 lane those of at most SPAN pairs, then int32 lanes take a group's
@@ -199,5 +200,39 @@ __attribute__((target("avx2"))) int64_t rcpq_w2a4_gemv(const uint8_t *tiles, con
                     sums[rb] = lanes[2] + lanes[3];
             }
     }
+    return 0;
+}
+
+/* Plane p of the byte b of four codes: bit k is bit p of code k. */
+static uint8_t nibble(unsigned b, int p)
+{
+    return (b >> (6 + p) & 1) | (b >> (4 + p) & 1) << 1 | (b >> (2 + p) & 1) << 2 | (b >> p & 1) << 3;
+}
+
+/* The repack of packed codes into the tiles above. Plain C.
+ *
+ * w: (rows, groups * gsize / 4) packed codes, code j of a byte in bits
+ * 7-2j and 6-2j; tiles: ceil(rows / 32) * groups * pairs * 64 bytes out.
+ * Requires gsize % 4 == 0. Returns 0.
+ */
+int64_t rcpq_w2a4_tiles(const uint8_t *w, int64_t rows, int64_t groups, int64_t gsize, uint8_t *tiles)
+{
+    const int64_t blocks = gsize / 4, pairs = pairs_of(gsize), stride = groups * blocks;
+    uint8_t planes[256][2];
+    for (unsigned b = 0; b < 256; b++)
+        for (int p = 0; p < 2; p++)
+            planes[b][p] = nibble(b, p);
+    for (int64_t r0 = 0; r0 < rows; r0 += TILE)
+        for (int64_t g = 0; g < groups; g++)
+            for (int64_t q = 0; q < 2 * pairs; q++) { /* the group's block q; past blocks, padding */
+                uint8_t *out = tiles + ((r0 / TILE * groups + g) * pairs + q / 2) * 64 + q % 2 * 16;
+                const uint8_t *col = w + g * blocks + q;
+                for (int64_t i = 0; i < 16; i++) {
+                    unsigned lo = q < blocks && r0 + i < rows ? col[(r0 + i) * stride] : 0;
+                    unsigned hi = q < blocks && r0 + i + 16 < rows ? col[(r0 + i + 16) * stride] : 0;
+                    out[i] = planes[lo][0] | planes[hi][0] << 4;
+                    out[32 + i] = planes[lo][1] | planes[hi][1] << 4;
+                }
+            }
     return 0;
 }

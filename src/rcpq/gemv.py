@@ -20,14 +20,14 @@ are bit-identical.
 
 The kernel (``_w2a4.c``) is compiled on first use; ``_native`` builds,
 caches and loads it. It is a table-lookup kernel (after T-MAC, arXiv
-2407.00088) on one thread, over two layouts built once, when the weights
-and the LUT are made, and never per call:
+2407.00088) on one thread, over two layouts built at an operand's first
+call, kept on the frozen operand, and never rebuilt per call:
 
-* Tiles, per ``PackedWeights`` (by ``_w2a4_tiles.c``). Rows go in tiles of
-  32, the last padded with zero codes. Bit p of the weight codes of 4
-  channels (a block) is a nibble, plane p; per tile, group and pair of
-  blocks, the planes of 32 rows take 64 bytes, byte i of each 16 holding
-  rows i and i + 16.
+* Tiles, per ``PackedWeights`` (by ``rcpq_w2a4_tiles`` in ``_w2a4.c``).
+  Rows go in tiles of 32, the last padded with zero codes. Bit p of the
+  weight codes of 4 channels (a block) is a nibble, plane p; per tile,
+  group and pair of blocks, the planes of 32 rows take 64 bytes, byte i of
+  each 16 holding rows i and i + 16.
 * Units, per ``DequantLut`` (in numpy). Each finite float16 entry is
   ``smant << shift`` units, stored as one int32 ``smant << 8 | shift`` in
   the order in which the kernel's int64 lanes take them.
@@ -46,11 +46,13 @@ sizes, CPUs without AVX2 (probed at run time), and any process where the
 build or load fails run the spec, as does a task whose weights were packed
 for another layout. An inf or NaN LUT entry has no integer value, so its
 LUT holds no units and runs the spec too, which raises ``DataError`` at the
-first such (row, group) in row-major order.
+first such (row, group) in row-major order. Either "not covered" is kept on
+the operand too, so it is found once.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -110,15 +112,73 @@ _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
 
 
 def _kernel_for(task: GemvTask):
-    """The compiled kernel when it covers ``task`` and builds, else None.
+    """The compiled kernel when it covers ``task``, which has passed its checks, and builds; else None.
 
-    It covers the task when its LUT holds units (``DequantLut`` makes them
-    for a finite float16 table) and its weights hold tiles (``PackedWeights``
-    makes them where the kernel covers the group size) for the task's layout.
+    It covers the task when the weights were packed for the task's layout
+    and hold tiles, and the LUT holds units. Both are built here at the
+    first such call and kept on the operands.
     """
-    if task.lut._units is None or task.weights._tiles is None or task.weights.layout != task.layout:
+    kernel = _native.kernel("w2a4")
+    if (kernel is None or task.weights.layout != task.layout
+            or _tiles(task.weights) is None or _units(task.lut) is None):
         return None
-    return _native.kernel("w2a4")
+    return kernel
+
+
+def _tiles(pw: PackedWeights) -> np.ndarray | None:
+    """``pw``'s codes as the kernel's tiles, repacked at the first call and
+    kept on ``pw``; None, kept too, where the kernel does not cover its
+    group size.
+
+    The repack reads ``rows * stride`` bytes of ``pw.data`` unchecked, so it
+    runs only once ``GemvTask._check`` has passed on ``pw`` at ``pw.layout``.
+    """
+    if "_tiles" not in vars(pw):
+        lay, repack = pw.layout, _native.kernel("w2a4_tiles")
+        tiles = None
+        if lay.group_size % 4 == 0 and repack is not None:
+            # Tiles of 32 rows; per group, pairs of 4-channel blocks at 64 bytes a pair.
+            pairs = (lay.group_size // 4 + 1) // 2
+            tiles = np.empty(-(-lay.out_channels // 32) * lay.num_groups * pairs * 64, dtype=np.uint8)
+            repack(pw.data, lay.out_channels, lay.num_groups, lay.group_size, tiles)
+        object.__setattr__(pw, "_tiles", tiles)
+    return pw._tiles
+
+
+def _units(lut: DequantLut) -> np.ndarray | None:
+    """``lut``'s entries as the kernel's units, decoded at the first call and
+    kept on ``lut``; None, kept too, where an entry is inf or NaN."""
+    if "_units" not in vars(lut):
+        object.__setattr__(lut, "_units", _decode_units(lut.table))
+    return lut._units
+
+
+def _decode_units(table: np.ndarray) -> np.ndarray | None:
+    """The float16 (H, N, 4) ``table`` as units in the kernel's order, or
+    None if it holds an inf or NaN, which the spec names."""
+    bits = table.view(np.uint16)
+    if ((bits & 0x7C00) == 0x7C00).any():  # all exponent bits set: an inf or NaN
+        return None
+    h, n, _ = table.shape
+    padded = np.zeros((-(-h // 32) * 32, n, 4), dtype=np.uint16)  # tiles of 32 rows; padding rows hold +0
+    padded[:h] = bits
+    # Row 16 half + 8 j + 2 i + parity of a tile -> (tile, group, set = 2 half + parity, i, j, bucket).
+    order = padded.reshape(-1, 2, 2, 4, 2, n, 4).transpose(0, 5, 1, 4, 3, 2, 6)
+    return np.take(_float16_units(), order).reshape(-1)
+
+
+@functools.cache
+def _float16_units() -> np.ndarray:
+    """The units of every float16 bit pattern, read-only: a finite float16 is
+    ``smant << shift`` units of 2^-24, with ``|smant| < 2^11``, stored as the
+    int32 ``smant << 8 | shift``. Inf and NaN patterns are never looked up."""
+    bits = np.arange(2**16, dtype=np.int32)
+    exponent = bits >> 10 & 31
+    normal = (exponent > 0).astype(np.int32)  # subnormals have no implicit bit and shift 0
+    mant = bits & 1023 | normal << 10
+    units = np.where(bits >> 15, -mant, mant) << 8 | exponent - normal
+    units.flags.writeable = False
+    return units
 
 
 def _check_finite(table: np.ndarray) -> None:
@@ -133,18 +193,21 @@ def _row_sums_compiled(kernel, task: GemvTask) -> np.ndarray:
     """The kernel's row sums on ``task``, which ``gemv_fast`` has checked against its layout.
 
     The kernel takes raw pointers. ``GemvTask._check`` has checked every
-    dtype and shape, ``_kernel_for`` that the tiles and units, private
-    C-ordered arrays, were built for this layout, and the activations are
-    made contiguous here.
+    dtype and shape, ``_kernel_for`` that the weights were packed for this
+    layout, so the tiles and units, private C-ordered arrays, fit it, and
+    the activations are made contiguous here. Every array is held in a
+    local while the kernel runs: a concurrent first call on the same
+    operand may replace the kept tiles or units, and must not free them.
     """
     lay = task.layout
+    tiles, units = _tiles(task.weights), _units(task.lut)
     x_packed = np.ascontiguousarray(task.x_packed.data)
     table = np.empty(8 * lay.in_channels, dtype=np.int8)
     total = np.empty(lay.num_groups, dtype=np.int64)
     sums = np.empty(lay.out_channels, dtype=np.int64)
     kernel(
-        task.weights._tiles.ctypes.data,
-        task.lut._units.ctypes.data,
+        tiles.ctypes.data,
+        units.ctypes.data,
         x_packed.ctypes.data,
         table.ctypes.data,
         total.ctypes.data,
@@ -176,15 +239,17 @@ def _row_sums(task: GemvTask, tile: int) -> np.ndarray:
     return sums
 
 
-def _gemv(task: GemvTask, tile: int, kernel) -> np.ndarray:
-    """Both evaluators: check ``task``, take its row sums from ``kernel``, or
-    from the spec at ``tile`` if it is None, and round each once."""
+def _gemv(task: GemvTask, tile: int, fast: bool) -> np.ndarray:
+    """Both evaluators: check ``task``, take its row sums from the compiled
+    kernel if ``fast`` and it covers ``task``, else from the spec at
+    ``tile``, and round each once."""
     # Checked again because a field may have been replaced since construction,
-    # and the layout's sizes bound every read the kernel makes.
+    # and the layout's sizes bound every read the repack and the kernel make.
     task._check()
     lay = task.layout
     if lay.in_channels > _MAX_IN_CHANNELS:
         raise ShapeError(f"{lay.in_channels} input channels exceed 2^20; int64 row sums could overflow")
+    kernel = _kernel_for(task) if fast else None
     sums = _row_sums(task, tile) if kernel is None else _row_sums_compiled(kernel, task)
     return (np.ldexp(sums.astype(np.float64), -24) * float(task.scale)).astype(np.float32)
 
@@ -196,7 +261,7 @@ def gemv_ref(task: GemvTask) -> np.ndarray:
     NaN and for a scale that is not finite and > 0, and ``ShapeError`` past
     2^20 input channels.
     """
-    return _gemv(task, 8, None)
+    return _gemv(task, 8, False)
 
 
 def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
@@ -209,7 +274,7 @@ def gemv_fast(task: GemvTask, tile: int = 8) -> np.ndarray:
     """
     if tile < 2 or (tile & (tile - 1)) != 0:
         raise ConfigError(f"tile must be a power of two >= 2, got {tile}")
-    return _gemv(task, tile, _kernel_for(task))
+    return _gemv(task, tile, True)
 
 
 def decode_dense(task: GemvTask) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +326,7 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
     ref_ns = _time(lambda: gemv_ref(task), ref_iters)
     fast_ns = _time(lambda: gemv_fast(task), iters)
     compiled = _kernel_for(task) is not None
-    read = (task.weights._tiles, task.lut._units) if compiled else (task.weights.data, task.lut.table)
+    read = (_tiles(task.weights), _units(task.lut)) if compiled else (task.weights.data, task.lut.table)
     call_bytes = sum(a.nbytes for a in read) + task.x_packed.data.nbytes
     return {
         "out_channels": task.layout.out_channels,

@@ -32,22 +32,18 @@ re-fuses a version-1 file with the dense product. The layout is the same in
 both.
 
 ``PackedWeights`` and ``DequantLut`` are frozen and hold read-only copies of
-their arrays. Where the compiled GEMV is available, each also holds its
-data in that kernel's layout, built once when it is made (tiles of packed
-codes, integer units of LUT entries), so no token pays for a repack or a
-float16 decode.
+their arrays, so a layout that ``gemv`` builds from one and keeps on it
+cannot go stale.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native
 from .core import GroupLayout
 from .errors import DataError, EncodeError, FormatError, RcpqError, ShapeError
 from .ldp import LdpParams, derive_grids
@@ -84,10 +80,7 @@ class PackedWeights:
     """2-bit weight codes, four per byte, shape (H, C/4).
 
     ``data`` is a read-only copy of the array passed in, and the fields
-    cannot be reassigned. Where the compiled GEMV covers the layout, the
-    codes are also repacked once, here, into that kernel's tiles (see
-    ``_w2a4.c``), so ``gemv_fast`` pays for no repack per token. Because
-    ``data`` cannot change, those tiles always hold its codes.
+    cannot be reassigned.
     """
 
     data: np.ndarray
@@ -97,24 +90,6 @@ class PackedWeights:
         data = np.array(self.data, order="C")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_tiles", _gemv_tiles(data, self.layout))
-
-
-def _gemv_tiles(data: np.ndarray, layout: GroupLayout) -> np.ndarray | None:
-    """The codes in ``data`` as the compiled GEMV's tiles, or None where that
-    kernel does not cover ``layout`` or is unavailable, or ``data`` is not
-    uint8 of shape (H, C/4), which ``GemvTask`` rejects."""
-    h, c, g = layout.out_channels, layout.in_channels, layout.group_size
-    if g % 4 or data.dtype != np.uint8 or data.shape != (h, c // 4):
-        return None
-    repack = _native.kernel("w2a4_tiles")
-    if repack is None:
-        return None
-    # Tiles of 32 rows; per group, pairs of 4-channel blocks at 64 bytes a pair.
-    pairs = (g // 4 + 1) // 2
-    tiles = np.empty(-(-h // 32) * layout.num_groups * pairs * 64, dtype=np.uint8)
-    repack(data, h, layout.num_groups, g, tiles)
-    return tiles
 
 
 @dataclass
@@ -129,11 +104,7 @@ class DequantLut:
     """Per-group dequantization table, shape (H, N, 4), float16, non-decreasing.
 
     ``table`` is a read-only copy of the array passed in, and the fields
-    cannot be reassigned. Where the compiled GEMV is available, a finite
-    float16 table is also decoded once, here, into the integer units that
-    kernel multiplies (see ``_w2a4.c``), so ``gemv_fast`` decodes no float16
-    per token. Because ``table`` cannot change, those units always hold its
-    entries.
+    cannot be reassigned.
     """
 
     table: np.ndarray
@@ -142,42 +113,6 @@ class DequantLut:
         table = np.array(self.table, order="C")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_units", _gemv_units(table))
-
-
-def _gemv_units(table: np.ndarray) -> np.ndarray | None:
-    """The entries of ``table`` as the compiled GEMV's units, or None where
-    that kernel is unavailable, ``table`` is not float16 of shape (H, N, 4)
-    (which ``GemvTask`` rejects), or it holds an inf or NaN (which the spec
-    names).
-    """
-    if table.dtype != np.float16 or table.ndim != 3 or table.shape[2] != 4:
-        return None
-    if _native.kernel("w2a4_tiles") is None:  # the probe of the kernel's tiles, which builds in ~0.1 s
-        return None
-    bits = table.view(np.uint16)
-    if ((bits & 0x7C00) == 0x7C00).any():  # all exponent bits set: an inf or NaN
-        return None
-    h, n, _ = table.shape
-    padded = np.zeros((-(-h // 32) * 32, n, 4), dtype=np.uint16)  # tiles of 32 rows; padding rows hold +0
-    padded[:h] = bits
-    # Row 16 half + 8 j + 2 i + parity of a tile -> (tile, group, set = 2 half + parity, i, j, bucket).
-    order = padded.reshape(-1, 2, 2, 4, 2, n, 4).transpose(0, 5, 1, 4, 3, 2, 6)
-    return np.take(_float16_units(), order).reshape(-1)
-
-
-@functools.cache
-def _float16_units() -> np.ndarray:
-    """The units of every float16 bit pattern, read-only: a finite float16 is
-    ``smant << shift`` units of 2^-24, with ``|smant| < 2^11``, stored as the
-    int32 ``smant << 8 | shift``. Inf and NaN patterns are never looked up."""
-    bits = np.arange(2**16, dtype=np.int32)
-    exponent = bits >> 10 & 31
-    normal = (exponent > 0).astype(np.int32)  # subnormals have no implicit bit and shift 0
-    mant = bits & 1023 | normal << 10
-    units = np.where(bits >> 15, -mant, mant) << 8 | exponent - normal
-    units.flags.writeable = False
-    return units
 
 
 @dataclass

@@ -515,21 +515,28 @@ class TestQuantizeVerifyBench:
     def test_import_compiles_nothing_and_quantize_only_the_encoder(self, weight_files, tmp_path):
         wp, xp = weight_files
         cache = tmp_path / "cache"
+        box = tmp_path / "m.rcpq"
         script = (
             "import os\n"
             "import rcpq\n"
             "from rcpq.cli import main\n"
+            "from rcpq.core import load_npy\n"
+            "from rcpq.pack import build_lut, read_rcpq\n"
             f"assert not os.path.exists({str(cache)!r})\n"
             f"assert main(['quantize', '--weights', {str(wp)!r}, '--calib', {str(xp)!r}, "
-            f"'--group', '32', '--grid', '8', '--out', {str(tmp_path / 'm.rcpq')!r}]) == 0\n"
+            f"'--group', '32', '--grid', '8', '--out', {str(box)!r}]) == 0\n"
+            f"built = sorted(os.listdir({str(cache / 'rcpq')!r}))\n"
+            f"container = read_rcpq({str(box)!r})\n"
+            f"build_lut(load_npy({str(wp)!r}), container.weights.layout, container.params)\n"
+            f"assert sorted(os.listdir({str(cache / 'rcpq')!r})) == built, built\n"
         )
         env = {**os.environ, "XDG_CACHE_HOME": str(cache), "PYTHONPATH": str(SRC)}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         # quantize scores clip candidates with the clip kernel and encodes with
-        # the LDP one; packing the codes builds the GEMV's tiles, and the
-        # GEMV's kernel is built only by a GEMV call
-        assert {p.name.split("-")[0] for p in (cache / "rcpq").glob("*")} == {"clip", "ldp", "w2a4_tiles"}
+        # the LDP one; neither packing, reading a container nor building a LUT
+        # compiles anything, and the GEMV's library is built only by a GEMV call
+        assert {p.name.split("-")[0] for p in (cache / "rcpq").glob("*")} == {"clip", "ldp"}
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ import math
 import re
 import shutil
 import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpq import _native, gemv, pack
+from rcpq import _native, gemv
 from rcpq.core import GroupLayout, make_rng
 from rcpq.errors import ConfigError, DataError, ShapeError
 from rcpq.gemv import GemvTask, bench_gemv, dense_oracle, gemv_fast, gemv_ref, random_activation
@@ -279,9 +281,9 @@ class TestCompiledKernel:
         task = make_task(make_rng(75), 8, 64, 32)
         assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
         assert compiled_calls
-        # the task's weights built the repack's library, the call the kernel's
+        # the call built one library, which holds the kernel and the repack into its tiles
         built = sorted((p.name.split("-")[0], p.suffix) for p in fresh_kernel.iterdir())
-        assert built == [("w2a4", ".so"), ("w2a4_tiles", ".so")]
+        assert built == [("w2a4", ".so")]
 
     @needs_cc
     def test_build_prunes_stale_builds(self, fresh_kernel, monkeypatch):
@@ -385,7 +387,7 @@ class TestCompiledKernel:
             compiled = gemv._kernel_for(task) is not None
             assert bench["kernel"] == ("c" if compiled else "numpy")
             if compiled:
-                read = task.weights._tiles.nbytes + task.lut._units.nbytes + task.x_packed.data.nbytes
+                read = gemv._tiles(task.weights).nbytes + gemv._units(task.lut).nbytes + task.x_packed.data.nbytes
             else:
                 read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
             assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])
@@ -414,20 +416,19 @@ def repacks(monkeypatch):
 
 @pytest.mark.usefixtures("kernel")
 class TestTilesAtLoad:
-    """``PackedWeights`` repacks its codes into the kernel's tiles once, and they cannot go stale."""
+    """The GEMV repacks a ``PackedWeights`` into the kernel's tiles at its first call, once, and they cannot go stale."""
 
-    def test_repacked_once_at_load_and_never_per_token(self, repacks, compiled_calls, tmp_path):
+    def test_repacked_at_first_call_and_never_per_token(self, repacks, compiled_calls, tmp_path):
         rng = make_rng(84)
         task = make_task(rng, 64, 256, 32)
         write_rcpq(tmp_path / "w.rcpq", task.weights, task.lut)
-        repacks.clear()
         box = read_rcpq(tmp_path / "w.rcpq")
-        assert repacks == [(64, 8, 32)]
+        assert repacks == []  # neither packing, writing nor reading repacks
         for _ in range(50):
             x_packed, scale = random_activation(rng, 256)
             token = GemvTask(x_packed=x_packed, scale=scale, weights=box.weights, lut=box.lut, layout=box.weights.layout)
             gemv_fast(token)
-        assert len(repacks) == 1
+            assert repacks == [(64, 8, 32)]
         assert len(compiled_calls) == 50
         assert gemv_fast(token).tobytes() == gemv_ref(token).tobytes()
 
@@ -445,10 +446,11 @@ class TestTilesAtLoad:
         task = make_task(make_rng(86), 40, 128, 32)
         source = np.array(task.weights.data)
         task = dataclasses.replace(task, weights=PackedWeights(source, task.layout))
-        fast, ref = gemv_fast(task).tobytes(), gemv_ref(task).tobytes()
-        assert fast == ref
-        source ^= 0xFF  # every code changes
-        assert gemv_fast(task).tobytes() == fast
+        ref = gemv_ref(task).tobytes()
+        source ^= 0xFF  # every code changes, before the first call repacks and after it
+        assert gemv_fast(task).tobytes() == ref
+        source ^= 0x55
+        assert gemv_fast(task).tobytes() == ref
         assert gemv_ref(task).tobytes() == ref
         assert len(compiled_calls) == 2
 
@@ -462,36 +464,75 @@ class TestTilesAtLoad:
         assert gemv_fast(swapped).tobytes() != gemv_fast(task).tobytes()
         assert len(compiled_calls) == 3
 
-    def test_weights_packed_for_another_layout_run_the_spec(self, compiled_calls):
+    def test_weights_packed_for_another_layout_run_the_spec(self, repacks, compiled_calls):
         # groups of 3 blocks are padded to 2 pairs in the tiles, groups of 6 are not
         task = make_task(make_rng(89), 40, 96, 12)
         regrouped = dataclasses.replace(task, lut=DequantLut(task.lut.table[:, ::2].copy()),
                                         layout=GroupLayout(40, 96, 24))
         assert gemv_fast(regrouped).tobytes() == gemv_ref(regrouped).tobytes()
-        assert compiled_calls == []
+        assert compiled_calls == [] and repacks == []
 
-    def test_bad_data_still_fails_in_the_task(self):
+    def test_uncovered_group_size_is_found_once(self, repacks, compiled_calls):
+        task = make_task(make_rng(98), 6, 24, 6)
+        for _ in range(3):
+            assert gemv_fast(task).tobytes() == gemv_ref(task).tobytes()
+        assert vars(task.weights)["_tiles"] is None  # kept, so later calls do not look again
+        assert compiled_calls == [] and repacks == []
+
+    def test_concurrent_first_calls_agree(self, compiled_calls):
+        # More threads than cores race on each new operand pair's first call,
+        # which builds and keeps its tiles and units while the kernel runs.
+        rng = make_rng(99)
+        tasks = [make_task(rng, 64, 512, 32) for _ in range(20)]
+        expect = [gemv_ref(task).tobytes() for task in tasks]
+        start = threading.Barrier(4, timeout=60)
+        got = [[] for _ in range(4)]
+
+        def worker(k):
+            for task in tasks:
+                start.wait()
+                got[k].append(gemv_fast(task).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [expect] * 4
+        assert len(compiled_calls) == 80
+
+    def test_bad_data_still_fails_in_the_task(self, repacks):
+        # The repack reads rows * stride bytes unchecked: the task's checks
+        # must run first, also on a task whose weights were assigned unchecked.
         task = make_task(make_rng(88), 4, 32, 8)
         for data, error in ((task.weights.data.astype(np.int32), DataError), (task.weights.data[:2], ShapeError)):
-            pw = PackedWeights(data, task.layout)  # builds no tiles and does not raise
-            assert pw._tiles is None
+            pw = PackedWeights(data, task.layout)  # does not raise
             with pytest.raises(error, match="weights"):
                 dataclasses.replace(task, weights=pw)
+            bypassed = dataclasses.replace(task)
+            bypassed.weights = pw  # an assignment runs no check
+            with pytest.raises(error, match="weights"):
+                gemv_fast(bypassed)
+        assert repacks == []
 
 
 @pytest.fixture
 def unit_builds(monkeypatch):
-    """Counts the decodes of a LUT into the GEMV's units."""
+    """Counts the decodes of a LUT into the GEMV's units, each with its inf/NaN scan."""
     calls = []
-    decode = pack._gemv_units
+    decode = gemv._decode_units
 
     def counted(table):
-        units = decode(table)
-        if units is not None:
-            calls.append(table.shape)
-        return units
+        calls.append(table.shape)
+        return decode(table)
 
-    monkeypatch.setattr(pack, "_gemv_units", counted)
+    monkeypatch.setattr(gemv, "_decode_units", counted)
     return calls
 
 
@@ -503,31 +544,31 @@ def lut_of(rng, layout):
 
 
 def units_by_row(lut):
-    """``lut._units`` back in (row, group, entry) order, each decoded to ``smant << shift``."""
+    """``lut``'s units back in (row, group, entry) order, each decoded to ``smant << shift``."""
     h, n, _ = lut.table.shape
-    u = lut._units.astype(np.int64).reshape(-1, n, 2, 2, 4, 2, 4)  # tile, group, half, parity, i, j, entry
+    u = gemv._units(lut).astype(np.int64).reshape(-1, n, 2, 2, 4, 2, 4)  # tile, group, half, parity, i, j, entry
     rows = ((u >> 8) << (u & 255)).transpose(0, 2, 5, 4, 3, 1, 6)  # row 16 half + 8 j + 2 i + parity
     return rows.reshape(-1, n, 4)[:h]
 
 
 @pytest.mark.usefixtures("kernel")
 class TestLutAtLoad:
-    """``DequantLut`` decodes its float16 entries into the kernel's units once, and they cannot go stale."""
+    """The GEMV decodes a ``DequantLut``'s float16 entries into the kernel's units at its first call, once,
+    and they cannot go stale."""
 
-    def test_decoded_once_at_load_and_never_per_token(self, unit_builds, compiled_calls, tmp_path):
+    def test_decoded_at_first_call_and_never_per_token(self, unit_builds, compiled_calls, tmp_path):
         rng = make_rng(90)
         layout = GroupLayout(64, 256, 32)
         lut = lut_of(rng, layout)
-        assert unit_builds == [(64, 8, 4)]
         write_rcpq(tmp_path / "w.rcpq", pack_weight_codes(rng.integers(0, 4, size=(64, 256)), layout), lut)
         box = read_rcpq(tmp_path / "w.rcpq")
         DequantLut(np.array(lut.table))
-        assert unit_builds == [(64, 8, 4)] * 3  # build_lut, read_rcpq, direct
+        assert unit_builds == []  # neither build_lut, read_rcpq nor a direct DequantLut decodes
         for _ in range(50):
             x_packed, scale = random_activation(rng, 256)
             token = GemvTask(x_packed=x_packed, scale=scale, weights=box.weights, lut=box.lut, layout=layout)
             gemv_fast(token)
-        assert len(unit_builds) == 3
+            assert unit_builds == [(64, 8, 4)]
         assert len(compiled_calls) == 50
         assert gemv_fast(token).tobytes() == gemv_ref(token).tobytes()
 
@@ -547,10 +588,11 @@ class TestLutAtLoad:
         task = make_task(make_rng(92), 40, 128, 32)
         source = np.array(task.lut.table)
         task = dataclasses.replace(task, lut=DequantLut(source))
-        fast, ref = gemv_fast(task).tobytes(), gemv_ref(task).tobytes()
-        assert fast == ref
-        source *= -2  # every non-zero entry changes
-        assert gemv_fast(task).tobytes() == fast
+        ref = gemv_ref(task).tobytes()
+        source *= -2  # every non-zero entry changes, before the first call decodes and after it
+        assert gemv_fast(task).tobytes() == ref
+        source *= -2
+        assert gemv_fast(task).tobytes() == ref
         assert gemv_ref(task).tobytes() == ref
         assert len(compiled_calls) == 2
 
@@ -563,22 +605,32 @@ class TestLutAtLoad:
         assert gemv_fast(swapped).tobytes() != gemv_fast(task).tobytes()
         assert len(compiled_calls) == 3
 
-    def test_bad_table_builds_no_units(self, compiled_calls):
+    def test_bad_table_builds_no_units(self, unit_builds, compiled_calls):
         task = make_task(make_rng(94), 4, 32, 8)
         table = task.lut.table
         for bad, error in ((table.astype(np.float32), DataError), (table[..., :3], ShapeError),
                            (table.reshape(4, -1), ShapeError)):
-            lut = DequantLut(bad)  # builds no units and does not raise
-            assert lut._units is None
+            lut = DequantLut(bad)  # does not raise
             with pytest.raises(error, match="(?i)lut"):
                 dataclasses.replace(task, lut=lut)
-        non_finite = table.copy()
+            bypassed = dataclasses.replace(task)
+            bypassed.lut = lut  # an assignment runs no check
+            with pytest.raises(error, match="(?i)lut"):
+                gemv_fast(bypassed)
+        assert unit_builds == []
+        assert compiled_calls == []
+
+    def test_non_finite_table_is_found_once(self, unit_builds, compiled_calls):
+        task = make_task(make_rng(94), 4, 32, 8)
+        non_finite = np.array(task.lut.table)
         non_finite[2, 1, 3] = np.inf
         task = dataclasses.replace(task, lut=DequantLut(non_finite))
-        assert task.lut._units is None
-        for run in (gemv_fast, gemv_ref):
+        for _ in range(3):
             with pytest.raises(DataError, match=r"LUT at \(row 2, group 1\) is not finite"):
-                run(task)
+                gemv_fast(task)  # from the spec
+        assert unit_builds == [(4, 4, 4)]  # one scan finds the inf, and its "no units" is kept
+        with pytest.raises(DataError, match=r"LUT at \(row 2, group 1\) is not finite"):
+            gemv_ref(task)
         assert compiled_calls == []
 
     def test_every_finite_float16(self, compiled_calls):
