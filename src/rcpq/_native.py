@@ -11,8 +11,9 @@
 Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
 ``ctypes``. A library's file name carries a hash of its source and the
-flags, so a later process loads it without compiling, and a build removes
-that source's libraries of other hashes. The kernels are AVX2 code
+flags, so a later process loads it without compiling. The cache keeps one
+library per hash, and nothing prunes it: checkouts with different sources
+can share it without rebuilding in turn. The kernels are AVX2 code
 compiled under a target attribute (the repack is plain C), and each library
 is chosen by its run-time probe ``rcpq_has_avx2``, so the flags carry no
 ``-march=native`` and a cache directory may be shared between machines.
@@ -27,7 +28,6 @@ for the rest of the process, and its caller runs its numpy reference.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -111,16 +111,10 @@ def kernel(name: str):
     try:
         code = source_of(name).read_bytes()
         digest = hashlib.sha256(code + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-        source = _ENTRY[name][0]
-        lib = _cache_dir() / f"{source}-{digest}.so"
+        lib = _cache_dir() / f"{_ENTRY[name][0]}-{digest}.so"
         if not lib.exists():
             lib.parent.mkdir(parents=True, exist_ok=True)
             _build(code, lib)
-            # Best-effort: drop the builds of other sources or flags; a .tmp file does not match.
-            for old in lib.parent.glob(f"{source}-{'[0-9a-f]' * 16}.so"):
-                if old != lib:
-                    with contextlib.suppress(OSError):
-                        old.unlink()
         return open_kernel(name, lib)
     except (OSError, subprocess.CalledProcessError):
         return None

@@ -22,7 +22,7 @@ from .calib import ClipSearchConfig
 from .core import GroupLayout, load_npy, make_rng
 from .errors import RcpqError, ZeroTokenError
 from .gemv import GemvTask, bench_gemv, decode_dense, gemv_fast, gemv_ref, random_activation
-from .pack import pack_activation_codes, read_rcpq, unpack_weight_codes, write_rcpq
+from .pack import VERSION, pack_activation_codes, read_rcpq, unpack_weight_codes, write_rcpq
 from .pipeline import encode, quantize_layer, rotate
 from .qat import DistillConfig, train_toy
 from .rotation import fuse, randomized_hadamard
@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
     if container.params is None:
         raise RcpqError("container has no parameter section; cannot re-derive codes")
 
-    w_r, x_r = rotate(w, x, args.rotate, container.version)
+    w_r, x_r = rotate(w, x, args.rotate)
     codes, lut = encode(w_r, layout, container.params)
     stored = unpack_weight_codes(container.weights).reshape(codes.shape)
     if not np.array_equal(codes, stored):
@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
     y_ref, y_fast = gemv_ref(task), gemv_fast(task)
     gap_ref, gap_fast = (_relative_gap(y, oracle, magnitude) for y in (y_ref, y_fast))
     report = _base_report("verify", args)
-    report.update(container_version=container.version, ldp_kernel=_native.path("ldp"), codes_match=True,
+    report.update(container_version=VERSION, ldp_kernel=_native.path("ldp"), codes_match=True,
                   lut_match=True, gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
     differ = np.flatnonzero(y_ref.view(np.uint32) != y_fast.view(np.uint32))
     ok = gap_ref <= GEMV_TOL and gap_fast <= GEMV_TOL  # a NaN gap fails too

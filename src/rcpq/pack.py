@@ -9,7 +9,7 @@ RCPQ on-disk layout (all little-endian):
 
     offset  size  field
     0       4     magic "RCPQ"
-    4       2     version (u16): 1 or 2, see below
+    4       2     version (u16) = 2
     6       1     bits (u8) = 2
     7       4     out channels H (u32)
     11      4     in channels C (u32)
@@ -23,13 +23,10 @@ Section tags: 1 = packed weights (H*C/4 bytes), 2 = dequant LUT
 (H*(C/G)*4 float16), 3 = raw quantizer parameters (H*(C/G)*4 float32, last
 axis ordered lo_logit, hi_logit, split1, split2).
 
-The version records how the rotation was fused into the weight whose codes
-and LUT the file stores: 1 by the dense matrix product
-``fuse(w, None, np.asarray(rot))``, 2 (what ``write_rcpq`` writes) by the
-transform ``fuse(w, None, rot)``. The two can differ by one float32 ulp in
-rare entries, which can move a code or a LUT entry, so ``rcpq verify``
-re-fuses a version-1 file with the dense product. The layout is the same in
-both.
+Version 2 records that the rotation was fused into the stored weight by
+the transform ``fuse(w, None, rot)``. ``read_rcpq`` rejects any other
+version; a version-1 file, fused by the dense product, must be re-made with
+``rcpq quantize``.
 
 ``PackedWeights`` and ``DequantLut`` are frozen and hold read-only copies of
 their arrays, so a layout that ``gemv`` builds from one and keeps on it
@@ -65,7 +62,6 @@ __all__ = [
 
 MAGIC = b"RCPQ"
 VERSION = 2
-_READABLE = (1, 2)
 BITS = 2
 _TAG_WEIGHTS = 1
 _TAG_LUT = 2
@@ -120,7 +116,6 @@ class RcpqContainer:
     weights: PackedWeights
     lut: DequantLut
     params: LdpParams | None
-    version: int
 
 
 def pack_weight_codes(codes: np.ndarray, layout: GroupLayout) -> PackedWeights:
@@ -285,13 +280,15 @@ def write_rcpq(
 def read_rcpq(path) -> RcpqContainer:
     with open(path, "rb") as fh:
         blob = fh.read()
+    view = memoryview(blob)  # sections are sliced without a copy; the arrays below copy them once
     if len(blob) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
     magic, version, bits, h, c, g, flags, count = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if version not in _READABLE:
-        raise FormatError(f"{path}: unsupported version {version}")
+    if version != VERSION:
+        hint = "; re-run rcpq quantize" if version == 1 else ""
+        raise FormatError(f"{path}: unsupported version {version}{hint}")
     if bits != BITS:
         raise FormatError(f"{path}: unsupported bit width {bits}")
     if c % 4:
@@ -313,7 +310,7 @@ def read_rcpq(path) -> RcpqContainer:
             raise DataError(f"{path}: duplicate section {tag}")
         if off < _HEADER.size + _SECTION.size * count:
             raise DataError(f"{path}: section {tag} starts inside the header or section table")
-        sections[tag] = blob[off : off + length]
+        sections[tag] = view[off : off + length]
         spans.append((off, off + length, tag))
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
@@ -341,4 +338,4 @@ def read_rcpq(path) -> RcpqContainer:
         raw = np.frombuffer(sections[_TAG_PARAMS], dtype="<f4").reshape(h, n, 4)
         _check_params(raw, DataError, f"{path}: ")
         params = _params_from_raw(raw)
-    return RcpqContainer(weights=pw, lut=lut, params=params, version=version)
+    return RcpqContainer(weights=pw, lut=lut, params=params)

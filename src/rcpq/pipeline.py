@@ -13,25 +13,19 @@ from .calib import ClipSearchConfig, ClipSearchResult, grid_search_clip, ldp_ini
 from .core import GroupLayout
 from .errors import ZeroTokenError
 from .ldp import LdpParams, encode_codes
-from .pack import VERSION, DequantLut, PackedWeights, build_lut, pack_weight_codes, stored_params
+from .pack import DequantLut, PackedWeights, build_lut, pack_weight_codes, stored_params
 from .rotation import apply_online, fuse, randomized_hadamard
 
 __all__ = ["rotate", "encode", "quantize_layer"]
 
 
-def rotate(
-    w: np.ndarray, x: np.ndarray, seed: int | None, version: int = VERSION
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse the seeded randomized Hadamard into ``w`` and apply it to ``x``.
-
-    ``version`` is that of the container the fused weight belongs to:
-    version 1 fuses by the dense matrix product, later ones by the
-    transform (see ``pack``). With ``seed=None`` both are returned unchanged.
-    """
+def rotate(w: np.ndarray, x: np.ndarray, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Fuse the seeded randomized Hadamard into ``w`` and apply it to ``x``;
+    with ``seed=None``, return both unchanged."""
     if seed is None:
         return w, x
     rot = randomized_hadamard(w.shape[1], seed)
-    return fuse(w, None, np.asarray(rot) if version == 1 else rot), apply_online(x, rot)
+    return fuse(w, None, rot), apply_online(x, rot)
 
 
 def encode(w_r: np.ndarray, layout: GroupLayout, params: LdpParams) -> tuple[np.ndarray, DequantLut]:

@@ -18,11 +18,11 @@ calls whatever the number of rows, so a row's bits do not depend on the
 rows beside it.
 
 * ``fuse`` bakes it into a weight once, 256 rows at a time, narrowing to
-  float32. Containers of version 2 are made this way; version 1 containers
-  were made with the dense product ``w @ np.asarray(r)``, which ``fuse``
-  still computes when given the dense matrix.
+  float32. Containers are made this way.
 * ``apply_online`` rotates activations on every call and narrows to the
-  dtype of ``x``. It takes only a ``RandomizedHadamard``.
+  dtype of ``x``.
+
+``fuse``'s ``r_rear`` and ``apply_online`` take no dense matrix in its place.
 
 Fusion computes ``R_front^T @ W @ R_rear`` in float64 and narrows to float32,
 so a rotation baked into a weight is exact enough that rotating the matching
@@ -41,7 +41,6 @@ from .errors import ConfigError, ShapeError
 
 __all__ = [
     "RandomizedHadamard",
-    "Rotation",
     "hadamard",
     "randomized_hadamard",
     "fuse",
@@ -89,9 +88,6 @@ class RandomizedHadamard:
         return h if dtype is None else h.astype(dtype, copy=False)
 
 
-Rotation = np.ndarray | RandomizedHadamard
-
-
 def randomized_hadamard(n: int, seed: int) -> RandomizedHadamard:
     """Random-sign Hadamard: D @ H with D a seeded +/-1 diagonal, H normalized.
 
@@ -105,18 +101,21 @@ def randomized_hadamard(n: int, seed: int) -> RandomizedHadamard:
 
 def fuse(
     w: np.ndarray,
-    r_front: Rotation | None = None,
-    r_rear: Rotation | None = None,
+    r_front: np.ndarray | RandomizedHadamard | None = None,
+    r_rear: RandomizedHadamard | None = None,
 ) -> np.ndarray:
     """Bake rotations into a weight: ``R_front^T @ W @ R_rear`` -> float32.
 
     Either side may be None (identity). Computed in float64 so the fused
-    weight loses only the final float32 narrowing. A ``RandomizedHadamard``
-    ``r_rear`` is applied by the transform, as in ``apply_online``, over
-    fixed blocks of rows, so a row's bits do not depend on the rows beside
-    it and no dense rotation or whole-weight float64 copy is made. A dense
-    ``r_rear``, and any ``r_front``, are multiplied as matrices.
+    weight loses only the final float32 narrowing. ``r_rear`` is applied by
+    the transform, as in ``apply_online``, over fixed blocks of rows, so a
+    row's bits do not depend on the rows beside it and no dense rotation or
+    whole-weight float64 copy is made. An ``r_rear`` that is not a
+    ``RandomizedHadamard`` raises ``TypeError``. ``r_front`` is multiplied
+    as a matrix.
     """
+    if r_rear is not None and not isinstance(r_rear, RandomizedHadamard):
+        raise TypeError(f"fuse rotates the rear by a RandomizedHadamard, got {type(r_rear).__name__}")
     out = np.asarray(w)
     if out.ndim != 2:
         raise ShapeError("fuse expects a 2-D weight")
@@ -125,15 +124,9 @@ def fuse(
         if r_front.shape[0] != out.shape[0]:
             raise ShapeError(f"front rotation {r_front.shape} does not match weight {out.shape}")
         out = r_front.T @ out.astype(np.float64, copy=False)
-    if isinstance(r_rear, RandomizedHadamard):
-        return _fuse_transform(out, r_rear)
-    out = out.astype(np.float64, copy=False)
-    if r_rear is not None:
-        r_rear = np.asarray(r_rear, dtype=np.float64)
-        if r_rear.shape[0] != out.shape[1]:
-            raise ShapeError(f"rear rotation {r_rear.shape} does not match weight {out.shape}")
-        out = out @ r_rear
-    return out.astype(np.float32)
+    if r_rear is None:
+        return out.astype(np.float32)
+    return _fuse_transform(out, r_rear)
 
 
 _FUSE_ROWS = 256  # rows per float64 block: ~8 MB each at n = 4096

@@ -637,15 +637,15 @@ class TestQuantizePipeline:
 
 
 class TestContainerVersions:
-    """verify re-fuses a version-1 container by the dense product, a version-2 one by the transform."""
+    """verify re-fuses a version-2 container by the transform, and refuses a version-1 one."""
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_verify_fuses_as_the_version_says(self, version, laplace_files, tmp_path, monkeypatch):
+    def test_verify_fuses_as_the_version_says(self, version, laplace_files, tmp_path, monkeypatch, capsys):
         wp, xp = laplace_files
         w, x = load_npy(wp), load_npy(xp)
         layout = GroupLayout(64, 256, 64)
         rot = randomized_hadamard(256, 7)
-        w_r = fuse(w, None, np.asarray(rot) if version == 1 else rot)
+        w_r = fuse(w, None, rot)
         search = grid_search_clip(w_r, apply_online(x, rot), layout, ClipSearchConfig(grid=16))
         params = stored_params(ldp_init(search))
         codes, lut = encode(w_r, layout, params)
@@ -665,9 +665,14 @@ class TestContainerVersions:
         out = tmp_path / "v.json"
         code = main(["verify", str(box), "--against", str(wp), "--acts", str(xp), "--rotate", "7",
                      "--json", str(out)])
-        assert code == 0
-        assert rears == [np.ndarray if version == 1 else RandomizedHadamard]
-        assert _report(out)["container_version"] == version
+        if version == 1:
+            assert code == 2
+            assert "re-run rcpq quantize" in capsys.readouterr().err
+            assert rears == [] and not out.exists()
+        else:
+            assert code == 0
+            assert rears == [RandomizedHadamard]
+            assert _report(out)["container_version"] == 2
 
 
 class TestTrainToy:

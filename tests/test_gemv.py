@@ -286,22 +286,23 @@ class TestCompiledKernel:
         assert built == [("w2a4", ".so")]
 
     @needs_cc
-    def test_build_prunes_stale_builds(self, fresh_kernel, monkeypatch):
+    def test_build_leaves_other_builds(self, fresh_kernel, monkeypatch):
         fresh_kernel.mkdir(parents=True)
-        stale = fresh_kernel / "w2a4-0123456789abcdef.so"  # an earlier source's build
-        stale.write_bytes(b"old")
-        # another kernel's build, a build in progress, a name that is no build
-        kept = {"ldp-0123456789abcdef.so", "w2a4-0123456789abcdef.soXk3j.tmp", "w2a4-notes.so"}
-        for name in kept:
-            (fresh_kernel / name).write_bytes(b"")
+        # an earlier source's build, another kernel's build, a build in
+        # progress, a name that is no build, and a directory
+        others = {"w2a4-0123456789abcdef.so", "ldp-0123456789abcdef.so", "w2a4-0123456789abcdef.soXk3j.tmp",
+                  "w2a4-notes.so"}
+        for name in others:
+            (fresh_kernel / name).write_bytes(b"old")
         busy = fresh_kernel / "w2a4-fedcba9876543210.so"
-        busy.mkdir()  # unlink fails: ignored
+        busy.mkdir()
         opened = []
         monkeypatch.setattr(_native, "open_kernel", lambda name, path: opened.append(path.name) or "kernel")
         assert _native.kernel("w2a4") == "kernel"
-        assert not stale.exists() and busy.exists()
-        new = {p.name for p in fresh_kernel.iterdir()} - kept - {busy.name}
-        assert new == set(opened) and re.fullmatch(r"w2a4-[0-9a-f]{16}\.so", opened[0])
+        assert all((fresh_kernel / name).read_bytes() == b"old" for name in others) and busy.is_dir()
+        new = {p.name for p in fresh_kernel.iterdir()} - others - {busy.name}
+        assert new == set(opened) and len(opened) == 1
+        assert re.fullmatch(r"w2a4-[0-9a-f]{16}\.so", opened[0])
 
     @pytest.mark.parametrize("failure", ["no compiler", "compile error", "load error"])
     def test_failed_build_falls_back(self, failure, fresh_kernel, monkeypatch, compiled_calls):

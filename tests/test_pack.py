@@ -250,7 +250,7 @@ class TestContainer:
         with pytest.raises(FormatError):
             read_rcpq(path)
 
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 1, 3])
     def test_versions_around_the_readable_ones(self, tmp_path, version):
         path, *_ = _small_container(tmp_path)
         blob = bytearray(path.read_bytes())
@@ -259,17 +259,14 @@ class TestContainer:
         with pytest.raises(FormatError, match=f"unsupported version {version}"):
             read_rcpq(path)
 
-    def test_reads_versions_1_and_2(self, tmp_path):
-        path, pw, lut, _ = _small_container(tmp_path)
+    def test_rejects_version_1(self, tmp_path):
+        path, *_ = _small_container(tmp_path)
         blob = bytearray(path.read_bytes())
         assert struct.unpack_from("<H", blob, 4)[0] == pack.VERSION == 2
-        assert read_rcpq(path).version == 2
         struct.pack_into("<H", blob, 4, 1)
         path.write_bytes(bytes(blob))
-        box = read_rcpq(path)
-        assert box.version == 1
-        np.testing.assert_array_equal(box.weights.data, pw.data)
-        np.testing.assert_array_equal(box.lut.table, lut.table)
+        with pytest.raises(FormatError, match="unsupported version 1; re-run rcpq quantize"):
+            read_rcpq(path)
 
     def test_truncated_payload(self, tmp_path):
         path, *_ = _small_container(tmp_path)
@@ -322,7 +319,7 @@ class TestContainer:
 
     def test_in_channels_not_multiple_of_4(self, tmp_path):
         # H=2, C=6, G=6: the section sizes H*C/4 = 3 and H*(C/G)*4*2 = 16 match the header
-        head = struct.pack("<4sHBIIIBI", b"RCPQ", 1, 2, 2, 6, 6, 0, 2)
+        head = struct.pack("<4sHBIIIBI", b"RCPQ", 2, 2, 2, 6, 6, 0, 2)
         table = struct.pack("<IQQ", 1, 64, 3) + struct.pack("<IQQ", 2, 67, 16)
         path = tmp_path / "m.rcpq"
         path.write_bytes(head + table + bytes(3) + np.zeros((2, 1, 4), "<f2").tobytes())
@@ -423,6 +420,25 @@ class TestContainer:
         assert (4096 * 4096 * 2) / total == 6.4
 
 
+    def test_read_copies_each_section_once(self, tmp_path):
+        # The file's bytes, plus one copy of the weight and LUT sections in
+        # the arrays kept: 2x the file. A second copy of each would be 3x.
+        lay = GroupLayout(2048, 2048, 128)
+        pw = pack_weight_codes(make_rng(57).integers(0, 4, size=(2048, 2048), dtype=np.uint8), lay)
+        table = np.broadcast_to(np.arange(4, dtype=np.float16), (2048, 16, 4))
+        path = tmp_path / "m.rcpq"
+        write_rcpq(path, pw, DequantLut(table))
+        size = path.stat().st_size
+        assert size > 1.25 * 2**20
+        tracemalloc.start()
+        try:
+            read_rcpq(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size
+
+
 @pytest.fixture(scope="module")
 def container_bytes(tmp_path_factory):
     """The bytes of ``_small_container`` (with params), and a directory to write variants into."""
@@ -453,7 +469,7 @@ class TestCorruptedContainers:
             return
         lay = box.weights.layout
         rows, groups = lay.out_channels, lay.num_groups
-        assert box.version in (1, 2)
+        assert struct.unpack_from("<H", data, 4)[0] == pack.VERSION
         assert box.weights.data.dtype == np.uint8 and box.weights.data.shape == (rows, lay.in_channels // 4)
         table = box.lut.table
         assert table.dtype == np.float16 and table.shape == (rows, groups, 4)

@@ -80,7 +80,7 @@ class TestFuse:
         np.testing.assert_array_equal(fuse(w), w)
 
     def test_identity_weight_orthogonality(self):
-        h = hadamard(8)
+        h = randomized_hadamard(8, seed=1)
         out = fuse(np.eye(8, dtype=np.float32), h, h)
         np.testing.assert_allclose(out, np.eye(8), atol=1e-6)
 
@@ -97,17 +97,21 @@ class TestFuse:
         assert np.max(np.abs(base - rotated)) / np.abs(base).max() < 1e-9
 
     def test_fuse_matches_matmul_ref(self):
+        # At n = 16 every partial sum of float32 entries times +/-1 or +/-1/4
+        # is exact in float64, so the transform and the matrix product agree
+        # bit for bit.
         rng = make_rng(12)
         w = rng.standard_normal((16, 16)).astype(np.float32)
-        h = hadamard(16)
+        h = randomized_hadamard(16, seed=12)
         got = fuse(w, None, h)
-        expect = (w.astype(np.float64) @ h).astype(np.float32)
+        expect = (w.astype(np.float64) @ np.asarray(h)).astype(np.float32)
         assert got.tobytes() == expect.tobytes()
 
     def test_sign_rotation_fuses_as_its_dense_matrix(self):
         w = make_rng(13).standard_normal((32, 256)).astype(np.float32)
         rot = randomized_hadamard(256, 7)
-        assert fuse(w, None, rot).tobytes() == fuse(w, None, np.asarray(rot)).tobytes()
+        dense = (w.astype(np.float64) @ np.asarray(rot)).astype(np.float32)
+        assert fuse(w, None, rot).tobytes() == dense.tobytes()
         assert fuse(w.T, rot, None).tobytes() == fuse(w.T, np.asarray(rot), None).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -116,7 +120,7 @@ class TestFuse:
         w = make_rng(14).laplace(scale=0.02, size=(300, n)).astype(dtype)
         rot = randomized_hadamard(n, 7)
         got = fuse(w, None, rot)
-        dense = fuse(w, None, np.asarray(rot))
+        dense = (w.astype(np.float64) @ np.asarray(rot)).astype(np.float32)
         assert got.dtype == dense.dtype == np.float32
         ulp = np.spacing(np.maximum(np.abs(got), np.abs(dense)))
         assert np.all(np.abs(got.astype(np.float64) - dense) <= ulp)
@@ -143,10 +147,19 @@ class TestFuse:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             fuse(np.zeros((4, 8)), hadamard(8), None)
-        with pytest.raises(ShapeError):
+        with pytest.raises(TypeError):
             fuse(np.zeros((4, 8)), None, hadamard(4))
         with pytest.raises(ShapeError):
             fuse(np.zeros((4, 8)), None, randomized_hadamard(4, 0))
+
+    def test_rear_takes_only_a_randomized_hadamard(self):
+        w = make_rng(17).standard_normal((4, 8))
+        rot = randomized_hadamard(8, 0)
+        for dense in (hadamard(8), np.asarray(rot)):
+            with pytest.raises(TypeError, match="RandomizedHadamard"):
+                fuse(w, None, dense)
+        for dtype in (np.float32, np.float64):
+            assert fuse(w.astype(dtype)).tobytes() == w.astype(dtype).astype(np.float32).tobytes()
 
 
 class TestApplyOnline:
