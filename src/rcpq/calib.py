@@ -22,43 +22,78 @@ the G*G terms ``err_g * gram_gk * err_k``, run as a plain loop that costs
 ~110 ms for the 4096 candidates of a 64-point grid at G = 128 on a 2-vCPU
 x86 host. The search only runs it on the few candidates that can win:
 
-* A BLAS screen, ``einsum("pk,pk->p", err @ gram, err)``, scores every
-  candidate with one matrix product.
+* A float32 screen scores every candidate with one matrix product. Per
+  group, ``err`` is multiplied by ``2**a`` in float64 and rounded to
+  float32 as ``e``, with ``a`` the power of two that brings the group's
+  largest magnitude into [1/2, 1); per Gram, ``gram`` is multiplied by
+  ``2**b``, taken from its largest entry, and rounded as ``m``. The screen
+  ``einsum("pk,pk->p", e @ m, e)`` and ``n = ||e||^2`` are summed in
+  float32, and the screen returns to the einsum's units as ``screen *
+  2**-(2a + b)`` in float64. The scaling keeps typical and extreme layers
+  inside float32's range; the bound below holds for any ``a`` and ``b``.
 * A margin bounds each screen's distance from that candidate's einsum:
-  ``(F * (N + G*tiny) * eps + 2*tiny * (N + F + 2*G)) * (G*G + 2*G + 4)``,
-  with ``N`` the computed ``||err||^2``, ``F`` the computed
-  ``sqrt(||gram||_F^2 + G*G*tiny)``, ``eps`` the float64 machine epsilon
-  and ``tiny`` its smallest subnormal. Let ``u = eps / 2``,
-  ``gamma(n) = n*u / (1 - n*u)`` and ``S`` the exact sum of the terms'
-  sizes, ``|err| @ |gram| @ |err|``. The einsum forms each term with two
-  roundings and adds G*G of them in some order, so it is within
-  ``gamma(G*G + 1) * S`` of the exact sum; the screen's G-term dot
-  products, product and G-term row sum keep it within ``gamma(2*G) * S``,
-  in any order and with or without fused multiply-adds. ``S`` needs no
-  second product: by Cauchy-Schwarz, ``S <= ||err|| * || |gram| |err| ||
-  <= ||gram||_F * ||err||^2``. Each of ``N``'s G squares and ``F``'s G*G
-  squares rounds by a factor within ``u`` or, below the normal range, by
-  at most ``tiny/2`` absolutely, and their sums, the added ``G*G*tiny`` and
-  the square root round relatively; so ``||err||^2 <= (N + G*tiny) * (1 +
-  gamma(G + 1))`` and ``||gram||_F <= F * (1 + gamma(G*G + 3))``. The
-  relative part of the margin is at least twice ``(gamma(2*G) +
-  gamma(G*G + 1)) * S`` with these bounds in, which also covers its own
-  rounding and that of ``screen +- margin``. Below the normal range a
-  product errs by up to ``tiny/2`` absolutely, and the factor it is then
-  multiplied by, an ``|err_k|`` or a ``|gram_gk|``, carries that error
-  along: at most ``G*G + G`` products of each sum do, which adds up to
-  ``tiny * G * (sum |err| + G)`` in the screen and ``tiny * G * (sum |err|
-  + F + G)`` in the einsum. With ``sum |err| <= sqrt(G * ||err||^2) <=
-  (G + ||err||^2) / 2``, the ``tiny`` part covers both.
-* The bounds hold while nothing overflows. A product of two errors is at
-  most ``||err||^2 / 2``, and every other product and partial sum of both
-  scores at most ``(1 + gamma(G*G + 1)) * ||gram||_F * (||err||^2 + 1)``.
-  So where ``F * (N + 1)`` reaches a quarter of the largest float64, or is
-  NaN, the margin is inf.
+  ``2 * (c*F*N' + G*t*(2**b*F + 2)*(N + G) * 2**-(2a + b) + T*(G*(N' + F +
+  2*G) + 1))``. Here ``c = (2*G + 3)*u32 + (G*G + 1)*u64``, ``N = n +
+  2*G*t`` and ``N' = N * 2**-2a``, and ``F`` is the computed
+  ``sqrt(||gram||_F^2 + G*G*T)``; ``u32 = 2**-24`` and ``u64 = 2**-53``
+  are the unit roundoffs, ``t`` and ``T`` the smallest float32 and float64
+  subnormals, and ``gamma32(k) = k*u32 / (1 - k*u32)``, likewise
+  ``gamma64``. Let ``x = 2**a * err`` and ``A = 2**b * gram`` be exact
+  reals and ``S = |x| @ |A| @ |x|`` the sum of the scaled terms' sizes.
+  ``x @ A @ x`` and ``S`` are the einsum's exact sum and sizes times
+  ``2**(2a + b)``, so the bound is proven in the scaled units.
+  - A float32 rounding moves an entry of ``e`` or ``m`` by at most ``u32``
+    relatively or, below float32's normal range, ``t/2`` absolutely. (The
+    float64 product by ``2**a`` is exact, or lies so far below that range
+    that it rounds to 0.) The screen's two G-term dot products err by at
+    most ``gamma32(G)`` each, relatively, in any order and with or without
+    fused multiply-adds. With ``(1 + gamma(j)) * (1 + gamma(k)) <= 1 +
+    gamma(j + k)``, the screen is within ``gamma32(2*G + 3) * S`` of ``x @
+    A @ x`` while nothing leaves float32's normal range.
+  - Below that range a product errs by at most ``t/2`` absolutely, and a
+    sum there is exact. Each such error, of a rounded entry or of a
+    product, is carried by at most two further factors: ``m_gk * e_k`` or
+    ``x_g * A_gk`` for an entry of ``e``, ``x_g * e_k`` for one of ``m``,
+    ``e_k`` for a product in ``e @ m``. Summed over the pairs that is at
+    most ``(t/2) * (G*sum|e| + G + 2*sqrt(G)*F2*R + G*R^2)``, with ``R^2``
+    a bound on ``||e||^2`` and ``||x||^2`` and ``F2`` one on ``||m||_F``
+    and ``||A||_F``. As ``sqrt(G)*R <= (G + R^2) / 2``, that is at most
+    ``G*t*(F2 + 2)*(R^2 + G)``.
+  - The einsum forms each term with two roundings and adds G*G of them in
+    some order, so it is within ``gamma64(G*G + 1)`` times the sizes' sum
+    of the exact sum. Below float64's normal range each term's product
+    errs by up to ``T/2`` more, carried by one factor, an ``|err_k|`` or a
+    ``|gram_gk|``: ``T * G * (sum|err| + ||gram||_F + G)`` in all. With
+    ``sum|err| <= sqrt(G * ||err||^2) <= (G + ||err||^2) / 2``, the
+    margin's ``T`` part covers it.
+  - ``S`` needs no second product: by Cauchy-Schwarz, ``S <= ||x|| * ||
+    |A| |x| || <= ||A||_F * ||x||^2``, which is ``2**(2a + b) *
+    ||gram||_F * ||err||^2``. The computed norms bound the exact ones.
+    ``n`` is a G-term float32 sum of squares, so ``||e||^2 <= (n + G*t) *
+    (1 + gamma32(2*G))``; with ``|x_g| <= (|e_g| + t/2) / (1 - u32)`` that
+    gives ``R^2 = N * (1 + gamma32(2*G + 3))``. Each of ``F``'s G*G squares
+    rounds by a factor within ``u64`` or by at most ``T/2``, and their sum,
+    the added ``G*G*T`` and the square root round relatively, so
+    ``||gram||_F <= F * (1 + gamma64(G*G + 3))``; and ``||m||_F <= (1 +
+    u32) * ||A||_F + G*t/2`` gives ``F2``.
+  - ``c`` is ``gamma32(2*G + 3) + gamma64(G*G + 1)`` to first order. The
+    factor 2 covers the ``1 + gamma`` factors above while ``G*u32`` is
+    small (a G of 2^16 would already need a 32 GiB Gram). It also covers
+    the margin's own rounding, that of ``screen +- margin``, and the
+    return to the einsum's units, which rounds by at most ``T/2`` below
+    float64's normal range (the margin's last ``T``).
+* The bounds hold while nothing overflows. Every float32 product and
+  partial sum is at most ``(1 + gamma32(2*G))**2 * F2 * (R^2 + 1)``, and
+  every float64 one of the einsum at most ``(1 + gamma64(G*G + 1)) *
+  ||gram||_F * (||err||^2 + 1)``. So where ``2**b * F * (N + 1)`` reaches
+  a quarter of the largest float32, or ``F * (N' + 1)`` a quarter of the
+  largest float64, or either is NaN, the margin is inf. A float32 rounding
+  that overflows makes ``n`` or ``F`` too large for that test.
 * Collapsed candidates (span 0), which the reference scores inf, get an
   inf screen. The einsum re-scores the candidates that are not proven
   worse than another, i.e. not ``screen - margin > min(screen + margin)``,
-  plus the no-clip candidate. On the benchmark's layers that is 2 of 4096.
+  plus the no-clip candidate. On the benchmark's layers that is 2-36 of
+  4096, 3.2 on average.
 
 Let E be the least einsum score. Every candidate has ``screen + margin >=
 its einsum >= E``, and one whose einsum equals E has ``screen - margin <=
@@ -79,6 +114,7 @@ bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +138,11 @@ BITS = 2
 RATIO_MIN = 0.5  # each clip ratio axis of the grid runs from here up to RATIO_MAX
 RATIO_MAX = 1.0  # no clipping: the candidate no_clip_objective reads
 _TINY = np.finfo(np.float64).smallest_subnormal
+_U64 = np.finfo(np.float64).eps / 2
+_MAX64 = np.finfo(np.float64).max
+_TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+_U32 = float(np.finfo(np.float32).eps) / 2
+_MAX32 = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -138,23 +179,46 @@ def _frobenius(gram):
     return np.sqrt(np.einsum("...gk,...gk->...", gram, gram) + g_dim * g_dim * _TINY)
 
 
-def _screen(err, gram, fro, spare):
-    """BLAS screen of ``err_p @ gram @ err_p`` for every row ``p`` of
+def _exponent(size):
+    """The power of two that brings ``size`` into [1/2, 1), at most 1023; 0 for 0, inf or NaN."""
+    return min(-math.frexp(size)[1], 1023)
+
+
+def _scaled_gram(gram):
+    """``(m, b, fro)``: ``gram * 2**b`` rounded to float32, with ``b`` the
+    ``_exponent`` of its largest entry, and ``_frobenius(gram)``."""
+    b = _exponent(float(np.abs(gram).max()))
+    return np.ldexp(gram, b).astype(np.float32), b, float(_frobenius(gram))
+
+
+def _screen(err, a, gram, spare):
+    """float32 screen of ``err_p @ gram @ err_p`` for every row ``p`` of
     ``err``, and a bound on its distance from the reference einsum.
 
-    Returns ``(screen, margin)``, with ``|screen_p - einsum_p| <= margin_p``
-    whatever order either one sums in (see the module docstring). ``fro``
-    is ``_frobenius(gram)``; ``spare`` is an ``err``-shaped buffer,
-    overwritten with ``err @ gram``.
+    Returns ``(screen, margin)`` in the einsum's units, with ``|screen_p -
+    einsum_p| <= margin_p`` whatever order either one sums in and whatever
+    the powers of two (see the module docstring). ``err`` is scaled by
+    ``2**a`` and ``gram`` is ``_scaled_gram``'s triple; ``spare`` is a pair
+    of ``err``-shaped float32 buffers, overwritten.
     """
+    m, b, fro = gram
+    e, prod = spare
     g_dim = err.shape[1]
-    screen = np.einsum("pk,pk->p", np.matmul(err, gram, out=spare), err)
-    norm2 = np.einsum("pk,pk->p", err, err)
-    eps = np.finfo(np.float64).eps
-    margin = fro * (norm2 + g_dim * _TINY) * eps + 2 * _TINY * (norm2 + fro + 2 * g_dim)
-    margin *= g_dim * g_dim + 2 * g_dim + 4
-    margin[~(fro * (norm2 + 1.0) < np.finfo(np.float64).max / 4)] = np.inf  # may overflow: no bound
-    return screen, margin
+    shift = -(2 * a + b)  # from the scaled units to the einsum's
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.multiply(err, 2.0**a, out=e, casting="same_kind")
+        screen = np.einsum("pk,pk->p", np.matmul(e, m, out=prod), e)
+        norm = np.einsum("pk,pk->p", e, e).astype(np.float64)
+        norm += 2 * g_dim * _TINY32
+        norm_u = np.ldexp(norm, -2 * a)
+        fro_s = np.ldexp(fro, b)
+        rel = (2 * g_dim + 3) * _U32 + (g_dim * g_dim + 1) * _U64
+        margin = np.ldexp((g_dim * _TINY32 * (fro_s + 2.0)) * (norm + g_dim), shift)
+        margin += (rel * fro + g_dim * _TINY) * norm_u + _TINY * (g_dim * (fro + 2 * g_dim) + 1)
+        margin *= 2.0
+        # Where a float32 or a float64 product or sum may overflow, there is no bound.
+        margin[~((norm < _MAX32 / 4 / fro_s - 1) & (norm_u < _MAX64 / 4 / fro - 1))] = np.inf
+        return np.ldexp(screen, shift, dtype=np.float64), margin
 
 
 def grid_search_clip(
@@ -172,7 +236,7 @@ def grid_search_clip(
     (row, group) whose scores overflow to NaN, which no candidate can win.
 
     Per group, the compiled scorer (or its numpy reference) gives every
-    candidate's quantization error, every candidate is screened with BLAS,
+    candidate's quantization error, every candidate is screened in float32,
     and only those within the screen's rounding margin of the best are
     scored by the reference einsum (see the module docstring). The result
     is that of scoring every candidate with the einsum, bit for bit.
@@ -192,7 +256,7 @@ def grid_search_clip(
     for n in range(n_dim):
         xg = x[:, n * g_dim : (n + 1) * g_dim]
         grams[n] = xg.T @ xg
-    fros = _frobenius(grams)
+    scaled = [_scaled_gram(gram) for gram in grams]
 
     out = ClipSearchResult(
         lo_logit=np.zeros((h_dim, n_dim)),
@@ -206,7 +270,7 @@ def grid_search_clip(
     kernel = _native.kernel("clip")
     err = np.empty((rl.size, g_dim))
     span = np.empty(rl.size)
-    quad = np.empty_like(err)
+    spare = np.empty((2, *err.shape), dtype=np.float32)
 
     for h in range(h_dim):
         for n in range(n_dim):
@@ -223,7 +287,7 @@ def grid_search_clip(
                 err = np.subtract(deq, clipped, out=deq)
             else:
                 kernel(g, g_dim, lo_c, hi_c, rl.size, err, span)
-            screen, margin = _screen(err, grams[n], fros[n], quad)
+            screen, margin = _screen(err, _exponent(max(-mn, mx)), scaled[n], spare)
             screen[span == 0.0] = np.inf  # fully collapsed candidates are invalid
             # Keep every candidate not proven worse than some other one. The
             # negated test keeps all of them when a score is inf or NaN.

@@ -223,7 +223,8 @@ def _cmd_gemv_bench(args) -> int:
     print(f"H={layout.out_channels} C={layout.in_channels} G={layout.group_size}")
     print(f"ref : {bench['ref_ns_per_call'] / 1e6:.3f} ms/call ({bench['ref_iters']} iters)")
     print(f"fast: {bench['fast_ns_per_call'] / 1e6:.3f} ms/call ({bench['fast_iters']} iters, "
-          f"{bench['kernel']} kernel, {bench['fast_gbytes_per_s']:.2f} GB/s)")
+          f"{bench['kernel']} kernel, {bench['fast_gbytes_per_s']:.2f} GB/s; "
+          f"one thread reads {bench['read_gbytes_per_s']:.2f} GB/s)")
     print(f"speedup: {bench['speedup']:.2f}x  oracle gap: {gap:.2e}")
     _emit(report, args.json)
     return 0

@@ -307,8 +307,11 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
     ``fast_gbytes_per_s`` is the bytes one call of that path reads, over the
     fast median: the tiles, the LUT's units and the packed activations for
     the kernel, the packed weights, the float16 LUT and the packed
-    activations for the spec. Raises ``ConfigError`` when ``iters < 1``,
-    which would leave no sample.
+    activations for the spec. ``read_gbytes_per_s`` is what one thread
+    reads per second from a buffer of that many bytes, a numpy ``uint64``
+    sum timed like the fast path: this machine's read rate at the call's
+    size. Raises ``ConfigError`` when ``iters < 1``, which would leave no
+    sample.
     """
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
@@ -328,6 +331,8 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
     compiled = _kernel_for(task) is not None
     read = (_tiles(task.weights), _units(task.lut)) if compiled else (task.weights.data, task.lut.table)
     call_bytes = sum(a.nbytes for a in read) + task.x_packed.data.nbytes
+    buf = np.ones(max(1, call_bytes // 8), dtype=np.uint64)
+    read_ns = _time(lambda: np.add.reduce(buf), iters)
     return {
         "out_channels": task.layout.out_channels,
         "in_channels": task.layout.in_channels,
@@ -339,4 +344,5 @@ def bench_gemv(task: GemvTask, iters: int = 100) -> dict:
         "speedup": ref_ns / fast_ns,
         "kernel": "c" if compiled else "numpy",
         "fast_gbytes_per_s": call_bytes / fast_ns,
+        "read_gbytes_per_s": buf.nbytes / read_ns,
     }

@@ -87,6 +87,16 @@ class PackedWeights:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _take(cls, data: np.ndarray, layout: GroupLayout) -> PackedWeights:
+        """A ``PackedWeights`` holding ``data`` itself, made read-only: for a
+        C-contiguous array that nothing else refers to, so no copy is needed."""
+        data.flags.writeable = False
+        pw = object.__new__(cls)
+        object.__setattr__(pw, "data", data)
+        object.__setattr__(pw, "layout", layout)
+        return pw
+
 
 @dataclass
 class PackedActivations:
@@ -125,9 +135,12 @@ def pack_weight_codes(codes: np.ndarray, layout: GroupLayout) -> PackedWeights:
         raise EncodeError("input channels must be divisible by 4")
     if codes.min() < 0 or codes.max() > 3:
         raise EncodeError("weight codes must be in {0..3}")
-    q = codes.astype(np.uint8).reshape(layout.out_channels, layout.in_channels // 4, 4)
-    packed = (q[..., 0] << 6) | (q[..., 1] << 4) | (q[..., 2] << 2) | q[..., 3]
-    return PackedWeights(data=packed, layout=layout)
+    q = codes.astype(np.uint8, copy=False).reshape(layout.out_channels, layout.in_channels // 4, 4)
+    packed = np.left_shift(q[..., 0], 6, order="C")
+    packed |= q[..., 1] << 4
+    packed |= q[..., 2] << 2
+    packed |= q[..., 3]
+    return PackedWeights._take(packed, layout)
 
 
 def unpack_weight_codes(pw: PackedWeights) -> np.ndarray:
@@ -324,10 +337,8 @@ def read_rcpq(path) -> RcpqContainer:
     if _TAG_LUT not in sections or len(sections[_TAG_LUT]) != expect_lut:
         raise DataError(f"{path}: LUT section missing or wrong size")
 
-    pw = PackedWeights(  # which copies the section
-        data=np.frombuffer(sections[_TAG_WEIGHTS], dtype=np.uint8).reshape(h, c // 4),
-        layout=layout,
-    )
+    weights = np.frombuffer(sections[_TAG_WEIGHTS], dtype=np.uint8).reshape(h, c // 4)
+    pw = PackedWeights._take(weights.copy(), layout)
     lut = DequantLut(table=np.frombuffer(sections[_TAG_LUT], dtype="<f2").reshape(h, n, 4))  # which copies it
     _check_lut(lut.table, DataError, f"{path}: ")
     params = None

@@ -15,6 +15,7 @@ from rcpq.calib import (
     ClipSearchConfig,
     ClipSearchResult,
     _candidate_ratios,
+    _exponent,
     _frobenius,
     _screen,
     grid_search_clip,
@@ -151,6 +152,19 @@ def _term_sums(err, gram):
     by_size = np.take_along_axis(flat, np.argsort(-np.abs(flat), axis=1, kind="stable"), axis=1)
     orders = (flat, terms.transpose(0, 2, 1).reshape(len(err), -1), by_size, by_size[:, ::-1])
     return [np.cumsum(o, axis=1)[:, -1] for o in orders]
+
+
+def _benchmark_slice():
+    """The quantize benchmark's first layer at seed 913: a Laplace 2x1024
+    slice, 256 calibration tokens with 8 outlier channels at x20, --rotate 7,
+    --group 128 (run at --grid 64). Generators as the benchmark's."""
+    seed = 913
+    outliers = np.random.default_rng([seed, 7]).choice(1024, size=8, replace=False)
+    x = np.random.default_rng([seed, 0]).standard_normal((256, 1024), dtype=np.float32)
+    x[:, outliers] *= 20.0
+    w = np.random.default_rng([seed, 2, 0]).laplace(scale=0.02, size=(2, 1024)).astype(np.float32)
+    w_r, x_r = rotate(w, x, 7)
+    return w_r, x_r, GroupLayout(2, 1024, 128)
 
 
 def _objective(group, x_group, ratio_lo, ratio_hi, bits=2):
@@ -337,106 +351,204 @@ class TestMatchesReference:
         _assert_bitwise(w, x, layout, grid=grid, paths=paths)
 
     def test_benchmark_layer_slice(self, paths):
-        # The quantize benchmark's first layer at seed 913: a Laplace 2x1024
-        # slice, 256 calibration tokens with 8 outlier channels at x20,
-        # --rotate 7, --group 128, --grid 64. Generators as the benchmark's.
-        seed = 913
-        outliers = np.random.default_rng([seed, 7]).choice(1024, size=8, replace=False)
-        x = np.random.default_rng([seed, 0]).standard_normal((256, 1024), dtype=np.float32)
-        x[:, outliers] *= 20.0
-        w = np.random.default_rng([seed, 2, 0]).laplace(scale=0.02, size=(2, 1024)).astype(np.float32)
-        w_r, x_r = rotate(w, x, 7)
-        _assert_bitwise(w_r, x_r, GroupLayout(2, 1024, 128), grid=64, paths=paths)
+        _assert_bitwise(*_benchmark_slice(), grid=64, paths=paths)
+
+
+def _screened(err, gram, a, b):
+    """``_screen`` of ``err`` at ``2**a`` against ``gram`` at ``2**b``."""
+    with np.errstate(over="ignore"):
+        m = np.ldexp(gram, b).astype(np.float32)
+    return _screen(err, a, (m, b, float(_frobenius(gram))), np.empty((2, *err.shape), np.float32))
+
+
+def _float32_orders(err, gram, a, b):
+    """The screen as float32 may sum it: each G-term dot product of ``e @ m``
+    and of the row dot summed first to last, then last to first, each
+    product rounded; in the einsum's units."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.ldexp(err, a).astype(np.float32)
+        m = np.ldexp(gram, b).astype(np.float32)
+        out = []
+        for order in (slice(None), slice(None, None, -1)):
+            y = np.cumsum((e[:, :, None] * m[None])[:, order], axis=1, dtype=np.float32)[:, -1]
+            row = np.cumsum((y * e)[:, order], axis=1, dtype=np.float32)[:, -1]
+            out.append(np.ldexp(row, -(2 * a + b), dtype=np.float64))
+    return out
+
+
+def _assert_bounded(err, gram, a, b=None, inf_ok=False):
+    """Where ``_screen``'s margin is finite, and unless ``inf_ok`` that is
+    everywhere, it bounds the distance from its screen, and from the screen
+    summed in ``_float32_orders``, to the einsum and to every ``_term_sums``
+    order. Returns ``(screen, margin, totals)``."""
+    b = _exponent(np.abs(gram).max()) if b is None else b  # the search's
+    screen, margin = _screened(err, gram, a, b)
+    assert inf_ok or np.isfinite(margin).all()
+    totals = [np.einsum("pg,gk,pk->p", err, gram, err), *_term_sums(err, gram)]
+    finite = margin < np.inf
+    for score in [screen, *_float32_orders(err, gram, a, b)]:
+        for total in totals:
+            assert np.all(np.abs(score - total)[finite] <= margin[finite])
+    return screen, margin, totals
 
 
 class TestScreenMargin:
-    """``_screen``'s margin bounds the distance from its BLAS score to the
+    """``_screen``'s margin bounds the distance from its float32 score to the
     G*G terms summed in any order, the reference einsum's included."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         log2_group=st.integers(2, 7),
         token_share=st.floats(0.01, 2.0),
         gain_exp=st.integers(0, 9),
         scale_exp=st.integers(-160, 2),
+        err_shift=st.one_of(st.just(0), st.integers(-100, -40), st.integers(126, 150)),
+        gram_shift=st.one_of(st.just(0), st.integers(-100, -20)),
     )
-    def test_rank_deficient_and_outlier_grams(self, seed, log2_group, token_share, gain_exp, scale_exp):
+    def test_rank_deficient_and_outlier_grams(
+        self, seed, log2_group, token_share, gain_exp, scale_exp, err_shift, gram_shift
+    ):
+        # The shifts move the scaled err and gram off the search's powers of
+        # two: products below float32's normal range, or conversions that
+        # overflow it, where the margin must be inf.
         g_dim = 2**log2_group
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((max(1, int(token_share * g_dim)), g_dim))
         x[:, rng.choice(g_dim, size=max(1, g_dim // 16), replace=False)] *= 10.0**gain_exp
         gram = x.T @ x
-        err = _candidate_errors(rng.laplace(size=g_dim) * 10.0**scale_exp, grid=8)
-        screen, margin = _screen(err, gram, _frobenius(gram), np.empty_like(err))
-        for total in [np.einsum("pg,gk,pk->p", err, gram, err), *_term_sums(err, gram)]:
-            assert np.all(np.abs(screen - total) <= margin)
+        group = rng.laplace(size=g_dim) * 10.0**scale_exp
+        err = _candidate_errors(group, grid=8)
+        a = _exponent(np.abs(group).max()) + err_shift
+        b = _exponent(np.abs(gram).max()) + gram_shift
+        _, margin, _ = _assert_bounded(err, gram, a, b, inf_ok=True)
+        with np.errstate(over="ignore"):
+            overflows = ~np.isfinite(np.ldexp(err, a).astype(np.float32)).all(axis=1)
+            overflows |= ~np.isfinite(np.ldexp(gram, b).astype(np.float32)).all()
+        assert np.all(margin[overflows] == np.inf)
 
     def test_absorbed_terms_need_the_squared_factor(self):
         # One term of 1 and G*G - 1 terms just under half its ulp (the
         # matrix is eta * 11^T + (1 - eta) * e0 e0^T, so a valid Gram
-        # matrix). Summed largest first, every small term is absorbed; the
-        # screen keeps them. The gap outgrows any margin linear in G.
+        # matrix). Summed largest first, every small term is absorbed;
+        # smallest first keeps them. The einsum may use either order, and
+        # the gap outgrows any margin linear in G.
         g_dim = 128
         eta = 0.45 * EPS / 2
         gram = np.full((g_dim, g_dim), eta)
         gram[0, 0] = 1.0
         err = np.ones((1, g_dim))
-        screen, margin = _screen(err, gram, _frobenius(gram), np.empty_like(err))
-        sums = _term_sums(err, gram)
+        sums = _assert_bounded(err, gram, 0)[2][1:]
         assert sums[2][0] == 1.0
-        gap = np.abs(screen - sums[2])
+        gap = np.abs(sums[3] - sums[2])
         assert gap[0] > (2 * g_dim + 2) * EPS * (1.0 + (g_dim * g_dim - 1) * eta)
-        for total in [np.einsum("pg,gk,pk->p", err, gram, err), *sums]:
-            assert np.all(np.abs(screen - total) <= margin)
 
-    def test_frobenius_bound_needs_the_squared_factor(self):
-        # The same absorption at ||err||^2 ~ 1 and ||gram||_F ~ 1.4, where the
-        # margin's F * N is as small as the terms' sizes allow: err is
-        # (1, d, ..., d) and gram is [[1, c 1^T], [c 1, (c/d) 1 1^T]] with
-        # c = eta/d, of rank 2 and positive semidefinite as eta <= 1. Every
-        # term but the first is ~eta, so no margin linear in G covers the gap.
-        g_dim = 128
-        eta = 0.45 * EPS / 2
+    @staticmethod
+    def _absorbing(g_dim, eta):
+        """err is (1, d, ..., d) and gram is [[1, c 1^T], [c 1, (c/d) 1 1^T]]
+        with d = sqrt(G * eta) and c = eta/d, of rank 2 and positive
+        semidefinite as eta <= 1: ||err||^2 ~ 1 and ||gram||_F ~ 1.4, and
+        every term but the first is ~eta."""
         d = np.sqrt(g_dim * eta)
         gram = np.full((g_dim, g_dim), eta / d**2)
         gram[0, 1:] = gram[1:, 0] = eta / d
         gram[0, 0] = 1.0
         err = np.full((1, g_dim), d)
         err[0, 0] = 1.0
-        fro = _frobenius(gram)
-        screen, margin = _screen(err, gram, fro, np.empty_like(err))
-        sums = _term_sums(err, gram)
+        return err, gram
+
+    def test_frobenius_bound_needs_the_squared_factor(self):
+        # The same absorption where the margin's F * N is as small as the
+        # terms' sizes allow, so no margin linear in G covers the gap
+        # between the largest-first and smallest-first orders.
+        g_dim = 128
+        err, gram = self._absorbing(g_dim, 0.45 * EPS / 2)
+        sums = _assert_bounded(err, gram, 0)[2][1:]
         assert sums[2][0] == 1.0
-        gap = np.abs(screen - sums[2])
-        assert gap[0] > (2 * g_dim + 2) * EPS * fro * np.sum(err**2)
-        for total in [np.einsum("pg,gk,pk->p", err, gram, err), *sums]:
-            assert np.all(np.abs(screen - total) <= margin)
+        gap = np.abs(sums[3] - sums[2])
+        assert gap[0] > (2 * g_dim + 2) * EPS * _frobenius(gram) * np.sum(err**2)
+
+    def test_float32_absorption_needs_the_linear_factor(self):
+        # The same at a quarter of float32's ulp of 1, where every entry,
+        # product and partial sum but the absorbed ones is exact: summed
+        # first to last, e @ m loses the first column's G - 1 small terms,
+        # so the float32 screen misses (G - 1) * eta, more than any float32
+        # term without a factor G.
+        g_dim = 128
+        err, gram = self._absorbing(g_dim, 2.0**-25)
+        a = b = _exponent(1.0)
+        _, _, totals = _assert_bounded(err, gram, a, b)
+        gap = np.abs(_float32_orders(err, gram, a, b)[0] - totals[0])
+        assert gap[0] > 8 * 2.0**-24 * _frobenius(gram) * np.sum(err**2)
 
     def test_products_below_the_normal_range(self):
-        # err ~ 1e-162 against a Gram matrix ~ 1e11: each err_g * gram_gk is
-        # normal, and times err_k it rounds in the subnormal range, where the
-        # relative part of the margin underflows to 0 and only the tiny part bounds.
+        # err ~ 1e-161 against a Gram matrix ~ 20: each err_g * gram_gk is
+        # normal, and times err_k it rounds in float64's subnormal range,
+        # where the relative part of the margin underflows to 0 and only the
+        # tiny part bounds the einsum. The search's scale keeps the float32
+        # screen in float32's normal range.
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((24, 16)) * 1e5
+        x = rng.standard_normal((24, 16))
         gram = x.T @ x
-        err = _candidate_errors(rng.laplace(size=16) * 1e-162, grid=8)
-        fro = _frobenius(gram)
-        screen, margin = _screen(err, gram, fro, np.empty_like(err))
-        assert np.all(fro * np.einsum("pk,pk->p", err, err) * EPS == 0.0)
-        totals = [np.einsum("pg,gk,pk->p", err, gram, err), *_term_sums(err, gram)]
+        group = rng.laplace(size=16) * 1e-161
+        err = _candidate_errors(group, grid=8)
+        screen, margin, totals = _assert_bounded(err, gram, _exponent(np.abs(group).max()))
+        assert np.all((2 * 16 + 3) * 2.0**-24 * _frobenius(gram) * np.einsum("pk,pk->p", err, err) == 0.0)
         assert max(np.max(np.abs(screen - total)) for total in totals) > 0.0
-        for total in totals:
-            assert np.all(np.abs(screen - total) <= margin)
+
+    def test_float32_products_below_the_normal_range(self):
+        # Scaled to ~2^-60 and ~2^-40, every float32 err_g * gram_gk * err_k
+        # falls below float32's normal range and most round to 0: the screen
+        # is off by far more than its relative part, and the absolute part bounds it.
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((24, 16))
+        gram = x.T @ x
+        group = rng.laplace(size=16)
+        err = _candidate_errors(group, grid=8)
+        screen, margin, totals = _assert_bounded(err, gram, _exponent(np.abs(group).max()) - 60, -40)
+        rel = (2 * 16 + 3) * 2.0**-24 * _frobenius(gram) * np.einsum("pk,pk->p", err, err)
+        assert np.any(np.abs(screen - totals[0]) > 2 * rel)
+
+    def test_float32_conversion_overflow_has_no_bound(self):
+        # A row past float32's range at the given scale gets an inf margin;
+        # the others keep a finite one.
+        gram = np.eye(4)
+        err = np.array([[1.0, -2.0, 0.5, 0.0], [2.0**130, 0.0, 0.0, 1.0]])
+        screen, margin = _screened(err, gram, 0, 0)
+        assert np.isfinite(margin[0]) and margin[1] == np.inf
+        assert abs(screen[0] - 5.25) <= margin[0]
+        _, margin = _screened(err[:1], gram, 0, 130)  # the Gram's conversion overflows
+        assert margin[0] == np.inf
 
     def test_no_bound_near_overflow(self):
-        # Rows whose product and partial sums could reach the float64 range
-        # get an inf margin, so the search re-scores them.
+        # Rows whose float64 product and partial sums could reach the float64
+        # range get an inf margin, so the search re-scores them.
         gram = np.eye(4)
         err = np.array([[1.0, -2.0, 0.5, 0.0], [4e153, 0.0, 0.0, -4e153]])  # F = 2, N = 3.2e307
-        screen, margin = _screen(err, gram, _frobenius(gram), np.empty_like(err))
+        screen, margin = _screened(err, gram, _exponent(4e153), 0)
         assert np.isfinite(screen).all()
         assert np.isfinite(margin[0]) and margin[1] == np.inf
+
+
+    def test_benchmark_slice_rescores_few_candidates(self, paths, monkeypatch):
+        # A margin that grew to keep everything would still give the
+        # reference's bits, at ~110 ms per group. On this slice's 16 groups
+        # x 4096 candidates the einsum re-scored 53 rows; the bound leaves
+        # ~5x headroom for other BLAS kernels' float32 bits.
+        rows = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            if subscripts == "pg,gk,pk->p":
+                rows.append(len(operands[0]))
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(calib.np, "einsum", spy)
+        for kernel in paths:
+            rows.clear()
+            _on(kernel, grid_search_clip, *_benchmark_slice(), ClipSearchConfig(grid=64))
+            assert len(rows) == 16
+            assert sum(rows) <= 256
 
 
 class TestCompiledScorer:

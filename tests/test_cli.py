@@ -150,7 +150,7 @@ REPORT_KEYS = {
     "gemv-bench {box} --iters 1": _HEAD + [
         "config.container", "config.iters", "config.seed", "config.json",
         "out_channels", "in_channels", "group_size", "ref_iters", "fast_iters", "ref_ns_per_call",
-        "fast_ns_per_call", "speedup", "kernel", "fast_gbytes_per_s", "oracle_gap",
+        "fast_ns_per_call", "speedup", "kernel", "fast_gbytes_per_s", "read_gbytes_per_s", "oracle_gap",
     ],
     "train-toy --steps 2": _HEAD + [
         "config.seed", "config.steps", "config.batch", "config.freeze_partitions", "config.json",
@@ -489,6 +489,7 @@ class TestQuantizeVerifyBench:
         assert rep["oracle_gap"] <= 1e-5
         assert rep["kernel"] in ("c", "numpy")
         assert rep["fast_gbytes_per_s"] > 0
+        assert rep["read_gbytes_per_s"] > 0
         assert f"{rep['kernel']} kernel" in capsys.readouterr().out
 
     @pytest.mark.parametrize("iters", ["0", "-3"])

@@ -27,5 +27,5 @@ def test_parity_prints_one_digest_per_item():
     proc = run_script(ROOT / "tools" / "parity.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 8 and lines[-1].endswith("  combined")
+    assert len(lines) == 9 and lines[-1].endswith("  combined")
     assert all(len(line.split()[0]) == 64 for line in lines)

@@ -392,6 +392,7 @@ class TestCompiledKernel:
             else:
                 read = task.weights.data.nbytes + task.lut.table.nbytes + task.x_packed.data.nbytes
             assert bench["fast_gbytes_per_s"] == pytest.approx(read / bench["fast_ns_per_call"])
+            assert bench["read_gbytes_per_s"] > 0
 
 
 @pytest.fixture

@@ -57,6 +57,19 @@ class TestWeightPacking:
         with pytest.raises(EncodeError):
             pack_weight_codes(np.array([[0, 1, 2, 4]]), GroupLayout(1, 4, 4))
 
+    def test_transient_memory_bound(self):
+        # 4096x4096 uint8 codes (16 MiB) pack into 4096x1024 bytes: the packed
+        # array and one shifted temporary, with no copy of the codes or of the result.
+        codes = make_rng(58).integers(0, 4, size=(4096, 4096), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            pw = pack_weight_codes(codes, GroupLayout(4096, 4096, 128))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pw.data.shape == (4096, 1024) and not pw.data.flags.writeable
+        assert peak <= 2 * pw.data.nbytes + 2**16
+
 
 class TestActivationPacking:
     def test_spec_pair(self):

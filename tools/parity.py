@@ -26,6 +26,7 @@ from rcpq.calib import clipped_uniform_quantizer
 from rcpq.core import GroupLayout, make_rng
 from rcpq.gemv import random_activation
 from rcpq.pack import DequantLut
+from rcpq.pipeline import rotate
 from rcpq.stats import qerr_vs_kurt
 
 FAKE_QUANT_SEED = 1
@@ -33,6 +34,7 @@ QUANTIZE_SEED = 2
 GEMV_SEED = 3
 ROTATION_SEED = 4
 UNIFORM_SEED = 5
+SEARCH_SEED = 6
 ROTATE = 7  # the --rotate seed of the quantize item
 
 
@@ -161,6 +163,19 @@ def uniform_scorer():
     return out
 
 
+def clip_search():
+    """The whole clip search result at the quantize benchmark's shape: a
+    Laplace 2x1024 layer, 256 tokens with 8 outlier channels at x20,
+    ``--rotate 7``, G = 128, grid 64. At 1024 tokens the Gram matrices'
+    last bits already depend on the host's BLAS kernel."""
+    rng = make_rng(SEARCH_SEED)
+    x = rng.standard_normal((256, 1024)).astype(np.float32)
+    x[:, rng.choice(1024, size=8, replace=False)] *= 20.0
+    w = rng.laplace(scale=0.02, size=(2, 1024)).astype(np.float32)
+    w_r, x_r = rotate(w, x, ROTATE)
+    return rcpq.grid_search_clip(w_r, x_r, GroupLayout(2, 1024, 128), rcpq.ClipSearchConfig(grid=64))
+
+
 ITEMS = {
     "fake_quant+build_lut": fake_quant_and_lut,
     "quantize_layer+write_rcpq": quantize_containers,
@@ -169,6 +184,7 @@ ITEMS = {
     "gemv_fast": gemv_outputs,
     "rotation": rotations,
     "qerr_vs_kurt+clipped_uniform_quantizer": uniform_scorer,
+    "grid_search_clip": clip_search,
 }
 
 
