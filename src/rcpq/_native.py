@@ -1,12 +1,13 @@
-"""Build, cache and load the package's C kernels, from three C sources.
+"""Build, cache and load the package's C kernels, from two C sources.
 
 * ``w2a4`` (``_w2a4.c``): the exact integer row sums of ``gemv.gemv_fast``.
   The same library holds ``w2a4_tiles``, the repack of a
   ``pack.PackedWeights`` into that kernel's tiles, which ``gemv`` runs at
   the weights' first call.
-* ``ldp`` (``_ldp.c``): the LDP encoder behind ``ldp.fake_quant``.
-* ``clip`` (``_clip.c``): the uniform quantization error of every clip
-  candidate in ``calib.grid_search_clip``.
+* ``ldp`` and ``clip`` (``_quant.c``): the LDP encoder behind
+  ``ldp.fake_quant``, and the uniform quantization error of every clip
+  candidate in ``calib.grid_search_clip``. One library serves the quantize
+  side, so quantizing never compiles the GEMV.
 
 Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
@@ -43,6 +44,7 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _i64 = ctypes.c_int64
+_f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
 
 # Each kernel's source (``_<source>.c``), entry point and C signature; every one returns int64.
@@ -53,8 +55,8 @@ _ENTRY = {
     "w2a4": ("w2a4", "rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr]),
     "w2a4_tiles": ("w2a4", "rcpq_w2a4_tiles", [_U8, _i64, _i64, _i64, _U8]),
     # values is a pointer or None (NULL): the caller asks for codes alone.
-    "ldp": ("ldp", "rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),
-    "clip": ("clip", "rcpq_clip_errors", [_F64, _i64, _F64, _F64, _i64, _F64, _F64]),
+    "ldp": ("quant", "rcpq_ldp_encode", [_F64, _i64, _i64, _F64, _F64, _F64, _F64, _U8, ctypes.c_void_p]),
+    "clip": ("quant", "rcpq_clip_errors", [_F64, _i64, _f64, _f64, _F64, _F64, _i64, _F64, _F64]),
 }
 
 

@@ -1,0 +1,232 @@
+/* Compiled fast paths of the quantize side, AVX2: the LDP encoder behind
+ * rcpq.ldp.fake_quant, and the uniform scorer of the clip candidates in
+ * rcpq.calib.grid_search_clip.
+ *
+ * Each does the IEEE double operations of its numpy reference in the same
+ * order, and each operation rounds once: the library is built with
+ * -ffp-contract=off, so no multiply and add fuse into an FMA. Both require
+ * an AVX2 CPU (rcpq_has_avx2); ldp.py and calib.py run their numpy
+ * references everywhere else.
+ */
+#include <immintrin.h>
+#include <stdint.h>
+#include <string.h>
+
+#define RINT (_MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)
+
+int rcpq_has_avx2(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+}
+
+/* The LDP encoder, one pass per group.
+ *
+ * Per group of gsize doubles x, as the numpy reference in ldp.py:
+ *   mn, mx   the group's min and max, a NaN of the group if it holds one;
+ *   lo = s_lo * mn, span = s_hi * mx - lo, table[k] = lo + span * levels[k];
+ *   v = (x - lo) / span, clipped to [0, 1], a NaN kept as np.clip keeps it;
+ *   code = #{k : thresholds[k] <= v}, and values = table[code].
+ * So codes, values and table equal the reference's bit for bit. Where a
+ * group's min or max is a zero, numpy may return either sign; no output
+ * depends on it: lo + span * level and the compares come out the same for
+ * +0 and -0. Where a group holds NaNs of different bit patterns, numpy does
+ * not say which one its min returns; this takes the first, so only those
+ * NaN values' payloads may differ.
+ *
+ * x: (groups, gsize); s_lo, s_hi: (groups,), the sigmoids of the clip
+ * logits; thresholds: (groups, 3); levels: (groups, 4); codes: (groups,
+ * gsize); values: (groups, gsize), or NULL for codes alone. Requires
+ * gsize >= 1. Returns -1, or the first group whose span <= 0; that group
+ * and the groups after it are then left unset.
+ */
+
+/* SPREAD[m]: byte j is bit j of the 4-bit compare mask m. */
+static const uint32_t SPREAD[16] = {
+    0x00000000, 0x00000001, 0x00000100, 0x00000101, 0x00010000, 0x00010001, 0x00010100, 0x00010101,
+    0x01000000, 0x01000001, 0x01000100, 0x01000101, 0x01010000, 0x01010001, 0x01010100, 0x01010101,
+};
+
+/* The min and max of n values, or the first NaN among them for both. */
+__attribute__((target("avx2"))) static void min_max(const double *x, int64_t n, double *mn, double *mx)
+{
+    __m256d lo = _mm256_set1_pd(x[0]), hi = lo, nan = _mm256_setzero_pd();
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        __m256d v = _mm256_loadu_pd(x + i);
+        lo = _mm256_min_pd(lo, v);
+        hi = _mm256_max_pd(hi, v);
+        nan = _mm256_or_pd(nan, _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
+    }
+    double l[4], h[4];
+    _mm256_storeu_pd(l, lo);
+    _mm256_storeu_pd(h, hi);
+    double a = l[0], b = h[0];
+    for (int k = 1; k < 4; k++) {
+        a = l[k] < a ? l[k] : a;
+        b = h[k] > b ? h[k] : b;
+    }
+    int has_nan = !_mm256_testz_pd(nan, nan);
+    for (; i < n; i++) {
+        has_nan |= x[i] != x[i];
+        a = x[i] < a ? x[i] : a;
+        b = x[i] > b ? x[i] : b;
+    }
+    if (has_nan)
+        for (i = 0; x[i] == x[i]; i++)
+            ;
+    *mn = has_nan ? x[i] : a;
+    *mx = has_nan ? x[i] : b;
+}
+
+__attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t groups, int64_t gsize,
+                                                        const double *s_lo, const double *s_hi,
+                                                        const double *thresholds, const double *levels,
+                                                        uint8_t *codes, double *values)
+{
+    const __m256d zero = _mm256_setzero_pd(), one = _mm256_set1_pd(1.0);
+    const __m256i one64 = _mm256_set1_epi64x(1);
+    for (int64_t g = 0; g < groups; g++) {
+        const double *xg = x + g * gsize, *t = thresholds + 3 * g;
+        double mn, mx;
+        min_max(xg, gsize, &mn, &mx);
+        const double lo = s_lo[g] * mn;
+        const double span = s_hi[g] * mx - lo;
+        if (span <= 0.0)
+            return g;
+        double table[4];
+        for (int k = 0; k < 4; k++)
+            table[k] = lo + span * levels[4 * g + k];
+        /* table as eight 32-bit halves: code c's double is halves 2c and 2c + 1 */
+        const __m256i tab = _mm256_castpd_si256(_mm256_loadu_pd(table));
+        const __m256d lo4 = _mm256_set1_pd(lo), span4 = _mm256_set1_pd(span);
+        const __m256d t0 = _mm256_set1_pd(t[0]), t1 = _mm256_set1_pd(t[1]), t2 = _mm256_set1_pd(t[2]);
+        uint8_t *cg = codes + g * gsize;
+        double *vg = values ? values + g * gsize : NULL;
+        int64_t i = 0;
+        for (; i + 4 <= gsize; i += 4) {
+            __m256d v = _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(xg + i), lo4), span4);
+            /* max and min return their second operand when either is NaN */
+            v = _mm256_min_pd(one, _mm256_max_pd(zero, v));
+            __m256d m0 = _mm256_cmp_pd(v, t0, _CMP_GE_OQ), m1 = _mm256_cmp_pd(v, t1, _CMP_GE_OQ),
+                    m2 = _mm256_cmp_pd(v, t2, _CMP_GE_OQ);
+            uint32_t c4 = SPREAD[_mm256_movemask_pd(m0)] + SPREAD[_mm256_movemask_pd(m1)] +
+                          SPREAD[_mm256_movemask_pd(m2)];
+            memcpy(cg + i, &c4, 4); /* little-endian: byte j is element i + j */
+            if (vg) {
+                /* each mask lane is 0 or -1, so the code is minus their sum */
+                __m256i c = _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_castpd_si256(m0));
+                c = _mm256_sub_epi64(_mm256_sub_epi64(c, _mm256_castpd_si256(m1)), _mm256_castpd_si256(m2));
+                __m256i half = _mm256_slli_epi64(c, 1);
+                __m256i idx = _mm256_or_si256(half, _mm256_slli_epi64(_mm256_add_epi64(half, one64), 32));
+                _mm256_storeu_pd(vg + i, _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(tab, idx)));
+            }
+        }
+        for (; i < gsize; i++) {
+            double v = (xg[i] - lo) / span;
+            v = 0.0 > v ? 0.0 : v;
+            v = 1.0 < v ? 1.0 : v;
+            const int c = (v >= t[0]) + (v >= t[1]) + (v >= t[2]);
+            cg[i] = (uint8_t)c;
+            if (vg)
+                vg[i] = table[c];
+        }
+    }
+    return -1;
+}
+
+/* The uniform scorer: each clip candidate's 2-bit quantization error.
+ *
+ * For one group g and each clip candidate p, as the numpy reference in
+ * calib.py (np.clip, then uniform.asym_quant_dequant, then the subtraction):
+ *   c = min(max(g, lo[p]), hi[p]), a NaN of g, lo[p] or hi[p] kept, and hi[p]
+ *       where lo[p] > hi[p], as np.clip;
+ *   mn, mx   the min and max of c, a NaN if c holds one; span = mx - mn
+ *            (clipping is monotone: they are g's min and max, clipped);
+ *   step = span / 3, zero = -rint(mn / span);
+ *   q = rint(c / step) + zero, clipped to [0, 3], a NaN kept;
+ *   deq = (q - zero) * step, or c itself where !(span > 0);
+ *   err = deq - c.
+ * rint rounds half to even, as np.round does. g's min and max come from the
+ * caller, as numpy's min and max give them, and numpy's clip, min and max
+ * return either sign of equal zeros, varying with an element's place in
+ * their SIMD loops; so the C side and the reference may see zeros of
+ * different signs in c, mn and zero. err depends on none of those signs.
+ * They reach err only through deq - c at deq = 0, and deq is never -0: that
+ * needs a clipped q of -0 with zero = +0, but q is -0 only when
+ * rint(c / step) and zero are both -0. So err equals the reference's bit
+ * for bit, and span does up to the sign of a zero span. A NaN min or max
+ * makes span NaN and deq = c, so its payload does not reach err either.
+ * The one exception is where an infinity makes a NaN (inf / inf, say) and
+ * an operation then meets two NaNs: which one it returns, and so the sign
+ * bit, may differ. The search rejects such a group anyway, as its scores
+ * are NaN.
+ *
+ * g: (gsize,); g_mn, g_mx: g's min and max, a NaN if g holds one; lo, hi:
+ * (cands,); err: (cands, gsize); span: (cands,). Requires gsize >= 1.
+ * Returns 0.
+ */
+
+/* np.clip of one value, with bounds as rcpq_clip_errors sets them */
+static double clip(double x, double l, double h)
+{
+    if (x != x)
+        return x;
+    x = x > l ? x : l;
+    return x < h ? x : h;
+}
+
+/* The 4 doubles at p, or the first n of them (the rest 0) where n < 4. */
+__attribute__((target("avx2"))) static inline __m256d load(const double *p, int64_t n, __m256i part)
+{
+    return n >= 4 ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, part);
+}
+
+__attribute__((target("avx2"))) static inline void store(double *p, __m256d v, int64_t n, __m256i part)
+{
+    if (n >= 4)
+        _mm256_storeu_pd(p, v);
+    else
+        _mm256_maskstore_pd(p, part, v);
+}
+
+__attribute__((target("avx2"))) int64_t rcpq_clip_errors(const double *g, int64_t gsize, double g_mn, double g_mx,
+                                                         const double *lo, const double *hi, int64_t cands,
+                                                         double *err, double *span)
+{
+    /* the lanes of a last, partial load of gsize % 4 values */
+    const __m256i part = _mm256_cmpgt_epi64(_mm256_set1_epi64x(gsize % 4), _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256d zero4 = _mm256_setzero_pd(), three4 = _mm256_set1_pd(3.0);
+    for (int64_t p = 0; p < cands; p++) {
+        double *e = err + p * gsize;
+        double l = lo[p], h = hi[p];
+        /* max and min return their second operand when either is NaN: a NaN
+         * bound goes into both, so it is kept, and a NaN of g is put back */
+        if (l != l)
+            h = l;
+        else if (h != h)
+            l = h;
+        const __m256d l4 = _mm256_set1_pd(l), h4 = _mm256_set1_pd(h);
+        /* clipping is monotone, so the clipped group's min and max are the clipped min and max */
+        const double mn = clip(g_mn, l, h), s = clip(g_mx, l, h) - mn;
+        span[p] = s;
+        const int quantize = s > 0.0; /* else deq = c */
+        const double step = s / 3.0;
+        const double z = -_mm_cvtsd_f64(_mm_round_sd(_mm_setzero_pd(), _mm_set_sd(mn / s), RINT));
+        const __m256d step4 = _mm256_set1_pd(step), z4 = _mm256_set1_pd(z);
+        for (int64_t i = 0; i < gsize; i += 4) {
+            const int64_t n = gsize - i;
+            const __m256d x = load(g + i, n, part);
+            const __m256d c = _mm256_blendv_pd(_mm256_min_pd(_mm256_max_pd(x, l4), h4), x,
+                                               _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
+            __m256d deq = c;
+            if (quantize) {
+                __m256d q = _mm256_add_pd(_mm256_round_pd(_mm256_div_pd(c, step4), RINT), z4);
+                q = _mm256_min_pd(three4, _mm256_max_pd(zero4, q));
+                deq = _mm256_mul_pd(_mm256_sub_pd(q, z4), step4);
+            }
+            store(e + i, _mm256_sub_pd(deq, c), n, part);
+        }
+    }
+    return 0;
+}

@@ -105,11 +105,12 @@ therefore the reference's bit for bit, whatever order BLAS sums in. An inf
 margin makes ``screen - margin`` -inf or NaN and ``min(screen + margin)``
 inf or NaN; either way the test is false and the candidate is re-scored.
 
-Each candidate's ``err`` comes from the compiled scorer ``_clip.c``
-(``_native`` builds it), which does the reference's float operations in
-its order in one AVX2 pass over the group per candidate, or, where it does
-not load, from ``np.clip`` and ``asym_quant_dequant``. Both give the same
-bits.
+Each candidate's ``err`` comes from the compiled scorer in ``_quant.c``
+(``_native`` builds it, in one library with the LDP encoder), which does
+the reference's float operations in its order in one AVX2 pass over the
+group per candidate, taking the group's min and max from the search, or,
+where it does not load, from ``np.clip`` and ``asym_quant_dequant``. Both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def grid_search_clip(
                 deq, span = asym_quant_dequant(clipped, BITS)
                 err = np.subtract(deq, clipped, out=deq)
             else:
-                kernel(g, g_dim, lo_c, hi_c, rl.size, err, span)
+                kernel(g, g_dim, mn, mx, lo_c, hi_c, rl.size, err, span)
             screen, margin = _screen(err, _exponent(max(-mn, mx)), scaled[n], spare)
             screen[span == 0.0] = np.inf  # fully collapsed candidates are invalid
             # Keep every candidate not proven worse than some other one. The

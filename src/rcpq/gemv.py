@@ -43,11 +43,10 @@ call, kept on the frozen operand, and never rebuilt per call:
 
 It covers ``G % 4 == 0``, which includes the default 128. Other group
 sizes, CPUs without AVX2 (probed at run time), and any process where the
-build or load fails run the spec, as does a task whose weights were packed
-for another layout. An inf or NaN LUT entry has no integer value, so its
-LUT holds no units and runs the spec too, which raises ``DataError`` at the
-first such (row, group) in row-major order. Either "not covered" is kept on
-the operand too, so it is found once.
+build or load fails run the spec. An inf or NaN LUT entry has no integer
+value, so its LUT holds no units and runs the spec too, which raises
+``DataError`` at the first such (row, group) in row-major order. Either
+"not covered" is kept on the operand too, so it is found once.
 """
 
 from __future__ import annotations
@@ -98,6 +97,8 @@ class GemvTask:
             if data.dtype != dtype:
                 raise DataError(f"{field} must be {np.dtype(dtype)}, got {data.dtype}")
         lay = self.layout
+        if self.weights.layout != lay:
+            raise ShapeError(f"weights packed for {self.weights.layout}, not the task's {lay}")
         if self.x_packed.data.shape != (lay.in_channels // 2,):
             raise ShapeError("packed activations do not match layout")
         if self.weights.data.shape != (lay.out_channels, lay.in_channels // 4):
@@ -114,13 +115,11 @@ _MAX_IN_CHANNELS = 2**20  # keeps |S_h| < 2^43 * C inside int64
 def _kernel_for(task: GemvTask):
     """The compiled kernel when it covers ``task``, which has passed its checks, and builds; else None.
 
-    It covers the task when the weights were packed for the task's layout
-    and hold tiles, and the LUT holds units. Both are built here at the
-    first such call and kept on the operands.
+    It covers the task when the weights hold tiles and the LUT holds units.
+    Both are built here at the first such call and kept on the operands.
     """
     kernel = _native.kernel("w2a4")
-    if (kernel is None or task.weights.layout != task.layout
-            or _tiles(task.weights) is None or _units(task.lut) is None):
+    if kernel is None or _tiles(task.weights) is None or _units(task.lut) is None:
         return None
     return kernel
 
@@ -193,11 +192,11 @@ def _row_sums_compiled(kernel, task: GemvTask) -> np.ndarray:
     """The kernel's row sums on ``task``, which ``gemv_fast`` has checked against its layout.
 
     The kernel takes raw pointers. ``GemvTask._check`` has checked every
-    dtype and shape, ``_kernel_for`` that the weights were packed for this
-    layout, so the tiles and units, private C-ordered arrays, fit it, and
-    the activations are made contiguous here. Every array is held in a
-    local while the kernel runs: a concurrent first call on the same
-    operand may replace the kept tiles or units, and must not free them.
+    dtype and shape and that the weights were packed for this layout, so
+    the tiles and units, private C-ordered arrays, fit it, and the
+    activations are made contiguous here. Every array is held in a local
+    while the kernel runs: a concurrent first call on the same operand may
+    replace the kept tiles or units, and must not free them.
     """
     lay = task.layout
     tiles, units = _tiles(task.weights), _units(task.lut)
@@ -259,7 +258,7 @@ def gemv_ref(task: GemvTask) -> np.ndarray:
 
     Raises ``DataError`` at the first (row, group) whose LUT holds an inf or
     NaN and for a scale that is not finite and > 0, and ``ShapeError`` past
-    2^20 input channels.
+    2^20 input channels and for weights packed for another layout.
     """
     return _gemv(task, 8, False)
 

@@ -24,11 +24,12 @@ field has shape (...), so a single group with scalar logits and a whole
 (H, N) parameter grid go through the same code path.
 
 ``fake_quant`` (and ``encode_codes``, its codes alone) runs a compiled
-encoder, ``_ldp.c``, built and loaded by ``_native``: one AVX2 pass per
-group does the float64 operations of ``_fake_quant_numpy`` in the same
-order, so the bits are the same. ``_fake_quant_numpy`` is its reference and
-its fallback where the kernel does not build or the CPU lacks AVX2. Both
-take the data-free part of the grids (``_partition``) from one place.
+encoder in ``_quant.c``, which ``_native`` builds and loads in one library
+with the clip search's scorer: one AVX2 pass per group does the float64
+operations of ``_fake_quant_numpy`` in the same order, so the bits are the
+same. ``_fake_quant_numpy`` is its reference and its fallback where the
+kernel does not build or the CPU lacks AVX2. Both take the data-free part
+of the grids (``_partition``) from one place.
 """
 
 from __future__ import annotations

@@ -107,10 +107,13 @@ class PackedActivations:
 
 @dataclass(frozen=True)
 class DequantLut:
-    """Per-group dequantization table, shape (H, N, 4), float16, non-decreasing.
+    """Per-group dequantization table, shape (H, N, 4), float16.
 
     ``table`` is a read-only copy of the array passed in, and the fields
-    cannot be reassigned.
+    cannot be reassigned. The constructor checks no entry: ``build_lut``,
+    ``write_rcpq`` and ``read_rcpq`` check that every entry is finite and
+    each group's entries non-decreasing, and the GEMV needs only finite
+    entries, naming the first (row, group) that holds one that is not.
     """
 
     table: np.ndarray
@@ -337,9 +340,9 @@ def read_rcpq(path) -> RcpqContainer:
     if _TAG_LUT not in sections or len(sections[_TAG_LUT]) != expect_lut:
         raise DataError(f"{path}: LUT section missing or wrong size")
 
-    weights = np.frombuffer(sections[_TAG_WEIGHTS], dtype=np.uint8).reshape(h, c // 4)
-    pw = PackedWeights._take(weights.copy(), layout)
-    lut = DequantLut(table=np.frombuffer(sections[_TAG_LUT], dtype="<f2").reshape(h, n, 4))  # which copies it
+    # PackedWeights and DequantLut copy each section once
+    pw = PackedWeights(np.frombuffer(sections[_TAG_WEIGHTS], dtype=np.uint8).reshape(h, c // 4), layout)
+    lut = DequantLut(table=np.frombuffer(sections[_TAG_LUT], dtype="<f2").reshape(h, n, 4))
     _check_lut(lut.table, DataError, f"{path}: ")
     params = None
     if flags & 1:

@@ -1,5 +1,6 @@
 """Clip-ratio grid search and quantizer initialization."""
 
+import re
 import shutil
 
 import numpy as np
@@ -133,7 +134,7 @@ def _scorer_outcome(kernel, group, lo, hi):
             deq, span = asym_quant_dequant(clipped, BITS)
             return deq - clipped, span
         err, span = np.empty((lo.size, group.size)), np.empty(lo.size)
-        assert kernel(group, group.size, lo, hi, lo.size, err, span) == 0
+        assert kernel(group, group.size, group.min(), group.max(), lo, hi, lo.size, err, span) == 0
         return err, span
 
 
@@ -603,6 +604,22 @@ class TestCompiledScorer:
         assert len(probes) == 1  # the library built and loaded, and was probed once
         assert len(calls) == 8  # one per group and search: both ran the numpy path
         assert _native.path("clip") == "numpy"
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+    @pytest.mark.usefixtures("kernel")  # skips where the CPU lacks AVX2
+    def test_search_and_encoder_share_one_build(self, fresh_kernel, monkeypatch):
+        builds = []
+        run = _native.subprocess.run
+        monkeypatch.setattr(_native.subprocess, "run", lambda cmd, **kw: builds.append(cmd) or run(cmd, **kw))
+        rng = make_rng(58)
+        layout = GroupLayout(2, 32, 16)
+        search = grid_search_clip(rng.laplace(size=(2, 32)), rng.standard_normal((24, 32)), layout,
+                                  ClipSearchConfig(grid=8))
+        fake_quant(rng.laplace(size=(2, 2, 16)), ldp_init(search))
+        assert len(builds) == 1  # one cc run serves both kernels
+        [lib] = fresh_kernel.iterdir()
+        assert re.fullmatch(r"quant-[0-9a-f]{16}\.so", lib.name)
+        assert _native.path("clip") == _native.path("ldp") == "c"
 
 
 class TestLdpInit:

@@ -29,3 +29,4 @@ def test_parity_prints_one_digest_per_item():
     lines = proc.stdout.splitlines()
     assert len(lines) == 9 and lines[-1].endswith("  combined")
     assert all(len(line.split()[0]) == 64 for line in lines)
+    assert all(f"kernel {name}: " in proc.stderr for name in ("clip", "ldp", "w2a4"))

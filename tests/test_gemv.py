@@ -466,12 +466,16 @@ class TestTilesAtLoad:
         assert gemv_fast(swapped).tobytes() != gemv_fast(task).tobytes()
         assert len(compiled_calls) == 3
 
-    def test_weights_packed_for_another_layout_run_the_spec(self, repacks, compiled_calls):
+    def test_weights_packed_for_another_layout_are_refused(self, repacks, compiled_calls):
         # groups of 3 blocks are padded to 2 pairs in the tiles, groups of 6 are not
         task = make_task(make_rng(89), 40, 96, 12)
-        regrouped = dataclasses.replace(task, lut=DequantLut(task.lut.table[:, ::2].copy()),
-                                        layout=GroupLayout(40, 96, 24))
-        assert gemv_fast(regrouped).tobytes() == gemv_ref(regrouped).tobytes()
+        lut, layout = DequantLut(task.lut.table[:, ::2].copy()), GroupLayout(40, 96, 24)
+        with pytest.raises(ShapeError, match="weights packed for"):
+            dataclasses.replace(task, lut=lut, layout=layout)
+        task.lut, task.layout = lut, layout  # assignments bypass the constructor's checks
+        for evaluate in (gemv_fast, gemv_ref):
+            with pytest.raises(ShapeError, match="weights packed for"):
+                evaluate(task)
         assert compiled_calls == [] and repacks == []
 
     def test_uncovered_group_size_is_found_once(self, repacks, compiled_calls):

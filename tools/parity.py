@@ -7,7 +7,9 @@ Run it on two checkouts and compare the printed lines:
 Each line is the sha256 of one item's outputs (dtype, shape and raw bytes of
 every array, ``float.hex`` of every float), and the last line combines them.
 All inputs come from fixed ``make_rng`` seeds. A run takes well under a
-minute on two cores; per-item times go to stderr.
+minute on two cores; per-item times go to stderr, and after the digests
+the path (``c`` or ``numpy``) that each compiled kernel's caller ran, so a
+comparison shows whether both checkouts ran the kernels.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import time
 import numpy as np
 
 import rcpq
+from rcpq import _native
 from rcpq.calib import clipped_uniform_quantizer
 from rcpq.core import GroupLayout, make_rng
 from rcpq.gemv import random_activation
@@ -197,6 +200,8 @@ def main() -> int:
         print(f"{line}  {name}", flush=True)
         print(f"  {name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     print(f"{combined.hexdigest()}  combined")
+    for name in ("clip", "ldp", "w2a4"):
+        print(f"  kernel {name}: {_native.path(name)}", file=sys.stderr)
     return 0
 
 
