@@ -162,8 +162,19 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
  * bit, may differ. The search rejects such a group anyway, as its scores
  * are NaN.
  *
+ * Two output modes, in the same pass per candidate:
+ *   float64   err: (cands, gsize), the errors above;
+ *   float32   (err NULL) e: (cands, gsize), float32(err * scale), the
+ *             product rounded to double and then to float as numpy's
+ *             np.multiply(err, scale, out=<float32>, casting="same_kind")
+ *             rounds it, so e equals numpy's bit for bit; and n: (cands,),
+ *             the float32 sum of e's squares, each square rounded to float,
+ *             summed in this kernel's own lane order.
+ * Each candidate is computed on its own, so a call on a subset of the
+ * candidates writes the same bits for them as a call on all of them.
+ *
  * g: (gsize,); g_mn, g_mx: g's min and max, a NaN if g holds one; lo, hi:
- * (cands,); err: (cands, gsize); span: (cands,). Requires gsize >= 1.
+ * (cands,); span: (cands,), written in both modes. Requires gsize >= 1.
  * Returns 0.
  */
 
@@ -190,43 +201,96 @@ __attribute__((target("avx2"))) static inline void store(double *p, __m256d v, i
         _mm256_maskstore_pd(p, part, v);
 }
 
+/* One candidate's clip bounds and quantizer, broadcast. */
+struct quantizer {
+    __m256d l, h, step, z;
+    int quantize;  /* span > 0, else deq = c */
+    int nan_bound; /* l and h are one NaN */
+};
+
+/* err of the 4 values at x, or of the first n of them where n < 4 (the other lanes are junk) */
+__attribute__((target("avx2"))) static inline __m256d err4(const struct quantizer *k, const double *x, int64_t n,
+                                                          __m256i part)
+{
+    const __m256d v = load(x, n, part);
+    /* max and min return their second operand when either is NaN: so a NaN
+     * of x is kept, and a NaN bound, which is both bounds, is put in by hand */
+    const __m256d c = k->nan_bound ? _mm256_blendv_pd(k->l, v, _mm256_cmp_pd(v, v, _CMP_UNORD_Q))
+                                   : _mm256_min_pd(k->h, _mm256_max_pd(k->l, v));
+    __m256d deq = c;
+    if (k->quantize) {
+        __m256d q = _mm256_add_pd(_mm256_round_pd(_mm256_div_pd(c, k->step), RINT), k->z);
+        q = _mm256_min_pd(_mm256_set1_pd(3.0), _mm256_max_pd(_mm256_setzero_pd(), q));
+        deq = _mm256_mul_pd(_mm256_sub_pd(q, k->z), k->step);
+    }
+    return _mm256_sub_pd(deq, c);
+}
+
+/* float32(err * scale) of the 8 values at x, or of the first n of them where
+ * n < 8, the other lanes 0 */
+__attribute__((target("avx2"))) static inline __m256 scaled8(const struct quantizer *k, const double *x, int64_t n,
+                                                            __m256i part, __m256d scale, __m256i tail)
+{
+    const __m128 a = _mm256_cvtpd_ps(_mm256_mul_pd(err4(k, x, n, part), scale));
+    if (n >= 8)
+        return _mm256_set_m128(_mm256_cvtpd_ps(_mm256_mul_pd(err4(k, x + 4, 4, part), scale)), a);
+    const __m128 b = n > 4 ? _mm256_cvtpd_ps(_mm256_mul_pd(err4(k, x + 4, n - 4, part), scale)) : _mm_setzero_ps();
+    return _mm256_and_ps(_mm256_set_m128(b, a), _mm256_castsi256_ps(tail));
+}
+
 __attribute__((target("avx2"))) int64_t rcpq_clip_errors(const double *g, int64_t gsize, double g_mn, double g_mx,
                                                          const double *lo, const double *hi, int64_t cands,
-                                                         double *err, double *span)
+                                                         double scale, double *err, float *e, float *n,
+                                                         double *span)
 {
-    /* the lanes of a last, partial load of gsize % 4 values */
+    /* the lanes of a last, partial load of gsize % 4 doubles, and of a last
+     * 8-lane block of gsize % 8 floats */
     const __m256i part = _mm256_cmpgt_epi64(_mm256_set1_epi64x(gsize % 4), _mm256_setr_epi64x(0, 1, 2, 3));
-    const __m256d zero4 = _mm256_setzero_pd(), three4 = _mm256_set1_pd(3.0);
+    const __m256i tail =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32((int)(gsize % 8)), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256d scale4 = _mm256_set1_pd(scale);
     for (int64_t p = 0; p < cands; p++) {
-        double *e = err + p * gsize;
         double l = lo[p], h = hi[p];
-        /* max and min return their second operand when either is NaN: a NaN
-         * bound goes into both, so it is kept, and a NaN of g is put back */
+        /* a NaN bound goes into both */
         if (l != l)
             h = l;
         else if (h != h)
             l = h;
-        const __m256d l4 = _mm256_set1_pd(l), h4 = _mm256_set1_pd(h);
         /* clipping is monotone, so the clipped group's min and max are the clipped min and max */
         const double mn = clip(g_mn, l, h), s = clip(g_mx, l, h) - mn;
         span[p] = s;
-        const int quantize = s > 0.0; /* else deq = c */
-        const double step = s / 3.0;
         const double z = -_mm_cvtsd_f64(_mm_round_sd(_mm_setzero_pd(), _mm_set_sd(mn / s), RINT));
-        const __m256d step4 = _mm256_set1_pd(step), z4 = _mm256_set1_pd(z);
-        for (int64_t i = 0; i < gsize; i += 4) {
-            const int64_t n = gsize - i;
-            const __m256d x = load(g + i, n, part);
-            const __m256d c = _mm256_blendv_pd(_mm256_min_pd(_mm256_max_pd(x, l4), h4), x,
-                                               _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
-            __m256d deq = c;
-            if (quantize) {
-                __m256d q = _mm256_add_pd(_mm256_round_pd(_mm256_div_pd(c, step4), RINT), z4);
-                q = _mm256_min_pd(three4, _mm256_max_pd(zero4, q));
-                deq = _mm256_mul_pd(_mm256_sub_pd(q, z4), step4);
-            }
-            store(e + i, _mm256_sub_pd(deq, c), n, part);
+        const struct quantizer k = {_mm256_set1_pd(l), _mm256_set1_pd(h), _mm256_set1_pd(s / 3.0),
+                                    _mm256_set1_pd(z), s > 0.0, l != l};
+        if (err) {
+            for (int64_t i = 0; i < gsize; i += 4)
+                store(err + p * gsize + i, err4(&k, g + i, gsize - i, part), gsize - i, part);
+            continue;
         }
+        float *ep = e + p * gsize;
+        /* two accumulators, so one sum does not wait on the other */
+        __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+        int64_t i = 0;
+        for (; i + 16 <= gsize; i += 16) {
+            const __m256 f0 = scaled8(&k, g + i, 8, part, scale4, tail);
+            const __m256 f1 = scaled8(&k, g + i + 8, 8, part, scale4, tail);
+            _mm256_storeu_ps(ep + i, f0);
+            _mm256_storeu_ps(ep + i + 8, f1);
+            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(f0, f0));
+            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(f1, f1));
+        }
+        for (; i < gsize; i += 8) {
+            const __m256 f = scaled8(&k, g + i, gsize - i, part, scale4, tail);
+            if (gsize - i >= 8)
+                _mm256_storeu_ps(ep + i, f);
+            else
+                _mm256_maskstore_ps(ep + i, tail, f);
+            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(f, f));
+        }
+        acc0 = _mm256_add_ps(acc0, acc1);
+        __m128 q = _mm_add_ps(_mm256_castps256_ps128(acc0), _mm256_extractf128_ps(acc0, 1));
+        q = _mm_add_ps(q, _mm_movehl_ps(q, q));
+        n[p] = _mm_cvtss_f32(_mm_add_ss(q, _mm_movehdup_ps(q)));
     }
     return 0;
 }

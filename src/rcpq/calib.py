@@ -105,12 +105,20 @@ therefore the reference's bit for bit, whatever order BLAS sums in. An inf
 margin makes ``screen - margin`` -inf or NaN and ``min(screen + margin)``
 inf or NaN; either way the test is false and the candidate is re-scored.
 
-Each candidate's ``err`` comes from the compiled scorer in ``_quant.c``
-(``_native`` builds it, in one library with the LDP encoder), which does
-the reference's float operations in its order in one AVX2 pass over the
-group per candidate, taking the group's min and max from the search, or,
-where it does not load, from ``np.clip`` and ``asym_quant_dequant``. Both
-give the same bits.
+The screen's operand ``(e, n)`` comes from the compiled scorer in
+``_quant.c`` (``_native`` builds it, in one library with the LDP encoder).
+It does the reference's float operations in their order in one AVX2 pass
+over the group per candidate, taking the group's min and max from the
+search, and in that pass rounds each ``err * 2**a`` to float32 as numpy
+does, and sums ``n`` in float32 in its own lanes, one of the orders the
+bound allows. Float64 errors exist only for the kept rows: a second call
+on the kept candidates' bounds writes them, with the bits a pass over all
+candidates gives, as each candidate is computed on its own. Where the
+kernel does not load, ``np.clip`` and ``asym_quant_dequant`` give every
+candidate's float64 ``err``, and numpy's cast and einsum ``(e, n)``
+(``_scaled_errors``). Both paths give the same ``e`` and the same float64
+errors; ``n`` may differ in its last bits, and so the kept set, but the
+picks and objectives are the reference's on both.
 """
 
 from __future__ import annotations
@@ -192,24 +200,31 @@ def _scaled_gram(gram):
     return np.ldexp(gram, b).astype(np.float32), b, float(_frobenius(gram))
 
 
-def _screen(err, a, gram, spare):
+def _scaled_errors(err, a, e):
+    """The numpy path's screen operand: ``err * 2**a`` rounded to float32
+    into ``e``, and its rows' float32 sums of squares."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(err, 2.0**a, out=e, casting="same_kind")
+        return e, np.einsum("pk,pk->p", e, e)
+
+
+def _screen(e, n, a, gram, prod):
     """float32 screen of ``err_p @ gram @ err_p`` for every row ``p`` of
     ``err``, and a bound on its distance from the reference einsum.
 
     Returns ``(screen, margin)`` in the einsum's units, with ``|screen_p -
     einsum_p| <= margin_p`` whatever order either one sums in and whatever
-    the powers of two (see the module docstring). ``err`` is scaled by
-    ``2**a`` and ``gram`` is ``_scaled_gram``'s triple; ``spare`` is a pair
-    of ``err``-shaped float32 buffers, overwritten.
+    the powers of two (see the module docstring). ``e`` is ``err * 2**a``
+    rounded to float32 and ``n`` its rows' float32 sums of squares, in any
+    order; ``gram`` is ``_scaled_gram``'s triple, and ``prod`` an
+    ``e``-shaped float32 buffer, overwritten.
     """
     m, b, fro = gram
-    e, prod = spare
-    g_dim = err.shape[1]
+    g_dim = e.shape[1]
     shift = -(2 * a + b)  # from the scaled units to the einsum's
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.multiply(err, 2.0**a, out=e, casting="same_kind")
         screen = np.einsum("pk,pk->p", np.matmul(e, m, out=prod), e)
-        norm = np.einsum("pk,pk->p", e, e).astype(np.float64)
+        norm = n.astype(np.float64)
         norm += 2 * g_dim * _TINY32
         norm_u = np.ldexp(norm, -2 * a)
         fro_s = np.ldexp(fro, b)
@@ -237,10 +252,11 @@ def grid_search_clip(
     (row, group) whose scores overflow to NaN, which no candidate can win.
 
     Per group, the compiled scorer (or its numpy reference) gives every
-    candidate's quantization error, every candidate is screened in float32,
-    and only those within the screen's rounding margin of the best are
-    scored by the reference einsum (see the module docstring). The result
-    is that of scoring every candidate with the einsum, bit for bit.
+    candidate's quantization error as the float32 screen's operand, every
+    candidate is screened, and only those within the screen's rounding
+    margin of the best get float64 errors and are scored by the reference
+    einsum (see the module docstring). The result is that of scoring every
+    candidate with the einsum, bit for bit.
     """
     w = np.asarray(w_r, dtype=np.float64)
     x = np.asarray(x_r, dtype=np.float64)
@@ -269,9 +285,16 @@ def grid_search_clip(
     )
     no_clip_idx = int(np.flatnonzero((rl == 1.0) & (rh == 1.0))[-1])
     kernel = _native.kernel("clip")
-    err = np.empty((rl.size, g_dim))
-    span = np.empty(rl.size)
-    spare = np.empty((2, *err.shape), dtype=np.float32)
+    # The screen's operand, and on the kernel path the arrays the kernel
+    # writes. The kernel takes raw pointers: each array here is a C-ordered
+    # float64 or float32 one of the shape it expects, held for the whole
+    # search, so its address is taken once.
+    e = np.empty((rl.size, g_dim), dtype=np.float32)
+    prod = np.empty_like(e)
+    lo_c, hi_c, span, kept_span = np.empty((4, rl.size))
+    norm = np.empty(rl.size, dtype=np.float32)
+    addr = {name: arr.ctypes.data for name, arr in
+            dict(groups=groups, lo=lo_c, hi=hi_c, e=e, norm=norm, span=span, kept_span=kept_span).items()}
 
     for h in range(h_dim):
         for n in range(n_dim):
@@ -280,22 +303,31 @@ def grid_search_clip(
             if mn == mx:
                 out.degenerate_groups.append((h, n))
                 continue
-            lo_c = rl * mn
-            hi_c = rh * mx
+            a = _exponent(max(-mn, mx))
+            np.multiply(rl, mn, out=lo_c)
+            np.multiply(rh, mx, out=hi_c)
+            g_addr = addr["groups"] + g.itemsize * g_dim * (h * n_dim + n)
             if kernel is None:
                 clipped = np.clip(g[None, :], lo_c[:, None], hi_c[:, None])
                 deq, span = asym_quant_dequant(clipped, BITS)
                 err = np.subtract(deq, clipped, out=deq)
+                _, norm = _scaled_errors(err, a, e)
             else:
-                kernel(g, g_dim, mn, mx, lo_c, hi_c, rl.size, err, span)
-            screen, margin = _screen(err, _exponent(max(-mn, mx)), scaled[n], spare)
+                kernel(g_addr, g_dim, mn, mx, addr["lo"], addr["hi"], rl.size, 2.0**a, None, addr["e"],
+                       addr["norm"], addr["span"])
+            screen, margin = _screen(e, norm, a, scaled[n], prod)
             screen[span == 0.0] = np.inf  # fully collapsed candidates are invalid
             # Keep every candidate not proven worse than some other one. The
             # negated test keeps all of them when a score is inf or NaN.
             keep = ~(screen - margin > np.min(screen + margin))
             keep[no_clip_idx] = True
             cand = np.flatnonzero(keep)
-            kept = err[cand]
+            if kernel is None:
+                kept = err[cand]
+            else:  # float64 errors of the kept candidates alone: the same bits as a pass over all
+                kept, lo_k, hi_k = np.empty((cand.size, g_dim)), lo_c[cand], hi_c[cand]
+                kernel(g_addr, g_dim, mn, mx, lo_k.ctypes.data, hi_k.ctypes.data, cand.size, 1.0,
+                       kept.ctypes.data, None, None, addr["kept_span"])
             obj = np.einsum("pg,gk,pk->p", kept, grams[n], kept)
             obj[span[cand] == 0.0] = np.inf
             if np.isnan(obj).any():  # inf - inf in a score: no candidate can be ranked

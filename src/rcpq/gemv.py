@@ -139,7 +139,8 @@ def _tiles(pw: PackedWeights) -> np.ndarray | None:
             # Tiles of 32 rows; per group, pairs of 4-channel blocks at 64 bytes a pair.
             pairs = (lay.group_size // 4 + 1) // 2
             tiles = np.empty(-(-lay.out_channels // 32) * lay.num_groups * pairs * 64, dtype=np.uint8)
-            repack(pw.data, lay.out_channels, lay.num_groups, lay.group_size, tiles)
+            # Raw pointers: PackedWeights keeps data C-ordered, and the checks have passed its dtype.
+            repack(pw.data.ctypes.data, lay.out_channels, lay.num_groups, lay.group_size, tiles.ctypes.data)
         object.__setattr__(pw, "_tiles", tiles)
     return pw._tiles
 

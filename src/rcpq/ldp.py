@@ -198,12 +198,15 @@ def _encode(groups, params: LdpParams, values: bool) -> tuple[np.ndarray, np.nda
             a = np.broadcast_to(a, batch + tail)
         return np.ascontiguousarray(a, dtype=np.float64)
 
+    # The kernel takes raw pointers: every array is a C-ordered float64 one
+    # of its per-group shape (codes uint8), held in a local while it runs.
     x = per_group(g, g.shape[-1])
+    lo, hi, t, lv = per_group(s_lo), per_group(s_hi), per_group(thresholds, 3), per_group(levels, 4)
     codes = np.empty(x.shape, dtype=np.uint8)
     out = np.empty(x.shape, dtype=np.float64) if values else None
     bad = kernel(
-        x, x.size // x.shape[-1], x.shape[-1], per_group(s_lo), per_group(s_hi), per_group(thresholds, 3),
-        per_group(levels, 4), codes, None if out is None else out.ctypes.data,
+        x.ctypes.data, x.size // x.shape[-1], x.shape[-1], lo.ctypes.data, hi.ctypes.data, t.ctypes.data,
+        lv.ctypes.data, codes.ctypes.data, None if out is None else out.ctypes.data,
     )
     if bad >= 0:
         raise _invalid_range(np.unravel_index(bad, batch or (1,)))

@@ -1,5 +1,6 @@
 """Clip-ratio grid search and quantizer initialization."""
 
+import math
 import re
 import shutil
 
@@ -18,6 +19,7 @@ from rcpq.calib import (
     _candidate_ratios,
     _exponent,
     _frobenius,
+    _scaled_errors,
     _screen,
     grid_search_clip,
     ldp_init,
@@ -134,8 +136,16 @@ def _scorer_outcome(kernel, group, lo, hi):
             deq, span = asym_quant_dequant(clipped, BITS)
             return deq - clipped, span
         err, span = np.empty((lo.size, group.size)), np.empty(lo.size)
-        assert kernel(group, group.size, group.min(), group.max(), lo, hi, lo.size, err, span) == 0
+        assert _call(kernel, group, lo, hi, 1.0, err.ctypes.data, None, None, span) == 0
         return err, span
+
+
+def _call(kernel, group, lo, hi, scale, err, e, n, span):
+    """The clip scorer on ``group`` and the bounds ``lo`` and ``hi``; ``err``,
+    ``e`` and ``n`` are addresses or None, as the kernel takes them."""
+    group, lo, hi = (np.ascontiguousarray(v, dtype=np.float64) for v in (group, lo, hi))
+    return kernel(group.ctypes.data, group.size, group.min(), group.max(), lo.ctypes.data, hi.ctypes.data,
+                  lo.size, scale, err, e, n, span.ctypes.data)
 
 
 def _candidate_errors(group, grid):
@@ -359,7 +369,8 @@ def _screened(err, gram, a, b):
     """``_screen`` of ``err`` at ``2**a`` against ``gram`` at ``2**b``."""
     with np.errstate(over="ignore"):
         m = np.ldexp(gram, b).astype(np.float32)
-    return _screen(err, a, (m, b, float(_frobenius(gram))), np.empty((2, *err.shape), np.float32))
+    e, n = _scaled_errors(err, a, np.empty(err.shape, np.float32))
+    return _screen(e, n, a, (m, b, float(_frobenius(gram))), np.empty_like(e))
 
 
 def _float32_orders(err, gram, a, b):
@@ -547,9 +558,42 @@ class TestScreenMargin:
         monkeypatch.setattr(calib.np, "einsum", spy)
         for kernel in paths:
             rows.clear()
-            _on(kernel, grid_search_clip, *_benchmark_slice(), ClipSearchConfig(grid=64))
+            written = []  # per call of the kernel's float64 mode, its candidates
+
+            def scorer(*args):
+                if args[8] is not None:  # err
+                    written.append(args[6])
+                return kernel(*args)
+
+            _on(None if kernel is None else scorer, grid_search_clip, *_benchmark_slice(), ClipSearchConfig(grid=64))
             assert len(rows) == 16
             assert sum(rows) <= 256
+            # the kernel makes float64 errors only for the rows the einsum re-scores
+            assert written == (rows if kernel else [])
+
+
+def _scorer_group(rng, g_dim, data):
+    """A group of kind ``data``, and the sides its clip bounds scale: the
+    search's min and max, or with a NaN, half the time the finite ones."""
+    group = rng.laplace(scale=rng.uniform(0.01, 10.0), size=g_dim)
+    if data == "one_sign":  # lo = rl * min above hi = rh * max: np.clip gives hi
+        group = np.abs(group) * rng.choice([-1.0, 1.0])
+    elif data == "zeros":  # +0 and -0 among the values, maybe all of them
+        hit = rng.random(g_dim) < rng.choice([0.3, 1.0])
+        group[hit] = rng.choice([0.0, -0.0], hit.sum())
+    elif data == "subnormal":
+        group *= 1e-310
+    elif data == "huge":  # the scale where the search's squared errors overflow
+        group *= 10.0 ** rng.uniform(154, 156) / np.abs(group).max()
+    elif data == "nan":
+        group[rng.integers(g_dim)] = np.nan
+    lo_side, hi_side = group.min(), group.max()
+    if data == "nan" and g_dim > 1 and rng.random() < 0.5:
+        lo_side, hi_side = np.nanmin(group), np.nanmax(group)
+    return group, lo_side, hi_side
+
+
+_DATA = st.sampled_from(["laplace", "one_sign", "zeros", "subnormal", "huge", "nan"])
 
 
 class TestCompiledScorer:
@@ -558,34 +602,73 @@ class TestCompiledScorer:
     @given(
         g_dim=st.sampled_from([1, 2, 3, 5, 7, 16, 33, 128]),
         grid=st.integers(2, 64),
-        data=st.sampled_from(["laplace", "one_sign", "zeros", "subnormal", "huge", "nan"]),
+        data=_DATA,
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bits_equal_numpy(self, kernel, g_dim, grid, data, seed):
         rng = make_rng(seed)
-        group = rng.laplace(scale=rng.uniform(0.01, 10.0), size=g_dim)
-        if data == "one_sign":  # lo = rl * min above hi = rh * max: np.clip gives hi
-            group = np.abs(group) * rng.choice([-1.0, 1.0])
-        elif data == "zeros":  # +0 and -0 among the values, maybe all of them
-            hit = rng.random(g_dim) < rng.choice([0.3, 1.0])
-            group[hit] = rng.choice([0.0, -0.0], hit.sum())
-        elif data == "subnormal":
-            group *= 1e-310
-        elif data == "huge":  # the scale where the search's squared errors overflow
-            group *= 10.0 ** rng.uniform(154, 156) / np.abs(group).max()
-        elif data == "nan":
-            group[rng.integers(g_dim)] = np.nan
+        group, lo_side, hi_side = _scorer_group(rng, g_dim, data)
         rl, rh = _candidate_ratios(ClipSearchConfig(grid=grid))
-        # the search's bounds; with a NaN, half the time the finite ones
-        lo_side, hi_side = group.min(), group.max()
-        if data == "nan" and g_dim > 1 and rng.random() < 0.5:
-            lo_side, hi_side = np.nanmin(group), np.nanmax(group)
         lo, hi = rl * lo_side, rh * hi_side
         want_err, want_span = _scorer_outcome(None, group, lo, hi)
         err, span = _scorer_outcome(kernel, group, lo, hi)
         assert err.tobytes() == want_err.tobytes()
         # numpy's min and max may give either sign of a zero span
         np.testing.assert_array_equal(span, want_span)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        g_dim=st.sampled_from([1, 2, 3, 5, 7, 12, 24, 33, 128]),
+        grid=st.integers(2, 64),
+        data=_DATA,
+        # off the search's power of two: float32 conversions that underflow or overflow
+        shift=st.one_of(st.just(0), st.integers(-160, -120), st.integers(120, 160)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float32_operand_equals_numpy(self, kernel, g_dim, grid, data, shift, seed):
+        # The screen's operand from the kernel: e is numpy's float32 cast of
+        # the scaled errors bit for bit, and n is a float32 sum of e's
+        # squares, within the bound the margin's proof takes for one.
+        rng = make_rng(seed)
+        group, lo_side, hi_side = _scorer_group(rng, g_dim, data)
+        rl, rh = _candidate_ratios(ClipSearchConfig(grid=grid))
+        lo, hi = rl * lo_side, rh * hi_side
+        a = min(max(_exponent(float(np.abs(group).max())) + shift, -1074), 1023)  # 2**a a finite float
+        err, want_span = _scorer_outcome(None, group, lo, hi)
+        want = np.empty(err.shape, dtype=np.float32)
+        with np.errstate(all="ignore"):
+            np.multiply(err, 2.0**a, out=want, casting="same_kind")
+        e, n, span = np.empty_like(want), np.empty(lo.size, dtype=np.float32), np.empty(lo.size)
+        assert _call(kernel, group, lo, hi, 2.0**a, None, e.ctypes.data, n.ctypes.data, span) == 0
+        assert e.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(span, want_span)
+
+        nan = np.isnan(e).any(axis=1)
+        assert np.isnan(n[nan]).all()
+        # the exact sum of the squares, rounded once; inf where e holds an inf
+        total = np.array([math.fsum(row) for row in e[~nan].astype(np.float64) ** 2])
+        got = n[~nan].astype(np.float64)
+        tiny = g_dim * float(np.finfo(np.float32).smallest_subnormal)
+        gamma = 2 * g_dim * 2.0**-24 / (1 - 2 * g_dim * 2.0**-24)
+        upper = (total + tiny) * (1 + gamma)
+        assert np.all(total <= (got + tiny) * (1 + gamma))
+        # a finite sum may round to inf only near float32's largest value
+        assert np.all(np.where(np.isinf(got), upper >= np.finfo(np.float32).max, got <= upper))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(g_dim=st.sampled_from([1, 3, 7, 16, 33, 128]), data=_DATA, seed=st.integers(0, 2**32 - 1))
+    def test_subset_rows_equal_the_full_pass(self, kernel, g_dim, data, seed):
+        # The search re-scores the kept candidates from a second call on their
+        # bounds alone: each row must have the bits of the pass over all.
+        rng = make_rng(seed)
+        group, lo_side, hi_side = _scorer_group(rng, g_dim, data)
+        rl, rh = _candidate_ratios(ClipSearchConfig(grid=16))
+        lo, hi = rl * lo_side, rh * hi_side
+        err, span = _scorer_outcome(kernel, group, lo, hi)
+        cand = np.flatnonzero(rng.random(lo.size) < rng.choice([0.01, 0.2, 1.0]))
+        sub, sub_span = _scorer_outcome(kernel, group, lo[cand], hi[cand])
+        assert sub.tobytes() == err[cand].tobytes()
+        assert sub_span.tobytes() == span[cand].tobytes()
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
     def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch):
