@@ -34,6 +34,7 @@ of the grids (``_partition``) from one place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,39 +246,68 @@ def grads(
     inside [lo, hi], zero outside). Parameter gradients differentiate
     ``w_hat = lo + span * level[code]`` exactly with the code held fixed;
     group min/max are treated as constants for the step.
+
+    Raises ``ValueError`` when ``codes`` or ``upstream`` do not have the
+    shape of ``groups``, and at the first group holding a code outside
+    {0..3}: the codes index one flat table of every group's levels, where a
+    stray code would read a neighbouring group's entry.
     """
     g = np.asarray(groups, dtype=np.float64)
-    idx = np.asarray(codes, dtype=np.int64)
+    idx = np.asarray(codes, dtype=np.intp)
     up = np.asarray(upstream, dtype=np.float64)
     for name, arr in (("codes", idx), ("upstream", up)):
         if arr.shape != g.shape:
             raise ValueError(f"{name} {arr.shape} does not match groups {g.shape}")
-    s_lo = sigmoid(params.lo_logit)
-    s_hi = sigmoid(params.hi_logit)
+    stray = idx.view(np.uintp) > 3  # a negative code wraps to a huge unsigned one
+    if stray.any():
+        group = np.argwhere(stray)[0][:-1]  # the first stray code's group
+        raise ValueError(f"codes outside 0..3 at group index {tuple(int(i) for i in group)}")
+    fields = np.broadcast_arrays(params.lo_logit, params.hi_logit, params.split1, params.split2)
+    s_lo, s_hi, a, b = sigmoid(np.stack(fields))  # one call for the four fields
     mn, mx, lo, hi, span = _range(g, s_lo, s_hi)
-    a = np.asarray(sigmoid(params.split1))
-    b = np.asarray(sigmoid(params.split2))
-    da = a * (1.0 - a)
-    db = b * (1.0 - b)
+    batch = np.broadcast_shapes(g.shape[:-1], span.shape, np.shape(a))
+    na = 1.0 - a
+    nab = na * b
+    da = a * na
+    nadb = na * (b * (1.0 - b))
 
-    # Level values and their share-logit derivatives, per code.
-    w1 = (3.0 * a + (1.0 - a) * b) / 4.0
-    w2 = a + (1.0 - a) * b / 2.0 + (1.0 - a) / 4.0
-    zeros = np.zeros_like(w1)
-    levels = np.stack([zeros, w1, w2, np.ones_like(w1)], axis=-1)
-    dlev_ds1 = np.stack([zeros, da * (3.0 - b) / 4.0, da * (3.0 - 2.0 * b) / 4.0, zeros], axis=-1)
-    dlev_ds2 = np.stack([zeros, (1.0 - a) * db / 4.0, (1.0 - a) * db / 2.0, zeros], axis=-1)
+    # Level values (row 0) and their split1 (row 1) and split2 (row 2)
+    # derivatives, per group and code; codes 0 and 3 sit on the clip
+    # endpoints, so only their level (1 for code 3) is non-zero.
+    table = np.zeros((3,) + batch + (4,))
+    table[0, ..., 1] = (3.0 * a + nab) / 4.0
+    table[0, ..., 2] = a + nab / 2.0 + na / 4.0
+    table[0, ..., 3] = 1.0
+    table[1, ..., 1] = da * (3.0 - b) / 4.0
+    table[1, ..., 2] = da * (3.0 - 2.0 * b) / 4.0
+    table[2, ..., 1] = nadb / 4.0
+    table[2, ..., 2] = nadb / 2.0
 
-    lev = np.take_along_axis(levels, idx, axis=-1)
-    dlo_dlogit = np.asarray(s_lo * (1.0 - s_lo) * mn)
-    dhi_dlogit = np.asarray(s_hi * (1.0 - s_hi) * mx)
+    # One gather for all three rows: group i's entry for code c sits at
+    # 4 * i + c of each flattened row (the codes are checked, so "wrap"
+    # never wraps). Row 0 of ``picked`` becomes 1 - level.
+    shape = batch + g.shape[-1:]
+    first = np.arange(0, 4 * math.prod(batch), 4).reshape(batch + (1,))
+    picked = np.empty((4,) + shape)
+    np.take(table.reshape(3, -1), first + idx, axis=1, out=picked[1:], mode="wrap")
+    np.subtract(1.0, picked[1], out=picked[0])
 
-    d_lo_logit = (up * dlo_dlogit[..., None] * (1.0 - lev)).sum(axis=-1)
-    d_hi_logit = (up * dhi_dlogit[..., None] * lev).sum(axis=-1)
-    d_split1 = (up * span[..., None] * np.take_along_axis(dlev_ds1, idx, axis=-1)).sum(axis=-1)
-    d_split2 = (up * span[..., None] * np.take_along_axis(dlev_ds2, idx, axis=-1)).sum(axis=-1)
-    inside = (g >= lo[..., None]) & (g <= hi[..., None])
-    d_group = np.where(inside, up, 0.0)
+    # The per-group range and chain factors, repeated over each group's
+    # values so the products below run over contiguous memory.
+    per_group = np.empty((5,) + batch + (1,))
+    per_group[0, ..., 0] = lo
+    per_group[1, ..., 0] = hi
+    per_group[2, ..., 0] = s_lo * (1.0 - s_lo) * mn
+    per_group[3, ..., 0] = s_hi * (1.0 - s_hi) * mx
+    per_group[4, ..., 0] = span
+    per_value = np.repeat(per_group, g.shape[-1], axis=-1)
+    terms = np.empty((4,) + shape)
+    np.multiply(up, per_value[2:4], out=terms[:2])  # up * dlo_dlogit, up * dhi_dlogit
+    np.multiply(up, per_value[4], out=terms[2])  # up * span, for both split logits
+    terms[3] = terms[2]
+    terms *= picked
+    d_lo_logit, d_hi_logit, d_split1, d_split2 = terms.sum(axis=-1)
+    d_group = np.where((g >= per_value[0]) & (g <= per_value[1]), up, 0.0)
     return d_group, d_lo_logit, d_hi_logit, d_split1, d_split2
 
 

@@ -2,7 +2,7 @@
 
 A frozen full-precision teacher (two linear layers with a ReLU between,
 classification head) distills into a student that shares its architecture
-but fake-quantizes each weight once per pass over a batch. The loss blends
+but fake-quantizes its weights once per pass over a batch. The loss blends
 both KL directions, weighted by the teacher's empirical confidence:
 
     loss = alpha * KL(P_student || P_teacher) + (1 - alpha) * KL(P_teacher || P_student)
@@ -14,10 +14,19 @@ get their exact analytic derivatives. The optimizer is Adam (0.9/0.999,
 eps 1e-8, no weight decay) with learning rate 1e-3 on weights and 1e-2 on
 quantizer logits. Everything runs in float64 with a counter-based RNG
 keyed by (seed, stream), so a seed reproduces the loss trace bit-for-bit.
-"""
 
+Both layers use the same group size, so the student lives in two buffers:
+every weight, layer after layer, as one (groups, G) array, and every
+quantizer logit as one (4, groups) array with a row per field (lo_logit,
+hi_logit, split1, split2). Each layer's weight and ``LdpParams`` are views
+into them. A pass makes one ``fake_quant`` call and one ``grads`` call on
+the whole model, and a training step is one Adam update per buffer; every
+operation on a group is the one the per-layer calls made, so the bits are
+the same.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +155,19 @@ _LAYOUTS = (
     GroupLayout(TOY.hidden, TOY.in_dim, TOY.group_size),
     GroupLayout(TOY.classes, TOY.hidden, TOY.group_size),
 )
+_WEIGHT_SHAPES = tuple((lay.out_channels, lay.in_channels) for lay in _LAYOUTS)
+_GROUP_SHAPES = tuple((lay.out_channels, lay.num_groups) for lay in _LAYOUTS)
+_FIELDS = ("lo_logit", "hi_logit", "split1", "split2")  # the rows of the logit buffer
+
+
+def _layer_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive pieces of the 1-D ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 def _forward_full(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -158,30 +180,43 @@ _LR_WEIGHTS, _LR_QUANT = 1e-3, 1e-2
 
 
 class _Adam:
-    """Adam over a fixed list of arrays, each updated in place on every step."""
+    """Adam over one array, updated in place on every step."""
 
-    def __init__(self, lr: float, params: list[np.ndarray]):
+    def __init__(self, lr: float, param: np.ndarray):
         self.lr = lr
-        self.params = params
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.param = param
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        # In place, each element sees the operations of
+        #   m = b1 * m + (1 - b1) * g,  v = b2 * v + (1 - b2) * g * g,
+        #   param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+        # in that order, so the bits are those of the textbook expression.
         self.t += 1
-        for param, m, v, grad in zip(self.params, self.m, self.v, grads):
-            m[...] = _BETA1 * m + (1 - _BETA1) * grad
-            v[...] = _BETA2 * v + (1 - _BETA2) * grad * grad
-            m_hat = m / (1 - _BETA1**self.t)
-            v_hat = v / (1 - _BETA2**self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        m, v = self.m, self.v
+        m *= _BETA1
+        m += (1 - _BETA1) * grad
+        v *= _BETA2
+        v += (1 - _BETA2) * grad * grad
+        step = m / (1 - _BETA1**self.t)
+        step *= self.lr
+        denom = v / (1 - _BETA2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
+        self.param -= step
 
 
 @dataclass
 class _State:
     teacher: list[np.ndarray]
-    student: list[np.ndarray]
-    params: list[ldp.LdpParams]
+    w_groups: np.ndarray  # (groups, G): every student weight, layer after layer
+    q_flat: np.ndarray  # (4, groups): a row per field of _FIELDS
+    quant: ldp.LdpParams  # the whole model's logits: the rows of q_flat
+    student: list[np.ndarray]  # per layer, views into w_groups
+    params: list[ldp.LdpParams]  # per layer, fields are views into q_flat
     alpha: float
 
 
@@ -192,17 +227,26 @@ def _build_state(cfg: DistillConfig) -> _State:
     probs = _softmax(_forward_full(teacher, calib_x))
     labels = np.array([calib_rng.choice(TOY.classes, p=row) for row in probs])
     alpha = estimate_alpha(probs, labels)
-    student = [w.copy() for w in teacher]
     # Clip search per layer on that layer's calibration inputs, then the
     # uniform-thirds partition init.
     clip_cfg = ClipSearchConfig(grid=_CLIP_GRID)
     acts = calib_x
-    params = []
-    for w, lay in zip(student, _LAYOUTS):
-        search = grid_search_clip(w, acts, lay, clip_cfg)
-        params.append(ldp_init(search))
+    inits = []
+    for w, lay in zip(teacher, _LAYOUTS):
+        inits.append(ldp_init(grid_search_clip(w, acts, lay, clip_cfg)))
         acts = np.maximum(acts @ w.T, 0.0)
-    return _State(teacher, student, params, alpha)
+    w_flat = np.concatenate([w.ravel() for w in teacher])
+    q_flat = np.array([np.concatenate([getattr(p, f).ravel() for p in inits]) for f in _FIELDS])
+    per_field = [_layer_views(row, _GROUP_SHAPES) for row in q_flat]
+    return _State(
+        teacher=teacher,
+        w_groups=w_flat.reshape(-1, TOY.group_size),
+        q_flat=q_flat,
+        quant=ldp.LdpParams(*q_flat),
+        student=_layer_views(w_flat, _WEIGHT_SHAPES),
+        params=[ldp.LdpParams(*fields) for fields in zip(*per_field)],
+        alpha=alpha,
+    )
 
 
 @dataclass
@@ -210,26 +254,23 @@ class _Pass:
     """One forward and backward pass of the fake-quantized student on a batch."""
 
     loss: float
-    codes: list[np.ndarray]  # per layer
-    wq: list[np.ndarray]  # fake-quantized weights
+    codes: np.ndarray  # (groups, G), for the whole model
+    wq: list[np.ndarray]  # fake-quantized weights, per layer
     relu_mask: np.ndarray  # first layer's pre-activation > 0
     student_logits: np.ndarray
     teacher_logits: np.ndarray
-    upstream: list[np.ndarray]  # d loss / d wq per layer
+    upstream: np.ndarray  # (groups, G): d loss / d wq, laid out like w_groups
 
 
 def _loss_and_upstream(state: _State, x: np.ndarray) -> _Pass:
-    """CAKLD loss of the fake-quantized student on ``x``, quantizing each
-    layer once, with its unmasked gradients at the fake-quantized weights:
-    the point where the straight-through estimator hands them to the
-    quantizer.
+    """CAKLD loss of the fake-quantized student on ``x``, quantizing the
+    whole model in one call, with its unmasked gradients at the
+    fake-quantized weights: the point where the straight-through estimator
+    hands them to the quantizer.
     """
     teacher_logits = _forward_full(state.teacher, x)
-    codes, wq = [], []
-    for w, p, lay in zip(state.student, state.params, _LAYOUTS):
-        c, w_hat = ldp.fake_quant(lay.grouped(w), p)
-        codes.append(c)
-        wq.append(w_hat.reshape(w.shape))
+    codes, w_hat = ldp.fake_quant(state.w_groups, state.quant)
+    wq = _layer_views(w_hat.reshape(-1), _WEIGHT_SHAPES)
     z1 = x @ wq[0].T
     relu_mask = z1 > 0.0
     h1 = np.maximum(z1, 0.0)
@@ -251,49 +292,46 @@ def _loss_and_upstream(state: _State, x: np.ndarray) -> _Pass:
     d_forward = ps - pt
     dz2 = (alpha * d_reverse + (1.0 - alpha) * d_forward) / batch
 
-    dwq2 = dz2.T @ h1
+    upstream = np.empty_like(state.w_groups)
+    dwq1, dwq2 = _layer_views(upstream.reshape(-1), _WEIGHT_SHAPES)
+    np.matmul(dz2.T, h1, out=dwq2)
     dh1 = dz2 @ wq[1]
     dz1 = dh1 * relu_mask
-    dwq1 = dz1.T @ x
-    return _Pass(loss, codes, wq, relu_mask, z2, teacher_logits, [dwq1, dwq2])
+    np.matmul(dz1.T, x, out=dwq1)
+    return _Pass(loss, codes, wq, relu_mask, z2, teacher_logits, upstream)
 
 
 def _loss_and_grads(state: _State, x: np.ndarray):
     """One pass on ``x`` plus the gradients for weights and quantizer logits.
 
-    Returns ``(pass, weight_grads, param_grads)`` where ``param_grads`` is a
-    list of (d_lo, d_hi, d_split1, d_split2) per layer. ``weight_grads`` are
-    the straight-through gradients for the raw weights.
+    Returns ``(pass, weight_grad, logit_grad)``, laid out like
+    ``state.w_groups`` and ``state.q_flat``: ``weight_grad`` is the
+    straight-through gradient for the raw weights, and ``logit_grad`` has a
+    row per field of ``_FIELDS``.
     """
     fwd = _loss_and_upstream(state, x)
-    weight_grads = []
-    param_grads = []
-    for w, p, lay, c, dwq in zip(state.student, state.params, _LAYOUTS, fwd.codes, fwd.upstream):
-        d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(lay.grouped(w), p, c, lay.grouped(dwq))
-        weight_grads.append(d_group.reshape(w.shape))
-        param_grads.append((d_lo, d_hi, d_s1, d_s2))
-    return fwd, weight_grads, param_grads
+    d_group, *d_logits = ldp.grads(state.w_groups, state.quant, fwd.codes, fwd.upstream)
+    return fwd, d_group, np.stack(d_logits)
 
 
 def train_toy(cfg: DistillConfig) -> TrainingReport:
     """Run the distillation loop on the toy model; fully deterministic per seed."""
     state = _build_state(cfg)
     trained = 2 if cfg.freeze_partitions else 4  # frozen: only the clip logits learn
-    logits = [(p.lo_logit, p.hi_logit, p.split1, p.split2)[:trained] for p in state.params]
-    opt_w = _Adam(_LR_WEIGHTS, state.student)
-    opt_q = _Adam(_LR_QUANT, [arr for layer in logits for arr in layer])
+    logits = state.q_flat[:trained]
+    opt_w = _Adam(_LR_WEIGHTS, state.w_groups)
+    opt_q = _Adam(_LR_QUANT, logits)
     trace: list[float] = []
 
     for step in range(cfg.steps):
         x = make_rng(cfg.seed, _STREAM_BATCH0 + step).standard_normal((cfg.batch, TOY.in_dim))
-        fwd, w_grads, p_grads = _loss_and_grads(state, x)
+        fwd, w_grad, q_grad = _loss_and_grads(state, x)
         if not np.isfinite(fwd.loss):
             raise TrainingFailureError(step)
         trace.append(fwd.loss)
-        opt_w.step(w_grads)
-        opt_q.step([g for layer in p_grads for g in layer[:trained]])
-        for arr in opt_q.params:  # frozen split logits never move off their init
-            np.clip(arr, -ldp.LOGIT_LIMIT, ldp.LOGIT_LIMIT, out=arr)
+        opt_w.step(w_grad)
+        opt_q.step(q_grad[:trained])
+        np.clip(logits, -ldp.LOGIT_LIMIT, ldp.LOGIT_LIMIT, out=logits)  # frozen split logits keep their init
 
     eval_x = make_rng(cfg.seed, _STREAM_EVAL).standard_normal((_EVAL_TOKENS, TOY.in_dim))
     final = _loss_and_upstream(state, eval_x)
@@ -347,7 +385,7 @@ def grad_check(points: int = 100, seed: int = 0) -> dict:
     state = _build_state(cfg)
     x = make_rng(seed, _STREAM_GRADCHECK).standard_normal((cfg.batch, TOY.in_dim))
     rng = make_rng(seed, _STREAM_GRADCHECK + 1)
-    base, _, base_p_grads = _loss_and_grads(state, x)
+    base, _, base_q_grad = _loss_and_grads(state, x)
     attempts = 0  # shared by both sweeps
 
     def sweep(draw, loss, budget: int) -> tuple[int, int, float]:
@@ -365,31 +403,32 @@ def grad_check(points: int = 100, seed: int = 0) -> dict:
             tested += 1
         return tested, excluded, max_rel
 
-    fields = ("lo_logit", "hi_logit", "split1", "split2")
+    base_p_grads = [_layer_views(row, _GROUP_SHAPES) for row in base_q_grad]  # [field][layer]
 
     def draw_param():
         layer = int(rng.integers(0, len(state.params)))
         k = int(rng.integers(0, 4))
-        arr = getattr(state.params[layer], fields[k])
+        arr = getattr(state.params[layer], _FIELDS[k])
         idx = tuple(rng.integers(0, s) for s in arr.shape)
-        return arr, idx, base_p_grads[layer][k][idx]
+        return arr, idx, base_p_grads[k][layer][idx]
 
     def param_loss() -> float | None:
         probe = _loss_and_upstream(state, x)
-        same = map(np.array_equal, probe.codes + [probe.relu_mask], base.codes + [base.relu_mask])
-        return probe.loss if all(same) else None
+        same = np.array_equal(probe.codes, base.codes) and np.array_equal(probe.relu_mask, base.relu_mask)
+        return probe.loss if same else None
 
     tested, excluded, rel_p = sweep(draw_param, param_loss, points * 20)
 
     # Weight gradients, checked at the quantized weights, which the probes move.
     wq = base.wq
+    upstream = _layer_views(base.upstream.reshape(-1), _WEIGHT_SHAPES)
     pt = _softmax(base.teacher_logits)
 
     def draw_weight():
         layer = int(rng.integers(0, 2))
         i = int(rng.integers(0, wq[layer].shape[0]))
         j = int(rng.integers(0, wq[layer].shape[1]))
-        return wq[layer], (i, j), base.upstream[layer][i, j]
+        return wq[layer], (i, j), upstream[layer][i, j]
 
     def weight_loss() -> float | None:
         if not np.array_equal(x @ wq[0].T > 0.0, base.relu_mask):

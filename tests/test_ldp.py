@@ -484,6 +484,20 @@ class TestGrads:
         with pytest.raises(ValueError, match=r"codes \(7,\) does not match groups \(8,\)"):
             grads(group, p, codes[:7], np.zeros(8))
 
+    @pytest.mark.parametrize("dtype, bad", [(np.uint8, 4), (np.uint8, 255), (np.int8, -1), (np.int64, -4)])
+    def test_codes_outside_range_name_the_first_group(self, dtype, bad):
+        # The flat gather would read a neighbouring group's level for these.
+        groups = make_rng(37).normal(size=(3, 4, 8))
+        groups[..., 0], groups[..., 1] = -3.0, 3.0
+        p = LdpParams(*[np.zeros((3, 4))] * 4)
+        codes = fake_quant(groups, p)[0].astype(dtype)
+        codes[2, 1, 5] = bad
+        codes[1, 3, 7] = bad
+        with pytest.raises(ValueError, match=r"^codes outside 0\.\.3 at group index \(1, 3\)$"):
+            grads(groups, p, codes, np.ones_like(groups))
+        with pytest.raises(ValueError, match=r"at group index \(\)$"):  # one group, no batch axes
+            grads(groups[1, 3], LdpParams(0.0, 0.0, 0.0, 0.0), codes[1, 3], np.ones(8))
+
     def test_code_zero_element_closed_form(self):
         # A min-clipped element: hi-side gradient vanishes, lo-side gradient
         # is upstream * sigmoid'(lo_logit) * min(group).
@@ -526,6 +540,45 @@ class TestGrads:
         d_group, *_ = grads(group, p, fake_quant(group, p)[0], up)
         inside = (group >= g.lo) & (group <= g.hi)
         np.testing.assert_array_equal(d_group, np.where(inside, 1.0, 0.0))
+
+
+@pytest.fixture(scope="module", params=["c", "numpy"])
+def encoder(request):
+    """The LDP encoder of each path: the compiled kernel, or None for numpy."""
+    return request.getfixturevalue("kernel") if request.param == "c" else None
+
+
+class TestStackedGroups:
+    # Training quantizes every layer in one call on the layers' groups
+    # stacked along the group axis; that is only the per-layer result if no
+    # group's bits depend on the groups around it.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        g=st.sampled_from([2, 3, 5, 8, 16, 33]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_calls_match_separate_calls(self, encoder, rows, g, seed):
+        rng = make_rng(seed)
+        parts = []
+        for r in rows:
+            groups = rng.laplace(scale=rng.uniform(0.01, 10.0), size=(r, g))
+            groups[:, 0] = -np.abs(groups[:, 0]) - 0.5  # min < 0 < max: every range is valid
+            groups[:, -1] = np.abs(groups[:, -1]) + 0.5
+            parts.append((groups, _sweep_logits(rng, (r,)), rng.standard_normal((r, g))))
+        fields = ("lo_logit", "hi_logit", "split1", "split2")
+        groups = np.concatenate([part[0] for part in parts])
+        params = LdpParams(*[np.concatenate([getattr(part[1], f) for part in parts]) for f in fields])
+        upstream = np.concatenate([part[2] for part in parts])
+
+        def run(groups, params, upstream):
+            codes, values = _on(encoder, fake_quant, groups, params)
+            return [codes, values, *grads(groups, params, codes, upstream)]
+
+        separate = [run(*part) for part in parts]
+        for got, *pieces in zip(run(groups, params, upstream), *separate):
+            want = np.concatenate(pieces)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestNf3:

@@ -142,43 +142,142 @@ class TestTrainToy:
         assert np.isfinite(rep.max_loss_spike)
 
     def test_one_quantizer_pass_per_layer_and_step(self, monkeypatch):
-        # The backward takes the forward's codes instead of quantizing again.
+        # One fake_quant call quantizes the whole student, and the backward
+        # takes its codes instead of quantizing again.
         state = _build_state(DistillConfig(seed=5))
         x = make_rng(5, _STREAM_GRADCHECK).standard_normal((8, TOY.in_dim))
         real, calls = ldp.fake_quant, []
         monkeypatch.setattr(ldp, "fake_quant", lambda *args: calls.append(args) or real(*args))
         _loss_and_grads(state, x)
-        assert len(calls) == len(_LAYOUTS) == 2
+        assert len(calls) == 1
+        groups = sum(lay.out_channels * lay.num_groups for lay in _LAYOUTS)
+        assert calls[0][0].shape == (groups, TOY.group_size)
 
     def test_one_quantizer_pass_per_loss_evaluation(self, monkeypatch):
-        # Training, its evaluation and every grad_check probe quantize each
-        # layer once per pass; no caller re-runs a batch to read its codes,
-        # ReLU mask or logits.
+        # Training, its evaluation and every grad_check probe quantize the
+        # whole student once per pass; no caller re-runs a batch to read its
+        # codes, ReLU mask or logits.
         real_quant, real_pass, calls, passes = ldp.fake_quant, qat._loss_and_upstream, [], []
         monkeypatch.setattr(ldp, "fake_quant", lambda *args: calls.append(args) or real_quant(*args))
         monkeypatch.setattr(qat, "_loss_and_upstream", lambda *args: passes.append(args) or real_pass(*args))
         train_toy(DistillConfig(seed=0, steps=3))
-        assert len(calls) == len(_LAYOUTS) * len(passes) == 8  # 3 steps and the evaluation
+        assert len(calls) == len(passes) == 4  # 3 steps and the evaluation
         calls.clear()
         passes.clear()
         grad_check(5, 1)
-        assert len(calls) == len(_LAYOUTS) * len(passes) == 22  # the base pass and 10 probes
+        assert len(calls) == len(passes) == 11  # the base pass and 10 probes
 
     def test_non_finite_loss_stops_training(self, monkeypatch):
         real, steps = qat._loss_and_grads, []
 
         def nan_at_step_2(state, x):
             steps.append(len(steps))
-            fwd, w_grads, p_grads = real(state, x)
+            fwd, w_grad, q_grad = real(state, x)
             if steps[-1] == 2:
                 fwd.loss = float("nan")
-            return fwd, w_grads, p_grads
+            return fwd, w_grad, q_grad
 
         monkeypatch.setattr(qat, "_loss_and_grads", nan_at_step_2)
         with pytest.raises(TrainingFailureError, match=r"^non-finite loss at step 2$") as err:
             train_toy(DistillConfig(seed=0, steps=5))
         assert err.value.step == 2
         assert steps == [0, 1, 2]
+
+    def test_buffers_back_every_layer(self):
+        # Each layer's weight and logits are views into the two buffers, so
+        # an update of a buffer is an update of every layer.
+        state = _build_state(DistillConfig(seed=6))
+        assert state.q_flat.shape == (4, state.w_groups.shape[0])
+        for w in state.student:
+            assert np.shares_memory(w, state.w_groups)
+        for p in state.params:
+            for field in ("lo_logit", "hi_logit", "split1", "split2"):
+                assert np.shares_memory(getattr(p, field), state.q_flat)
+        state.q_flat[2, -1] = 0.5  # split1 of layer 1's last group
+        assert state.params[1].split1[-1, -1] == 0.5
+        state.w_groups[0, 1] = 7.0  # layer 0's weight (0, 1)
+        assert state.student[0][0, 1] == 7.0
+
+
+class _ListAdam:
+    """Adam over a list of arrays, one update per array: the per-layer
+    optimizer the buffered one must reproduce."""
+
+    def __init__(self, lr, params):
+        self.lr, self.params, self.t = lr, params, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.t += 1
+        for param, m, v, grad in zip(self.params, self.m, self.v, grads):
+            m[...] = qat._BETA1 * m + (1 - qat._BETA1) * grad
+            v[...] = qat._BETA2 * v + (1 - qat._BETA2) * grad * grad
+            m_hat = m / (1 - qat._BETA1**self.t)
+            v_hat = v / (1 - qat._BETA2**self.t)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + qat._ADAM_EPS)
+
+
+def _per_layer_pass(teacher, student, params, alpha, x):
+    """The loss and gradients of one batch, one fake_quant and one grads call per layer."""
+    codes, wq = [], []
+    for w, p, lay in zip(student, params, _LAYOUTS):
+        c, w_hat = ldp.fake_quant(lay.grouped(w), p)
+        codes.append(c)
+        wq.append(w_hat.reshape(w.shape))
+    z1 = x @ wq[0].T
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ wq[1].T
+    teacher_logits = np.maximum(x @ teacher[0].T, 0.0) @ teacher[1].T
+    log_ps = z2 - z2.max(axis=1, keepdims=True)
+    log_ps = log_ps - np.log(np.exp(log_ps).sum(axis=1, keepdims=True))
+    log_pt = teacher_logits - teacher_logits.max(axis=1, keepdims=True)
+    log_pt = log_pt - np.log(np.exp(log_pt).sum(axis=1, keepdims=True))
+    ps, pt = np.exp(log_ps), np.exp(log_pt)
+    u = log_ps - log_pt
+    reverse = (ps * u).sum(axis=1)
+    forward = (pt * -u).sum(axis=1)
+    loss = float(np.mean(alpha * reverse + (1.0 - alpha) * forward))
+    d_reverse = ps * (u - reverse[:, None])
+    dz2 = (alpha * d_reverse + (1.0 - alpha) * (ps - pt)) / x.shape[0]
+    upstream = [(dz2 @ wq[1] * (z1 > 0.0)).T @ x, dz2.T @ h1]
+    w_grads, p_grads = [], []
+    for w, p, lay, c, dwq in zip(student, params, _LAYOUTS, codes, upstream):
+        d_group, *d_logits = ldp.grads(lay.grouped(w), p, c, lay.grouped(dwq))
+        w_grads.append(d_group.reshape(w.shape))
+        p_grads.append(d_logits)
+    return loss, w_grads, p_grads
+
+
+class TestBufferedLoopMatchesPerLayerLoop:
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loss_trace_and_levels_bit_for_bit(self, seed, freeze):
+        cfg = DistillConfig(seed=seed, steps=20, freeze_partitions=freeze)
+        rep = train_toy(cfg)
+
+        state = _build_state(cfg)  # the starting point; the loop below runs on copies
+        student = [w.copy() for w in state.student]
+        params = [ldp.LdpParams(p.lo_logit.copy(), p.hi_logit.copy(), p.split1.copy(), p.split2.copy())
+                  for p in state.params]
+        trained = 2 if freeze else 4
+        logits = [[p.lo_logit, p.hi_logit, p.split1, p.split2][:trained] for p in params]
+        opt_w = _ListAdam(qat._LR_WEIGHTS, student)
+        opt_q = _ListAdam(qat._LR_QUANT, [arr for layer in logits for arr in layer])
+        trace = []
+        for step in range(cfg.steps):
+            x = make_rng(seed, 16 + step).standard_normal((cfg.batch, TOY.in_dim))
+            loss, w_grads, p_grads = _per_layer_pass(state.teacher, student, params, state.alpha, x)
+            trace.append(loss)
+            opt_w.step(w_grads)
+            opt_q.step([g for layer in p_grads for g in layer[:trained]])
+            for arr in opt_q.params:
+                np.clip(arr, -ldp.LOGIT_LIMIT, ldp.LOGIT_LIMIT, out=arr)
+
+        assert [v.hex() for v in rep.loss_trace] == [v.hex() for v in trace]
+        levels = [ldp.derive_grids(lay.grouped(w), p).levels for w, p, lay in zip(student, params, _LAYOUTS)]
+        for got, want in zip(rep.levels, levels):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGradCheck:
@@ -216,18 +315,12 @@ class TestSteConsistency:
             cfg = DistillConfig(seed=state_seed)
             state = _build_state(cfg)
             x = make_rng(state_seed, _STREAM_GRADCHECK).standard_normal((32, TOY.in_dim))
-            base, _, pgrads = _loss_and_grads(state, x)
-            gnorm2 = sum(
-                float((g**2).sum()) for layer in pgrads for g in layer
-            )
+            base, _, q_grad = _loss_and_grads(state, x)
+            gnorm2 = float((q_grad**2).sum())
             if gnorm2 < 1e-12:
                 continue
             eps = 1e-6 / np.sqrt(gnorm2)
-            for p, (d_lo, d_hi, d_s1, d_s2) in zip(state.params, pgrads):
-                p.lo_logit -= eps * d_lo
-                p.hi_logit -= eps * d_hi
-                p.split1 -= eps * d_s1
-                p.split2 -= eps * d_s2
+            state.q_flat -= eps * q_grad  # every layer's four logit fields
             moved, _, _ = _loss_and_grads(state, x)
             predicted = -eps * gnorm2
             actual = moved.loss - base.loss
