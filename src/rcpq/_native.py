@@ -6,9 +6,11 @@
   the weights' first call.
 * ``ldp`` and ``clip`` (``_quant.c``): the LDP encoder behind
   ``ldp.fake_quant``, and the uniform scorer of the clip candidates in
-  ``calib.grid_search_clip``, which writes either every candidate's
-  float32 screen operand or the kept candidates' float64 errors. One
-  library serves the quantize side, so quantizing never compiles the GEMV.
+  ``calib.grid_search_clip``, which writes either every candidate's error
+  cast to float32 as numpy's plain cast rounds it, with its float32 sum
+  of squares (the screen's operand), or the kept candidates' float64
+  errors. One library serves the quantize side, so quantizing never
+  compiles the GEMV.
 
 Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
@@ -58,7 +60,7 @@ _ENTRY = {
     "w2a4": ("w2a4", "rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr]),
     "w2a4_tiles": ("w2a4", "rcpq_w2a4_tiles", [_ptr, _i64, _i64, _i64, _ptr]),
     "ldp": ("quant", "rcpq_ldp_encode", [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
-    "clip": ("quant", "rcpq_clip_errors", [_ptr, _i64, _f64, _f64, _ptr, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _ptr]),
+    "clip": ("quant", "rcpq_clip_errors", [_ptr, _i64, _f64, _f64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr]),
 }
 
 

@@ -1,6 +1,7 @@
 /* Compiled fast paths of the quantize side, AVX2: the LDP encoder behind
  * rcpq.ldp.fake_quant, and the uniform scorer of the clip candidates in
- * rcpq.calib.grid_search_clip.
+ * rcpq.calib.grid_search_clip, which writes each candidate's float64 error
+ * or that error cast to float32 as numpy's plain cast rounds it.
  *
  * Each does the IEEE double operations of its numpy reference in the same
  * order, and each operation rounds once: the library is built with
@@ -164,12 +165,11 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
  *
  * Two output modes, in the same pass per candidate:
  *   float64   err: (cands, gsize), the errors above;
- *   float32   (err NULL) e: (cands, gsize), float32(err * scale), the
- *             product rounded to double and then to float as numpy's
- *             np.multiply(err, scale, out=<float32>, casting="same_kind")
- *             rounds it, so e equals numpy's bit for bit; and n: (cands,),
- *             the float32 sum of e's squares, each square rounded to float,
- *             summed in this kernel's own lane order.
+ *   float32   (err NULL) e: (cands, gsize), float32(err), rounded as
+ *             numpy's cast to float32 rounds it, so e equals numpy's bit
+ *             for bit; and n: (cands,), the float32 sum of e's squares,
+ *             each square rounded to float, summed in this kernel's own
+ *             lane order.
  * Each candidate is computed on its own, so a call on a subset of the
  * candidates writes the same bits for them as a call on all of them.
  *
@@ -226,29 +226,27 @@ __attribute__((target("avx2"))) static inline __m256d err4(const struct quantize
     return _mm256_sub_pd(deq, c);
 }
 
-/* float32(err * scale) of the 8 values at x, or of the first n of them where
- * n < 8, the other lanes 0 */
-__attribute__((target("avx2"))) static inline __m256 scaled8(const struct quantizer *k, const double *x, int64_t n,
-                                                            __m256i part, __m256d scale, __m256i tail)
+/* float32(err) of the 8 values at x, or of the first n of them where n < 8,
+ * the other lanes 0 */
+__attribute__((target("avx2"))) static inline __m256 err8f(const struct quantizer *k, const double *x, int64_t n,
+                                                          __m256i part, __m256i tail)
 {
-    const __m128 a = _mm256_cvtpd_ps(_mm256_mul_pd(err4(k, x, n, part), scale));
+    const __m128 a = _mm256_cvtpd_ps(err4(k, x, n, part));
     if (n >= 8)
-        return _mm256_set_m128(_mm256_cvtpd_ps(_mm256_mul_pd(err4(k, x + 4, 4, part), scale)), a);
-    const __m128 b = n > 4 ? _mm256_cvtpd_ps(_mm256_mul_pd(err4(k, x + 4, n - 4, part), scale)) : _mm_setzero_ps();
+        return _mm256_set_m128(_mm256_cvtpd_ps(err4(k, x + 4, 4, part)), a);
+    const __m128 b = n > 4 ? _mm256_cvtpd_ps(err4(k, x + 4, n - 4, part)) : _mm_setzero_ps();
     return _mm256_and_ps(_mm256_set_m128(b, a), _mm256_castsi256_ps(tail));
 }
 
 __attribute__((target("avx2"))) int64_t rcpq_clip_errors(const double *g, int64_t gsize, double g_mn, double g_mx,
                                                          const double *lo, const double *hi, int64_t cands,
-                                                         double scale, double *err, float *e, float *n,
-                                                         double *span)
+                                                         double *err, float *e, float *n, double *span)
 {
     /* the lanes of a last, partial load of gsize % 4 doubles, and of a last
      * 8-lane block of gsize % 8 floats */
     const __m256i part = _mm256_cmpgt_epi64(_mm256_set1_epi64x(gsize % 4), _mm256_setr_epi64x(0, 1, 2, 3));
     const __m256i tail =
         _mm256_cmpgt_epi32(_mm256_set1_epi32((int)(gsize % 8)), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    const __m256d scale4 = _mm256_set1_pd(scale);
     for (int64_t p = 0; p < cands; p++) {
         double l = lo[p], h = hi[p];
         /* a NaN bound goes into both */
@@ -272,15 +270,15 @@ __attribute__((target("avx2"))) int64_t rcpq_clip_errors(const double *g, int64_
         __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
         int64_t i = 0;
         for (; i + 16 <= gsize; i += 16) {
-            const __m256 f0 = scaled8(&k, g + i, 8, part, scale4, tail);
-            const __m256 f1 = scaled8(&k, g + i + 8, 8, part, scale4, tail);
+            const __m256 f0 = err8f(&k, g + i, 8, part, tail);
+            const __m256 f1 = err8f(&k, g + i + 8, 8, part, tail);
             _mm256_storeu_ps(ep + i, f0);
             _mm256_storeu_ps(ep + i + 8, f1);
             acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(f0, f0));
             acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(f1, f1));
         }
         for (; i < gsize; i += 8) {
-            const __m256 f = scaled8(&k, g + i, gsize - i, part, scale4, tail);
+            const __m256 f = err8f(&k, g + i, gsize - i, part, tail);
             if (gsize - i >= 8)
                 _mm256_storeu_ps(ep + i, f);
             else

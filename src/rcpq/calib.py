@@ -22,34 +22,25 @@ the G*G terms ``err_g * gram_gk * err_k``, run as a plain loop that costs
 ~110 ms for the 4096 candidates of a 64-point grid at G = 128 on a 2-vCPU
 x86 host. The search only runs it on the few candidates that can win:
 
-* A float32 screen scores every candidate with one matrix product. Per
-  group, ``err`` is multiplied by ``2**a`` in float64 and rounded to
-  float32 as ``e``, with ``a`` the power of two that brings the group's
-  largest magnitude into [1/2, 1); per Gram, ``gram`` is multiplied by
-  ``2**b``, taken from its largest entry, and rounded as ``m``. The screen
-  ``einsum("pk,pk->p", e @ m, e)`` and ``n = ||e||^2`` are summed in
-  float32, and the screen returns to the einsum's units as ``screen *
-  2**-(2a + b)`` in float64. The scaling keeps typical and extreme layers
-  inside float32's range; the bound below holds for any ``a`` and ``b``.
+* A float32 screen scores every candidate with one matrix product: with
+  ``e`` and ``m`` the candidate's ``err`` and the group's ``gram`` rounded
+  to float32, ``einsum("pk,pk->p", e @ m, e)`` and ``n = ||e||^2`` are
+  summed in float32.
 * A margin bounds each screen's distance from that candidate's einsum:
-  ``2 * (c*F*N' + G*t*(2**b*F + 2)*(N + G) * 2**-(2a + b) + T*(G*(N' + F +
-  2*G) + 1))``. Here ``c = (2*G + 3)*u32 + (G*G + 1)*u64``, ``N = n +
-  2*G*t`` and ``N' = N * 2**-2a``, and ``F`` is the computed
-  ``sqrt(||gram||_F^2 + G*G*T)``; ``u32 = 2**-24`` and ``u64 = 2**-53``
-  are the unit roundoffs, ``t`` and ``T`` the smallest float32 and float64
-  subnormals, and ``gamma32(k) = k*u32 / (1 - k*u32)``, likewise
-  ``gamma64``. Let ``x = 2**a * err`` and ``A = 2**b * gram`` be exact
-  reals and ``S = |x| @ |A| @ |x|`` the sum of the scaled terms' sizes.
-  ``x @ A @ x`` and ``S`` are the einsum's exact sum and sizes times
-  ``2**(2a + b)``, so the bound is proven in the scaled units.
+  ``2 * (c*F*N + G*t*(F + 2)*(N + G) + T*(G*(N + F + 2*G) + 1))``. Here
+  ``c = (2*G + 3)*u32 + (G*G + 1)*u64`` and ``N = n + 2*G*t``, and ``F``
+  is the computed ``sqrt(||gram||_F^2 + G*G*T)``; ``u32 = 2**-24`` and
+  ``u64 = 2**-53`` are the unit roundoffs, ``t`` and ``T`` the smallest
+  float32 and float64 subnormals, and ``gamma32(k) = k*u32 / (1 -
+  k*u32)``, likewise ``gamma64``. Let ``x = err`` and ``A = gram`` be
+  exact reals and ``S = |x| @ |A| @ |x|`` the sum of the terms' sizes.
   - A float32 rounding moves an entry of ``e`` or ``m`` by at most ``u32``
-    relatively or, below float32's normal range, ``t/2`` absolutely. (The
-    float64 product by ``2**a`` is exact, or lies so far below that range
-    that it rounds to 0.) The screen's two G-term dot products err by at
-    most ``gamma32(G)`` each, relatively, in any order and with or without
-    fused multiply-adds. With ``(1 + gamma(j)) * (1 + gamma(k)) <= 1 +
-    gamma(j + k)``, the screen is within ``gamma32(2*G + 3) * S`` of ``x @
-    A @ x`` while nothing leaves float32's normal range.
+    relatively or, below float32's normal range, ``t/2`` absolutely. The
+    screen's two G-term dot products err by at most ``gamma32(G)`` each,
+    relatively, in any order and with or without fused multiply-adds.
+    With ``(1 + gamma(j)) * (1 + gamma(k)) <= 1 + gamma(j + k)``, the
+    screen is within ``gamma32(2*G + 3) * S`` of ``x @ A @ x`` while
+    nothing leaves float32's normal range.
   - Below that range a product errs by at most ``t/2`` absolutely, and a
     sum there is exact. Each such error, of a rounded entry or of a
     product, is carried by at most two further factors: ``m_gk * e_k`` or
@@ -60,40 +51,43 @@ x86 host. The search only runs it on the few candidates that can win:
     and ``||A||_F``. As ``sqrt(G)*R <= (G + R^2) / 2``, that is at most
     ``G*t*(F2 + 2)*(R^2 + G)``.
   - The einsum forms each term with two roundings and adds G*G of them in
-    some order, so it is within ``gamma64(G*G + 1)`` times the sizes' sum
-    of the exact sum. Below float64's normal range each term's product
-    errs by up to ``T/2`` more, carried by one factor, an ``|err_k|`` or a
-    ``|gram_gk|``: ``T * G * (sum|err| + ||gram||_F + G)`` in all. With
-    ``sum|err| <= sqrt(G * ||err||^2) <= (G + ||err||^2) / 2``, the
-    margin's ``T`` part covers it.
+    some order, so it is within ``gamma64(G*G + 1) * S`` of the exact
+    sum. Below float64's normal range each term's product errs by up to
+    ``T/2`` more, carried by one factor, an ``|x_k|`` or an ``|A_gk|``:
+    ``T * G * (sum|x| + ||A||_F + G)`` in all. With ``sum|x| <= sqrt(G *
+    ||x||^2) <= (G + ||x||^2) / 2``, the margin's ``T`` part covers it.
   - ``S`` needs no second product: by Cauchy-Schwarz, ``S <= ||x|| * ||
-    |A| |x| || <= ||A||_F * ||x||^2``, which is ``2**(2a + b) *
-    ||gram||_F * ||err||^2``. The computed norms bound the exact ones.
-    ``n`` is a G-term float32 sum of squares, so ``||e||^2 <= (n + G*t) *
-    (1 + gamma32(2*G))``; with ``|x_g| <= (|e_g| + t/2) / (1 - u32)`` that
-    gives ``R^2 = N * (1 + gamma32(2*G + 3))``. Each of ``F``'s G*G squares
-    rounds by a factor within ``u64`` or by at most ``T/2``, and their sum,
-    the added ``G*G*T`` and the square root round relatively, so
-    ``||gram||_F <= F * (1 + gamma64(G*G + 3))``; and ``||m||_F <= (1 +
-    u32) * ||A||_F + G*t/2`` gives ``F2``.
+    |A| |x| || <= ||A||_F * ||x||^2``. The computed norms bound the exact
+    ones. ``n`` is a G-term float32 sum of squares, so ``||e||^2 <= (n +
+    G*t) * (1 + gamma32(2*G))``; with ``|x_g| <= (|e_g| + t/2) / (1 -
+    u32)`` that gives ``R^2 = N * (1 + gamma32(2*G + 3))``. Each of
+    ``F``'s G*G squares rounds by a factor within ``u64`` or by at most
+    ``T/2``, and their sum, the added ``G*G*T`` and the square root round
+    relatively, so ``||A||_F <= F * (1 + gamma64(G*G + 3))``; and ``||m||_F
+    <= (1 + u32) * ||A||_F + G*t/2`` gives ``F2``.
   - ``c`` is ``gamma32(2*G + 3) + gamma64(G*G + 1)`` to first order. The
     factor 2 covers the ``1 + gamma`` factors above while ``G*u32`` is
     small (a G of 2^16 would already need a 32 GiB Gram). It also covers
-    the margin's own rounding, that of ``screen +- margin``, and the
-    return to the einsum's units, which rounds by at most ``T/2`` below
-    float64's normal range (the margin's last ``T``).
+    the margin's own rounding and that of ``screen +- margin``. The
+    screen widens from float32 to float64 exactly, so the margin's last
+    ``T`` is slack.
 * The bounds hold while nothing overflows. Every float32 product and
   partial sum is at most ``(1 + gamma32(2*G))**2 * F2 * (R^2 + 1)``, and
   every float64 one of the einsum at most ``(1 + gamma64(G*G + 1)) *
-  ||gram||_F * (||err||^2 + 1)``. So where ``2**b * F * (N + 1)`` reaches
-  a quarter of the largest float32, or ``F * (N' + 1)`` a quarter of the
-  largest float64, or either is NaN, the margin is inf. A float32 rounding
-  that overflows makes ``n`` or ``F`` too large for that test.
+  ||A||_F * (||x||^2 + 1)``. So where ``F * (N + 1)`` reaches a quarter of
+  the largest float32, or is NaN, the margin is inf; that test also keeps
+  the einsum's sums far inside float64's range. A float32 rounding that
+  overflows makes ``n`` or ``F`` too large for it.
 * Collapsed candidates (span 0), which the reference scores inf, get an
   inf screen. The einsum re-scores the candidates that are not proven
   worse than another, i.e. not ``screen - margin > min(screen + margin)``,
-  plus the no-clip candidate. On the benchmark's layers that is 2-36 of
-  4096, 3.2 on average.
+  plus the no-clip candidate. On 16 layers of the quantize benchmark
+  (seeds 201-203 and 4242, 256 groups) that is 2-41 of 4096, 3.35 on
+  average, on either path. Where the terms fall below float32's normal
+  range, the margin's absolute part outgrows the gaps between candidates
+  and the einsum re-scores most of them: the same bits, slower. With the
+  benchmark's activations that starts at weights of Laplace scale ~1e-20
+  (2**-60 times the benchmark's), far below any trained layer's.
 
 Let E be the least einsum score. Every candidate has ``screen + margin >=
 its einsum >= E``, and one whose einsum equals E has ``screen - margin <=
@@ -109,21 +103,20 @@ The screen's operand ``(e, n)`` comes from the compiled scorer in
 ``_quant.c`` (``_native`` builds it, in one library with the LDP encoder).
 It does the reference's float operations in their order in one AVX2 pass
 over the group per candidate, taking the group's min and max from the
-search, and in that pass rounds each ``err * 2**a`` to float32 as numpy
+search, and in that pass rounds each ``err`` to float32 as numpy's cast
 does, and sums ``n`` in float32 in its own lanes, one of the orders the
 bound allows. Float64 errors exist only for the kept rows: a second call
 on the kept candidates' bounds writes them, with the bits a pass over all
 candidates gives, as each candidate is computed on its own. Where the
 kernel does not load, ``np.clip`` and ``asym_quant_dequant`` give every
 candidate's float64 ``err``, and numpy's cast and einsum ``(e, n)``
-(``_scaled_errors``). Both paths give the same ``e`` and the same float64
+(``_screen_operand``). Both paths give the same ``e`` and the same float64
 errors; ``n`` may differ in its last bits, and so the kept set, but the
 picks and objectives are the reference's on both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,7 +141,6 @@ RATIO_MIN = 0.5  # each clip ratio axis of the grid runs from here up to RATIO_M
 RATIO_MAX = 1.0  # no clipping: the candidate no_clip_objective reads
 _TINY = np.finfo(np.float64).smallest_subnormal
 _U64 = np.finfo(np.float64).eps / 2
-_MAX64 = np.finfo(np.float64).max
 _TINY32 = float(np.finfo(np.float32).smallest_subnormal)
 _U32 = float(np.finfo(np.float32).eps) / 2
 _MAX32 = float(np.finfo(np.float32).max)
@@ -188,53 +180,43 @@ def _frobenius(gram):
     return np.sqrt(np.einsum("...gk,...gk->...", gram, gram) + g_dim * g_dim * _TINY)
 
 
-def _exponent(size):
-    """The power of two that brings ``size`` into [1/2, 1), at most 1023; 0 for 0, inf or NaN."""
-    return min(-math.frexp(size)[1], 1023)
+def _screen_gram(gram):
+    """``(m, fro)``: ``gram`` rounded to float32, and ``_frobenius(gram)``."""
+    return gram.astype(np.float32), float(_frobenius(gram))
 
 
-def _scaled_gram(gram):
-    """``(m, b, fro)``: ``gram * 2**b`` rounded to float32, with ``b`` the
-    ``_exponent`` of its largest entry, and ``_frobenius(gram)``."""
-    b = _exponent(float(np.abs(gram).max()))
-    return np.ldexp(gram, b).astype(np.float32), b, float(_frobenius(gram))
-
-
-def _scaled_errors(err, a, e):
-    """The numpy path's screen operand: ``err * 2**a`` rounded to float32
-    into ``e``, and its rows' float32 sums of squares."""
+def _screen_operand(err, e):
+    """The numpy path's screen operand: ``err`` rounded to float32 into
+    ``e``, and its rows' float32 sums of squares."""
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(err, 2.0**a, out=e, casting="same_kind")
+        np.copyto(e, err, casting="same_kind")
         return e, np.einsum("pk,pk->p", e, e)
 
 
-def _screen(e, n, a, gram, prod):
+def _screen(e, n, gram, prod):
     """float32 screen of ``err_p @ gram @ err_p`` for every row ``p`` of
     ``err``, and a bound on its distance from the reference einsum.
 
-    Returns ``(screen, margin)`` in the einsum's units, with ``|screen_p -
-    einsum_p| <= margin_p`` whatever order either one sums in and whatever
-    the powers of two (see the module docstring). ``e`` is ``err * 2**a``
-    rounded to float32 and ``n`` its rows' float32 sums of squares, in any
-    order; ``gram`` is ``_scaled_gram``'s triple, and ``prod`` an
-    ``e``-shaped float32 buffer, overwritten.
+    Returns ``(screen, margin)``, float32 and float64, with ``|screen_p -
+    einsum_p| <= margin_p`` whatever order either one sums in (see the
+    module docstring). ``e`` is ``err`` rounded to float32 and ``n`` its
+    rows' float32 sums of squares, in any order; ``gram`` is
+    ``_screen_gram``'s pair, and ``prod`` an ``e``-shaped float32 buffer,
+    overwritten.
     """
-    m, b, fro = gram
+    m, fro = gram
     g_dim = e.shape[1]
-    shift = -(2 * a + b)  # from the scaled units to the einsum's
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         screen = np.einsum("pk,pk->p", np.matmul(e, m, out=prod), e)
         norm = n.astype(np.float64)
         norm += 2 * g_dim * _TINY32
-        norm_u = np.ldexp(norm, -2 * a)
-        fro_s = np.ldexp(fro, b)
         rel = (2 * g_dim + 3) * _U32 + (g_dim * g_dim + 1) * _U64
-        margin = np.ldexp((g_dim * _TINY32 * (fro_s + 2.0)) * (norm + g_dim), shift)
-        margin += (rel * fro + g_dim * _TINY) * norm_u + _TINY * (g_dim * (fro + 2 * g_dim) + 1)
+        margin = (g_dim * _TINY32 * (fro + 2.0)) * (norm + g_dim)
+        margin += (rel * fro + g_dim * _TINY) * norm + _TINY * (g_dim * (fro + 2 * g_dim) + 1)
         margin *= 2.0
-        # Where a float32 or a float64 product or sum may overflow, there is no bound.
-        margin[~((norm < _MAX32 / 4 / fro_s - 1) & (norm_u < _MAX64 / 4 / fro - 1))] = np.inf
-        return np.ldexp(screen, shift, dtype=np.float64), margin
+        # Where a float32 product or sum may overflow, there is no bound.
+        margin[~(norm < _MAX32 / 4 / fro - 1)] = np.inf
+        return screen, margin
 
 
 def grid_search_clip(
@@ -273,7 +255,7 @@ def grid_search_clip(
     for n in range(n_dim):
         xg = x[:, n * g_dim : (n + 1) * g_dim]
         grams[n] = xg.T @ xg
-    scaled = [_scaled_gram(gram) for gram in grams]
+    screen_grams = [_screen_gram(gram) for gram in grams]
 
     out = ClipSearchResult(
         lo_logit=np.zeros((h_dim, n_dim)),
@@ -303,7 +285,6 @@ def grid_search_clip(
             if mn == mx:
                 out.degenerate_groups.append((h, n))
                 continue
-            a = _exponent(max(-mn, mx))
             np.multiply(rl, mn, out=lo_c)
             np.multiply(rh, mx, out=hi_c)
             g_addr = addr["groups"] + g.itemsize * g_dim * (h * n_dim + n)
@@ -311,11 +292,11 @@ def grid_search_clip(
                 clipped = np.clip(g[None, :], lo_c[:, None], hi_c[:, None])
                 deq, span = asym_quant_dequant(clipped, BITS)
                 err = np.subtract(deq, clipped, out=deq)
-                _, norm = _scaled_errors(err, a, e)
+                _, norm = _screen_operand(err, e)
             else:
-                kernel(g_addr, g_dim, mn, mx, addr["lo"], addr["hi"], rl.size, 2.0**a, None, addr["e"],
-                       addr["norm"], addr["span"])
-            screen, margin = _screen(e, norm, a, scaled[n], prod)
+                kernel(g_addr, g_dim, mn, mx, addr["lo"], addr["hi"], rl.size, None, addr["e"], addr["norm"],
+                       addr["span"])
+            screen, margin = _screen(e, norm, screen_grams[n], prod)
             screen[span == 0.0] = np.inf  # fully collapsed candidates are invalid
             # Keep every candidate not proven worse than some other one. The
             # negated test keeps all of them when a score is inf or NaN.
@@ -326,8 +307,8 @@ def grid_search_clip(
                 kept = err[cand]
             else:  # float64 errors of the kept candidates alone: the same bits as a pass over all
                 kept, lo_k, hi_k = np.empty((cand.size, g_dim)), lo_c[cand], hi_c[cand]
-                kernel(g_addr, g_dim, mn, mx, lo_k.ctypes.data, hi_k.ctypes.data, cand.size, 1.0,
-                       kept.ctypes.data, None, None, addr["kept_span"])
+                kernel(g_addr, g_dim, mn, mx, lo_k.ctypes.data, hi_k.ctypes.data, cand.size, kept.ctypes.data,
+                       None, None, addr["kept_span"])
             obj = np.einsum("pg,gk,pk->p", kept, grams[n], kept)
             obj[span[cand] == 0.0] = np.inf
             if np.isnan(obj).any():  # inf - inf in a score: no candidate can be ranked

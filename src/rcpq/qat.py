@@ -18,11 +18,10 @@ keyed by (seed, stream), so a seed reproduces the loss trace bit-for-bit.
 Both layers use the same group size, so the student lives in two buffers:
 every weight, layer after layer, as one (groups, G) array, and every
 quantizer logit as one (4, groups) array with a row per field (lo_logit,
-hi_logit, split1, split2). Each layer's weight and ``LdpParams`` are views
-into them. A pass makes one ``fake_quant`` call and one ``grads`` call on
-the whole model, and a training step is one Adam update per buffer; every
-operation on a group is the one the per-layer calls made, so the bits are
-the same.
+hi_logit, split1, split2). A pass makes one ``fake_quant`` call and one
+``grads`` call on the whole model, and a training step is one Adam update
+per buffer; every operation on a group is the one per-layer calls would
+make, so the bits are the same.
 """
 from __future__ import annotations
 
@@ -215,8 +214,6 @@ class _State:
     w_groups: np.ndarray  # (groups, G): every student weight, layer after layer
     q_flat: np.ndarray  # (4, groups): a row per field of _FIELDS
     quant: ldp.LdpParams  # the whole model's logits: the rows of q_flat
-    student: list[np.ndarray]  # per layer, views into w_groups
-    params: list[ldp.LdpParams]  # per layer, fields are views into q_flat
     alpha: float
 
 
@@ -237,14 +234,11 @@ def _build_state(cfg: DistillConfig) -> _State:
         acts = np.maximum(acts @ w.T, 0.0)
     w_flat = np.concatenate([w.ravel() for w in teacher])
     q_flat = np.array([np.concatenate([getattr(p, f).ravel() for p in inits]) for f in _FIELDS])
-    per_field = [_layer_views(row, _GROUP_SHAPES) for row in q_flat]
     return _State(
         teacher=teacher,
         w_groups=w_flat.reshape(-1, TOY.group_size),
         q_flat=q_flat,
         quant=ldp.LdpParams(*q_flat),
-        student=_layer_views(w_flat, _WEIGHT_SHAPES),
-        params=[ldp.LdpParams(*fields) for fields in zip(*per_field)],
         alpha=alpha,
     )
 
@@ -338,10 +332,8 @@ def train_toy(cfg: DistillConfig) -> TrainingReport:
     agreement = float(np.mean(final.student_logits.argmax(1) == final.teacher_logits.argmax(1)))
 
     spikes = np.diff(np.asarray(trace)) if len(trace) > 1 else np.zeros(1)
-    levels = [
-        ldp.derive_grids(lay.grouped(w), p).levels
-        for w, p, lay in zip(state.student, state.params, _LAYOUTS)
-    ]
+    levels = ldp.derive_grids(state.w_groups, state.quant).levels  # (groups, 4)
+    levels = _layer_views(levels.reshape(-1), [shape + (4,) for shape in _GROUP_SHAPES])
     return TrainingReport(
         loss_trace=trace,
         alpha=state.alpha,
@@ -403,14 +395,13 @@ def grad_check(points: int = 100, seed: int = 0) -> dict:
             tested += 1
         return tested, excluded, max_rel
 
-    base_p_grads = [_layer_views(row, _GROUP_SHAPES) for row in base_q_grad]  # [field][layer]
+    columns = _layer_views(np.arange(state.q_flat.shape[1]), _GROUP_SHAPES)  # per layer, its groups' columns
 
     def draw_param():
-        layer = int(rng.integers(0, len(state.params)))
+        layer = int(rng.integers(0, len(_LAYOUTS)))
         k = int(rng.integers(0, 4))
-        arr = getattr(state.params[layer], _FIELDS[k])
-        idx = tuple(rng.integers(0, s) for s in arr.shape)
-        return arr, idx, base_p_grads[k][layer][idx]
+        col = columns[layer][tuple(rng.integers(0, s) for s in _GROUP_SHAPES[layer])]
+        return state.q_flat, (k, col), base_q_grad[k, col]
 
     def param_loss() -> float | None:
         probe = _loss_and_upstream(state, x)

@@ -17,10 +17,10 @@ from rcpq.calib import (
     ClipSearchConfig,
     ClipSearchResult,
     _candidate_ratios,
-    _exponent,
     _frobenius,
-    _scaled_errors,
     _screen,
+    _screen_gram,
+    _screen_operand,
     grid_search_clip,
     ldp_init,
 )
@@ -136,16 +136,21 @@ def _scorer_outcome(kernel, group, lo, hi):
             deq, span = asym_quant_dequant(clipped, BITS)
             return deq - clipped, span
         err, span = np.empty((lo.size, group.size)), np.empty(lo.size)
-        assert _call(kernel, group, lo, hi, 1.0, err.ctypes.data, None, None, span) == 0
+        assert _call(kernel, group, lo, hi, err.ctypes.data, None, None, span) == 0
         return err, span
 
 
-def _call(kernel, group, lo, hi, scale, err, e, n, span):
+def _call(kernel, group, lo, hi, err, e, n, span):
     """The clip scorer on ``group`` and the bounds ``lo`` and ``hi``; ``err``,
     ``e`` and ``n`` are addresses or None, as the kernel takes them."""
     group, lo, hi = (np.ascontiguousarray(v, dtype=np.float64) for v in (group, lo, hi))
     return kernel(group.ctypes.data, group.size, group.min(), group.max(), lo.ctypes.data, hi.ctypes.data,
-                  lo.size, scale, err, e, n, span.ctypes.data)
+                  lo.size, err, e, n, span.ctypes.data)
+
+
+def _unit_exponent(size):
+    """The power of two that brings ``size`` into [1/2, 1), at most 1023; 0 for 0, inf or NaN."""
+    return min(-math.frexp(size)[1], 1023)
 
 
 def _candidate_errors(group, grid):
@@ -365,43 +370,54 @@ class TestMatchesReference:
         _assert_bitwise(*_benchmark_slice(), grid=64, paths=paths)
 
 
-def _screened(err, gram, a, b):
-    """``_screen`` of ``err`` at ``2**a`` against ``gram`` at ``2**b``."""
+def _screened(err, gram):
+    """``_screen`` of ``err`` against ``gram``, its operand as the numpy path builds it."""
+    e, n = _screen_operand(err, np.empty(err.shape, np.float32))
     with np.errstate(over="ignore"):
-        m = np.ldexp(gram, b).astype(np.float32)
-    e, n = _scaled_errors(err, a, np.empty(err.shape, np.float32))
-    return _screen(e, n, a, (m, b, float(_frobenius(gram))), np.empty_like(e))
+        return _screen(e, n, _screen_gram(gram), np.empty_like(e))
 
 
-def _float32_orders(err, gram, a, b):
+def _float32_orders(err, gram):
     """The screen as float32 may sum it: each G-term dot product of ``e @ m``
     and of the row dot summed first to last, then last to first, each
-    product rounded; in the einsum's units."""
+    product rounded."""
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.ldexp(err, a).astype(np.float32)
-        m = np.ldexp(gram, b).astype(np.float32)
+        e = err.astype(np.float32)
+        m = gram.astype(np.float32)
         out = []
         for order in (slice(None), slice(None, None, -1)):
             y = np.cumsum((e[:, :, None] * m[None])[:, order], axis=1, dtype=np.float32)[:, -1]
             row = np.cumsum((y * e)[:, order], axis=1, dtype=np.float32)[:, -1]
-            out.append(np.ldexp(row, -(2 * a + b), dtype=np.float64))
+            out.append(row.astype(np.float64))
     return out
 
 
-def _assert_bounded(err, gram, a, b=None, inf_ok=False):
+def _assert_bounded(err, gram, inf_ok=False):
     """Where ``_screen``'s margin is finite, and unless ``inf_ok`` that is
     everywhere, it bounds the distance from its screen, and from the screen
     summed in ``_float32_orders``, to the einsum and to every ``_term_sums``
     order. Returns ``(screen, margin, totals)``."""
-    b = _exponent(np.abs(gram).max()) if b is None else b  # the search's
-    screen, margin = _screened(err, gram, a, b)
+    screen, margin = _screened(err, gram)
     assert inf_ok or np.isfinite(margin).all()
     totals = [np.einsum("pg,gk,pk->p", err, gram, err), *_term_sums(err, gram)]
     finite = margin < np.inf
-    for score in [screen, *_float32_orders(err, gram, a, b)]:
+    for score in [screen, *_float32_orders(err, gram)]:
         for total in totals:
             assert np.all(np.abs(score - total)[finite] <= margin[finite])
     return screen, margin, totals
+
+
+def _spy_rescored(monkeypatch):
+    """A list that gets the row count of each call of the reference einsum in ``calib``."""
+    rows, einsum = [], np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "pg,gk,pk->p":
+            rows.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(calib.np, "einsum", spy)
+    return rows
 
 
 class TestScreenMargin:
@@ -421,22 +437,21 @@ class TestScreenMargin:
     def test_rank_deficient_and_outlier_grams(
         self, seed, log2_group, token_share, gain_exp, scale_exp, err_shift, gram_shift
     ):
-        # The shifts move the scaled err and gram off the search's powers of
-        # two: products below float32's normal range, or conversions that
-        # overflow it, where the margin must be inf.
+        # err and gram are scaled by powers of two, exactly: to unit size, or
+        # off it by the shifts, so that products fall below float32's normal
+        # range or conversions overflow it, where the margin must be inf.
         g_dim = 2**log2_group
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((max(1, int(token_share * g_dim)), g_dim))
         x[:, rng.choice(g_dim, size=max(1, g_dim // 16), replace=False)] *= 10.0**gain_exp
         gram = x.T @ x
         group = rng.laplace(size=g_dim) * 10.0**scale_exp
-        err = _candidate_errors(group, grid=8)
-        a = _exponent(np.abs(group).max()) + err_shift
-        b = _exponent(np.abs(gram).max()) + gram_shift
-        _, margin, _ = _assert_bounded(err, gram, a, b, inf_ok=True)
+        err = np.ldexp(_candidate_errors(group, grid=8), _unit_exponent(np.abs(group).max()) + err_shift)
+        gram = np.ldexp(gram, _unit_exponent(np.abs(gram).max()) + gram_shift)
+        _, margin, _ = _assert_bounded(err, gram, inf_ok=True)
         with np.errstate(over="ignore"):
-            overflows = ~np.isfinite(np.ldexp(err, a).astype(np.float32)).all(axis=1)
-            overflows |= ~np.isfinite(np.ldexp(gram, b).astype(np.float32)).all()
+            overflows = ~np.isfinite(err.astype(np.float32)).all(axis=1)
+            overflows |= ~np.isfinite(gram.astype(np.float32)).all()
         assert np.all(margin[overflows] == np.inf)
 
     def test_absorbed_terms_need_the_squared_factor(self):
@@ -450,7 +465,7 @@ class TestScreenMargin:
         gram = np.full((g_dim, g_dim), eta)
         gram[0, 0] = 1.0
         err = np.ones((1, g_dim))
-        sums = _assert_bounded(err, gram, 0)[2][1:]
+        sums = _assert_bounded(err, gram)[2][1:]
         assert sums[2][0] == 1.0
         gap = np.abs(sums[3] - sums[2])
         assert gap[0] > (2 * g_dim + 2) * EPS * (1.0 + (g_dim * g_dim - 1) * eta)
@@ -475,7 +490,7 @@ class TestScreenMargin:
         # between the largest-first and smallest-first orders.
         g_dim = 128
         err, gram = self._absorbing(g_dim, 0.45 * EPS / 2)
-        sums = _assert_bounded(err, gram, 0)[2][1:]
+        sums = _assert_bounded(err, gram)[2][1:]
         assert sums[2][0] == 1.0
         gap = np.abs(sums[3] - sums[2])
         assert gap[0] > (2 * g_dim + 2) * EPS * _frobenius(gram) * np.sum(err**2)
@@ -488,23 +503,22 @@ class TestScreenMargin:
         # term without a factor G.
         g_dim = 128
         err, gram = self._absorbing(g_dim, 2.0**-25)
-        a = b = _exponent(1.0)
-        _, _, totals = _assert_bounded(err, gram, a, b)
-        gap = np.abs(_float32_orders(err, gram, a, b)[0] - totals[0])
+        _, _, totals = _assert_bounded(err, gram)
+        gap = np.abs(_float32_orders(err, gram)[0] - totals[0])
         assert gap[0] > 8 * 2.0**-24 * _frobenius(gram) * np.sum(err**2)
 
     def test_products_below_the_normal_range(self):
         # err ~ 1e-161 against a Gram matrix ~ 20: each err_g * gram_gk is
         # normal, and times err_k it rounds in float64's subnormal range,
         # where the relative part of the margin underflows to 0 and only the
-        # tiny part bounds the einsum. The search's scale keeps the float32
-        # screen in float32's normal range.
+        # tiny part bounds the einsum. In float32, err rounds to 0, and the
+        # margin's float32 absolute part bounds the screen.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((24, 16))
         gram = x.T @ x
         group = rng.laplace(size=16) * 1e-161
         err = _candidate_errors(group, grid=8)
-        screen, margin, totals = _assert_bounded(err, gram, _exponent(np.abs(group).max()))
+        screen, margin, totals = _assert_bounded(err, gram)
         assert np.all((2 * 16 + 3) * 2.0**-24 * _frobenius(gram) * np.einsum("pk,pk->p", err, err) == 0.0)
         assert max(np.max(np.abs(screen - total)) for total in totals) > 0.0
 
@@ -514,30 +528,31 @@ class TestScreenMargin:
         # is off by far more than its relative part, and the absolute part bounds it.
         rng = np.random.default_rng(1)
         x = rng.standard_normal((24, 16))
-        gram = x.T @ x
+        gram = np.ldexp(x.T @ x, -40)
         group = rng.laplace(size=16)
-        err = _candidate_errors(group, grid=8)
-        screen, margin, totals = _assert_bounded(err, gram, _exponent(np.abs(group).max()) - 60, -40)
+        err = np.ldexp(_candidate_errors(group, grid=8), _unit_exponent(np.abs(group).max()) - 60)
+        screen, margin, totals = _assert_bounded(err, gram)
         rel = (2 * 16 + 3) * 2.0**-24 * _frobenius(gram) * np.einsum("pk,pk->p", err, err)
         assert np.any(np.abs(screen - totals[0]) > 2 * rel)
 
     def test_float32_conversion_overflow_has_no_bound(self):
-        # A row past float32's range at the given scale gets an inf margin;
-        # the others keep a finite one.
+        # A row past float32's range gets an inf margin; the others keep a
+        # finite one.
         gram = np.eye(4)
         err = np.array([[1.0, -2.0, 0.5, 0.0], [2.0**130, 0.0, 0.0, 1.0]])
-        screen, margin = _screened(err, gram, 0, 0)
+        screen, margin = _screened(err, gram)
         assert np.isfinite(margin[0]) and margin[1] == np.inf
         assert abs(screen[0] - 5.25) <= margin[0]
-        _, margin = _screened(err[:1], gram, 0, 130)  # the Gram's conversion overflows
+        _, margin = _screened(err[:1], gram * 2.0**130)  # the Gram's conversion overflows
         assert margin[0] == np.inf
 
     def test_no_bound_near_overflow(self):
-        # Rows whose float64 product and partial sums could reach the float64
-        # range get an inf margin, so the search re-scores them.
+        # Rows whose float32 product and partial sums could reach the float32
+        # range get an inf margin, so the search re-scores them, although
+        # their screen is still finite.
         gram = np.eye(4)
-        err = np.array([[1.0, -2.0, 0.5, 0.0], [4e153, 0.0, 0.0, -4e153]])  # F = 2, N = 3.2e307
-        screen, margin = _screened(err, gram, _exponent(4e153), 0)
+        err = np.array([[1.0, -2.0, 0.5, 0.0], [8e18, 0.0, 0.0, -8e18]])  # F = 2, N = 1.28e38
+        screen, margin = _screened(err, gram)
         assert np.isfinite(screen).all()
         assert np.isfinite(margin[0]) and margin[1] == np.inf
 
@@ -547,21 +562,13 @@ class TestScreenMargin:
         # reference's bits, at ~110 ms per group. On this slice's 16 groups
         # x 4096 candidates the einsum re-scored 53 rows; the bound leaves
         # ~5x headroom for other BLAS kernels' float32 bits.
-        rows = []
-        einsum = np.einsum
-
-        def spy(subscripts, *operands, **kwargs):
-            if subscripts == "pg,gk,pk->p":
-                rows.append(len(operands[0]))
-            return einsum(subscripts, *operands, **kwargs)
-
-        monkeypatch.setattr(calib.np, "einsum", spy)
+        rows = _spy_rescored(monkeypatch)
         for kernel in paths:
             rows.clear()
             written = []  # per call of the kernel's float64 mode, its candidates
 
             def scorer(*args):
-                if args[8] is not None:  # err
+                if args[7] is not None:  # err
                     written.append(args[6])
                 return kernel(*args)
 
@@ -570,6 +577,30 @@ class TestScreenMargin:
             assert sum(rows) <= 256
             # the kernel makes float64 errors only for the rows the einsum re-scores
             assert written == (rows if kernel else [])
+
+    @pytest.mark.parametrize("k, j", [(-40, -8), (-40, 8), (40, -8), (40, 8)])
+    def test_powers_of_two_scale_the_search(self, k, j, paths, monkeypatch):
+        # Weights times 2**k and activations times 2**j scale every error by
+        # 2**k and every Gram by 2**(2j), exactly in float64 and in float32:
+        # the picks and the re-scored rows stay, and the objectives scale by
+        # 2**(2k + 2j). So scaling each group by a power of two before the
+        # float32 cast would change nothing.
+        w, x, layout = _benchmark_slice()
+        cfg = ClipSearchConfig(grid=64)
+        rows = _spy_rescored(monkeypatch)
+        for kernel in paths:
+            rows.clear()
+            want = _on(kernel, grid_search_clip, w, x, layout, cfg)
+            want_rows = list(rows)
+            rows.clear()
+            got = _on(kernel, grid_search_clip, np.ldexp(w, k), np.ldexp(x, j), layout, cfg)
+            for name in ("lo_logit", "hi_logit", "ratio_lo", "ratio_hi"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            for name in ("objective", "no_clip_objective"):
+                scaled = np.ldexp(getattr(want, name), 2 * k + 2 * j)
+                assert getattr(got, name).tobytes() == scaled.tobytes(), name
+            assert got.degenerate_groups == want.degenerate_groups
+            assert rows == want_rows
 
 
 def _scorer_group(rng, g_dim, data):
@@ -621,25 +652,27 @@ class TestCompiledScorer:
         g_dim=st.sampled_from([1, 2, 3, 5, 7, 12, 24, 33, 128]),
         grid=st.integers(2, 64),
         data=_DATA,
-        # off the search's power of two: float32 conversions that underflow or overflow
+        # off unit size: float32 conversions that underflow or overflow
         shift=st.one_of(st.just(0), st.integers(-160, -120), st.integers(120, 160)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_float32_operand_equals_numpy(self, kernel, g_dim, grid, data, shift, seed):
         # The screen's operand from the kernel: e is numpy's float32 cast of
-        # the scaled errors bit for bit, and n is a float32 sum of e's
-        # squares, within the bound the margin's proof takes for one.
+        # the errors bit for bit, and n is a float32 sum of e's squares,
+        # within the bound the margin's proof takes for one.
         rng = make_rng(seed)
         group, lo_side, hi_side = _scorer_group(rng, g_dim, data)
+        # the group scaled by a power of two to unit size, or off it by the
+        # shift: float32 conversions that underflow or overflow
+        a = min(max(_unit_exponent(float(np.abs(group).max())) + shift, -1074), 1023)
+        group, lo_side, hi_side = (np.ldexp(v, a) for v in (group, lo_side, hi_side))
         rl, rh = _candidate_ratios(ClipSearchConfig(grid=grid))
         lo, hi = rl * lo_side, rh * hi_side
-        a = min(max(_exponent(float(np.abs(group).max())) + shift, -1074), 1023)  # 2**a a finite float
         err, want_span = _scorer_outcome(None, group, lo, hi)
-        want = np.empty(err.shape, dtype=np.float32)
         with np.errstate(all="ignore"):
-            np.multiply(err, 2.0**a, out=want, casting="same_kind")
+            want = err.astype(np.float32)
         e, n, span = np.empty_like(want), np.empty(lo.size, dtype=np.float32), np.empty(lo.size)
-        assert _call(kernel, group, lo, hi, 2.0**a, None, e.ctypes.data, n.ctypes.data, span) == 0
+        assert _call(kernel, group, lo, hi, None, e.ctypes.data, n.ctypes.data, span) == 0
         assert e.tobytes() == want.tobytes()
         np.testing.assert_array_equal(span, want_span)
 

@@ -16,6 +16,7 @@ from rcpq.qat import (
     train_toy,
 )
 from rcpq.qat import _LAYOUTS, _build_state, _loss_and_grads, _STREAM_GRADCHECK
+from rcpq.calib import ClipSearchConfig, grid_search_clip, ldp_init
 from rcpq.core import make_rng
 
 
@@ -184,19 +185,46 @@ class TestTrainToy:
         assert steps == [0, 1, 2]
 
     def test_buffers_back_every_layer(self):
-        # Each layer's weight and logits are views into the two buffers, so
-        # an update of a buffer is an update of every layer.
-        state = _build_state(DistillConfig(seed=6))
-        assert state.q_flat.shape == (4, state.w_groups.shape[0])
-        for w in state.student:
-            assert np.shares_memory(w, state.w_groups)
-        for p in state.params:
+        # The two buffers hold every layer, layer after layer: w_groups its
+        # grouped weight and q_flat its initial logits, a row per field. The
+        # whole model's LdpParams are q_flat's rows, so an update of the
+        # buffer is what the next pass quantizes with.
+        cfg = DistillConfig(seed=6)
+        state = _build_state(cfg)
+        groups = sum(lay.out_channels * lay.num_groups for lay in _LAYOUTS)
+        assert state.w_groups.shape == (groups, TOY.group_size)
+        assert state.q_flat.shape == (4, groups)
+        student, params = _per_layer(state)
+        for w, p, teacher, init in zip(student, params, state.teacher, _layer_inits(state.teacher, cfg.seed)):
+            assert w.tobytes() == teacher.tobytes()  # the student starts at the teacher
             for field in ("lo_logit", "hi_logit", "split1", "split2"):
-                assert np.shares_memory(getattr(p, field), state.q_flat)
+                assert getattr(p, field).tobytes() == getattr(init, field).tobytes(), field
+        for k, field in enumerate(("lo_logit", "hi_logit", "split1", "split2")):
+            assert np.shares_memory(getattr(state.quant, field), state.q_flat[k])
         state.q_flat[2, -1] = 0.5  # split1 of layer 1's last group
-        assert state.params[1].split1[-1, -1] == 0.5
-        state.w_groups[0, 1] = 7.0  # layer 0's weight (0, 1)
-        assert state.student[0][0, 1] == 7.0
+        assert state.quant.split1[-1] == 0.5
+
+
+def _per_layer(state):
+    """Each layer's weight and ``LdpParams``, copied out of the state's two buffers."""
+    student, params, start = [], [], 0
+    for lay in _LAYOUTS:
+        cols = slice(start, start + lay.out_channels * lay.num_groups)
+        student.append(state.w_groups[cols].reshape(lay.out_channels, lay.in_channels).copy())
+        fields = (row[cols].reshape(lay.out_channels, lay.num_groups).copy() for row in state.q_flat)
+        params.append(ldp.LdpParams(*fields))
+        start = cols.stop
+    return student, params
+
+
+def _layer_inits(teacher, seed):
+    """Each layer's ``ldp_init`` of its own clip search, as training starts from it."""
+    calib_x = make_rng(seed, qat._STREAM_CALIB).standard_normal((qat._CALIB_TOKENS, TOY.in_dim))
+    inits, acts = [], calib_x
+    for w, lay in zip(teacher, _LAYOUTS):
+        inits.append(ldp_init(grid_search_clip(w, acts, lay, ClipSearchConfig(grid=qat._CLIP_GRID))))
+        acts = np.maximum(acts @ w.T, 0.0)
+    return inits
 
 
 class _ListAdam:
@@ -256,10 +284,8 @@ class TestBufferedLoopMatchesPerLayerLoop:
         cfg = DistillConfig(seed=seed, steps=20, freeze_partitions=freeze)
         rep = train_toy(cfg)
 
-        state = _build_state(cfg)  # the starting point; the loop below runs on copies
-        student = [w.copy() for w in state.student]
-        params = [ldp.LdpParams(p.lo_logit.copy(), p.hi_logit.copy(), p.split1.copy(), p.split2.copy())
-                  for p in state.params]
+        state = _build_state(cfg)
+        student, params = _per_layer(state)  # the starting point; the loop below runs on copies
         trained = 2 if freeze else 4
         logits = [[p.lo_logit, p.hi_logit, p.split1, p.split2][:trained] for p in params]
         opt_w = _ListAdam(qat._LR_WEIGHTS, student)
@@ -295,11 +321,9 @@ class TestGradCheck:
     def test_zero_upstream_zero_grads(self):
         cfg = DistillConfig(seed=4)
         state = _build_state(cfg)
-        lay = _LAYOUTS[0]
-        groups = lay.grouped(state.student[0])
-        zeros = np.zeros_like(groups)
-        codes, _ = ldp.fake_quant(groups, state.params[0])
-        d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(groups, state.params[0], codes, zeros)
+        zeros = np.zeros_like(state.w_groups)
+        codes, _ = ldp.fake_quant(state.w_groups, state.quant)
+        d_group, d_lo, d_hi, d_s1, d_s2 = ldp.grads(state.w_groups, state.quant, codes, zeros)
         for g in (d_group, d_lo, d_hi, d_s1, d_s2):
             assert np.all(g == 0.0)
 
