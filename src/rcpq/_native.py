@@ -27,9 +27,13 @@ rounds once, as numpy's do. The GEMV sums integers, which the flag cannot
 change.
 
 Every entry takes raw pointers (see ``_ENTRY``), so nothing here checks an
-array; each caller says why its arrays fit. A kernel that fails to build or
-load, or a CPU without AVX2, gives ``None`` for the rest of the process,
-and its caller runs its numpy reference.
+array; each caller says why its arrays fit. Each entry also takes whole
+blocks only: groups of a multiple of its block size (``_ENTRY``: 4 values
+for the GEMV, its repack and the LDP encoder, 8 for the clip scorer, whose
+values must also be finite), and ``covering`` gives it only for such
+groups. A kernel that fails to build or load, or a CPU without AVX2, gives
+``None`` for the rest of the process. Either way its caller runs its numpy
+reference.
 """
 
 from __future__ import annotations
@@ -48,19 +52,19 @@ _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
 
-# Each kernel's source (``_<source>.c``), entry point and C signature; every
-# one returns int64. Arrays go as raw pointers (an int, or None for NULL),
-# and a caller may take a buffer's address once for many calls: with numpy's
-# ndpointer checks, ``ldp.fake_quant`` on a (32, 4, 16) layer took ~85 us
-# per call against ~71 us without, on a 2-vCPU AVX2 host. So no dtype,
-# shape or order is checked here: each caller builds C-ordered arrays of the
-# dtypes and shapes its entry's C comment gives, and holds them while the
-# kernel runs.
+# Each kernel's source (``_<source>.c``), entry point, C signature and block
+# size, which its group sizes must be a multiple of; every one returns int64.
+# Arrays go as raw pointers (an int, or None for NULL), and a caller may take
+# a buffer's address once for many calls: with numpy's ndpointer checks,
+# ``ldp.fake_quant`` on a (32, 4, 16) layer took ~85 us per call against
+# ~71 us without, on a 2-vCPU AVX2 host. So no dtype, shape or order is
+# checked here: each caller builds C-ordered arrays of the dtypes and shapes
+# its entry's C comment gives, and holds them while the kernel runs.
 _ENTRY = {
-    "w2a4": ("w2a4", "rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr]),
-    "w2a4_tiles": ("w2a4", "rcpq_w2a4_tiles", [_ptr, _i64, _i64, _i64, _ptr]),
-    "ldp": ("quant", "rcpq_ldp_encode", [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
-    "clip": ("quant", "rcpq_clip_errors", [_ptr, _i64, _f64, _f64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr]),
+    "w2a4": ("w2a4", "rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr], 4),
+    "w2a4_tiles": ("w2a4", "rcpq_w2a4_tiles", [_ptr, _i64, _i64, _i64, _ptr], 4),
+    "ldp": ("quant", "rcpq_ldp_encode", [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr], 4),
+    "clip": ("quant", "rcpq_clip_errors", [_ptr, _i64, _f64, _f64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr], 8),
 }
 
 
@@ -100,7 +104,7 @@ def open_kernel(name: str, path: Path):
     lib = ctypes.CDLL(str(path))
     if not _has_avx2(lib):
         return None
-    _, entry, argtypes = _ENTRY[name]
+    _, entry, argtypes, _ = _ENTRY[name]
     kernel = getattr(lib, entry)
     kernel.argtypes = argtypes
     kernel.restype = _i64
@@ -126,6 +130,14 @@ def kernel(name: str):
         return None
 
 
-def path(name: str) -> str:
-    """Which path kernel ``name``'s caller runs in this process: ``"c"`` or ``"numpy"``."""
-    return "numpy" if kernel(name) is None else "c"
+def covering(name: str, size: int):
+    """Kernel ``name`` where it covers groups of ``size`` values, a positive
+    multiple of its block size, and loads; else None."""
+    return kernel(name) if size > 0 and size % _ENTRY[name][3] == 0 else None
+
+
+def path(name: str, size: int | None = None) -> str:
+    """``"c"`` or ``"numpy"``: whether kernel ``name`` loads in this process,
+    or with ``size`` whether its caller runs it on groups of that size."""
+    found = kernel(name) if size is None else covering(name, size)
+    return "numpy" if found is None else "c"

@@ -6,8 +6,10 @@
  * Each does the IEEE double operations of its numpy reference in the same
  * order, and each operation rounds once: the library is built with
  * -ffp-contract=off, so no multiply and add fuse into an FMA. Both require
- * an AVX2 CPU (rcpq_has_avx2); ldp.py and calib.py run their numpy
- * references everywhere else.
+ * an AVX2 CPU (rcpq_has_avx2) and take whole blocks only: the encoder
+ * groups of a multiple of 4 values, the scorer groups of a multiple of 8
+ * finite values. ldp.py and calib.py run their numpy references everywhere
+ * else (rcpq._native.covering holds the block sizes).
  */
 #include <immintrin.h>
 #include <stdint.h>
@@ -31,15 +33,18 @@ int rcpq_has_avx2(void)
  * So codes, values and table equal the reference's bit for bit. Where a
  * group's min or max is a zero, numpy may return either sign; no output
  * depends on it: lo + span * level and the compares come out the same for
- * +0 and -0. Where a group holds NaNs of different bit patterns, numpy does
- * not say which one its min returns; this takes the first, so only those
- * NaN values' payloads may differ.
+ * +0 and -0. A NaN is kept, unlike in the clip scorer, because training
+ * needs it: a diverged train_toy student's weights hold NaNs, and its
+ * values must too, so that its loss is NaN and training raises
+ * TrainingFailureError. Where a group holds NaNs of different bit
+ * patterns, numpy does not say which one its min returns; this takes the
+ * first, so only those NaN values' payloads may differ.
  *
  * x: (groups, gsize); s_lo, s_hi: (groups,), the sigmoids of the clip
  * logits; thresholds: (groups, 3); levels: (groups, 4); codes: (groups,
- * gsize); values: (groups, gsize), or NULL for codes alone. Requires
- * gsize >= 1. Returns -1, or the first group whose span <= 0; that group
- * and the groups after it are then left unset.
+ * gsize); values: (groups, gsize), or NULL for codes alone. Requires gsize
+ * a multiple of 4, at least 4. Returns -1, or the first group whose span
+ * <= 0; that group and the groups after it are then left unset.
  */
 
 /* SPREAD[m]: byte j is bit j of the 4-bit compare mask m. */
@@ -48,12 +53,11 @@ static const uint32_t SPREAD[16] = {
     0x01000000, 0x01000001, 0x01000100, 0x01000101, 0x01010000, 0x01010001, 0x01010100, 0x01010101,
 };
 
-/* The min and max of n values, or the first NaN among them for both. */
+/* The min and max of n values, n a multiple of 4, or the first NaN among them for both. */
 __attribute__((target("avx2"))) static void min_max(const double *x, int64_t n, double *mn, double *mx)
 {
     __m256d lo = _mm256_set1_pd(x[0]), hi = lo, nan = _mm256_setzero_pd();
-    int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (int64_t i = 0; i < n; i += 4) {
         __m256d v = _mm256_loadu_pd(x + i);
         lo = _mm256_min_pd(lo, v);
         hi = _mm256_max_pd(hi, v);
@@ -67,17 +71,14 @@ __attribute__((target("avx2"))) static void min_max(const double *x, int64_t n, 
         a = l[k] < a ? l[k] : a;
         b = h[k] > b ? h[k] : b;
     }
-    int has_nan = !_mm256_testz_pd(nan, nan);
-    for (; i < n; i++) {
-        has_nan |= x[i] != x[i];
-        a = x[i] < a ? x[i] : a;
-        b = x[i] > b ? x[i] : b;
+    if (!_mm256_testz_pd(nan, nan)) {
+        int64_t i = 0;
+        while (x[i] == x[i])
+            i++;
+        a = b = x[i];
     }
-    if (has_nan)
-        for (i = 0; x[i] == x[i]; i++)
-            ;
-    *mn = has_nan ? x[i] : a;
-    *mx = has_nan ? x[i] : b;
+    *mn = a;
+    *mx = b;
 }
 
 __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t groups, int64_t gsize,
@@ -104,8 +105,7 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
         const __m256d t0 = _mm256_set1_pd(t[0]), t1 = _mm256_set1_pd(t[1]), t2 = _mm256_set1_pd(t[2]);
         uint8_t *cg = codes + g * gsize;
         double *vg = values ? values + g * gsize : NULL;
-        int64_t i = 0;
-        for (; i + 4 <= gsize; i += 4) {
+        for (int64_t i = 0; i < gsize; i += 4) {
             __m256d v = _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(xg + i), lo4), span4);
             /* max and min return their second operand when either is NaN */
             v = _mm256_min_pd(one, _mm256_max_pd(zero, v));
@@ -123,15 +123,6 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
                 _mm256_storeu_pd(vg + i, _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(tab, idx)));
             }
         }
-        for (; i < gsize; i++) {
-            double v = (xg[i] - lo) / span;
-            v = 0.0 > v ? 0.0 : v;
-            v = 1.0 < v ? 1.0 : v;
-            const int c = (v >= t[0]) + (v >= t[1]) + (v >= t[2]);
-            cg[i] = (uint8_t)c;
-            if (vg)
-                vg[i] = table[c];
-        }
     }
     return -1;
 }
@@ -140,12 +131,11 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
  *
  * For one group g and each clip candidate p, as the numpy reference in
  * calib.py (np.clip, then uniform.asym_quant_dequant, then the subtraction):
- *   c = min(max(g, lo[p]), hi[p]), a NaN of g, lo[p] or hi[p] kept, and hi[p]
- *       where lo[p] > hi[p], as np.clip;
- *   mn, mx   the min and max of c, a NaN if c holds one; span = mx - mn
+ *   c = min(max(g, lo[p]), hi[p]), so hi[p] where lo[p] > hi[p], as np.clip;
+ *   mn, mx   the min and max of c; span = mx - mn
  *            (clipping is monotone: they are g's min and max, clipped);
  *   step = span / 3, zero = -rint(mn / span);
- *   q = rint(c / step) + zero, clipped to [0, 3], a NaN kept;
+ *   q = rint(c / step) + zero, clipped to [0, 3];
  *   deq = (q - zero) * step, or c itself where !(span > 0);
  *   err = deq - c.
  * rint rounds half to even, as np.round does. g's min and max come from the
@@ -156,67 +146,42 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
  * They reach err only through deq - c at deq = 0, and deq is never -0: that
  * needs a clipped q of -0 with zero = +0, but q is -0 only when
  * rint(c / step) and zero are both -0. So err equals the reference's bit
- * for bit, and span does up to the sign of a zero span. A NaN min or max
- * makes span NaN and deq = c, so its payload does not reach err either.
- * The one exception is where an infinity makes a NaN (inf / inf, say) and
- * an operation then meets two NaNs: which one it returns, and so the sign
- * bit, may differ. The search rejects such a group anyway, as its scores
- * are NaN.
+ * for bit, and span does up to the sign of a zero span. The search sends
+ * finite values only: it rejects an inf or NaN weight before it scores a
+ * group.
  *
  * Two output modes, in the same pass per candidate:
  *   float64   err: (cands, gsize), the errors above;
  *   float32   (err NULL) e: (cands, gsize), float32(err), rounded as
  *             numpy's cast to float32 rounds it, so e equals numpy's bit
- *             for bit; and n: (cands,), the float32 sum of e's squares,
- *             each square rounded to float, summed in this kernel's own
- *             lane order.
+ *             for bit; n: (cands,), the float32 sum of e's squares, each
+ *             square rounded to float, summed in this kernel's own lane
+ *             order; and span: (cands,), the spans above.
  * Each candidate is computed on its own, so a call on a subset of the
  * candidates writes the same bits for them as a call on all of them.
  *
- * g: (gsize,); g_mn, g_mx: g's min and max, a NaN if g holds one; lo, hi:
- * (cands,); span: (cands,), written in both modes. Requires gsize >= 1.
- * Returns 0.
+ * g: (gsize,), finite, gsize a multiple of 8, at least 8; g_mn, g_mx: g's
+ * min and max; lo, hi: (cands,), finite; span is left alone in float64
+ * mode, and may be NULL there. Returns 0.
  */
 
-/* np.clip of one value, with bounds as rcpq_clip_errors sets them */
+/* np.clip of one value */
 static double clip(double x, double l, double h)
 {
-    if (x != x)
-        return x;
     x = x > l ? x : l;
     return x < h ? x : h;
-}
-
-/* The 4 doubles at p, or the first n of them (the rest 0) where n < 4. */
-__attribute__((target("avx2"))) static inline __m256d load(const double *p, int64_t n, __m256i part)
-{
-    return n >= 4 ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, part);
-}
-
-__attribute__((target("avx2"))) static inline void store(double *p, __m256d v, int64_t n, __m256i part)
-{
-    if (n >= 4)
-        _mm256_storeu_pd(p, v);
-    else
-        _mm256_maskstore_pd(p, part, v);
 }
 
 /* One candidate's clip bounds and quantizer, broadcast. */
 struct quantizer {
     __m256d l, h, step, z;
-    int quantize;  /* span > 0, else deq = c */
-    int nan_bound; /* l and h are one NaN */
+    int quantize; /* span > 0, else deq = c */
 };
 
-/* err of the 4 values at x, or of the first n of them where n < 4 (the other lanes are junk) */
-__attribute__((target("avx2"))) static inline __m256d err4(const struct quantizer *k, const double *x, int64_t n,
-                                                          __m256i part)
+/* err of the 4 values at x */
+__attribute__((target("avx2"))) static inline __m256d err4(const struct quantizer *k, const double *x)
 {
-    const __m256d v = load(x, n, part);
-    /* max and min return their second operand when either is NaN: so a NaN
-     * of x is kept, and a NaN bound, which is both bounds, is put in by hand */
-    const __m256d c = k->nan_bound ? _mm256_blendv_pd(k->l, v, _mm256_cmp_pd(v, v, _CMP_UNORD_Q))
-                                   : _mm256_min_pd(k->h, _mm256_max_pd(k->l, v));
+    const __m256d c = _mm256_min_pd(k->h, _mm256_max_pd(k->l, _mm256_loadu_pd(x)));
     __m256d deq = c;
     if (k->quantize) {
         __m256d q = _mm256_add_pd(_mm256_round_pd(_mm256_div_pd(c, k->step), RINT), k->z);
@@ -226,63 +191,43 @@ __attribute__((target("avx2"))) static inline __m256d err4(const struct quantize
     return _mm256_sub_pd(deq, c);
 }
 
-/* float32(err) of the 8 values at x, or of the first n of them where n < 8,
- * the other lanes 0 */
-__attribute__((target("avx2"))) static inline __m256 err8f(const struct quantizer *k, const double *x, int64_t n,
-                                                          __m256i part, __m256i tail)
+/* float32(err) of the 8 values at x */
+__attribute__((target("avx2"))) static inline __m256 err8f(const struct quantizer *k, const double *x)
 {
-    const __m128 a = _mm256_cvtpd_ps(err4(k, x, n, part));
-    if (n >= 8)
-        return _mm256_set_m128(_mm256_cvtpd_ps(err4(k, x + 4, 4, part)), a);
-    const __m128 b = n > 4 ? _mm256_cvtpd_ps(err4(k, x + 4, n - 4, part)) : _mm_setzero_ps();
-    return _mm256_and_ps(_mm256_set_m128(b, a), _mm256_castsi256_ps(tail));
+    return _mm256_set_m128(_mm256_cvtpd_ps(err4(k, x + 4)), _mm256_cvtpd_ps(err4(k, x)));
 }
 
 __attribute__((target("avx2"))) int64_t rcpq_clip_errors(const double *g, int64_t gsize, double g_mn, double g_mx,
                                                          const double *lo, const double *hi, int64_t cands,
                                                          double *err, float *e, float *n, double *span)
 {
-    /* the lanes of a last, partial load of gsize % 4 doubles, and of a last
-     * 8-lane block of gsize % 8 floats */
-    const __m256i part = _mm256_cmpgt_epi64(_mm256_set1_epi64x(gsize % 4), _mm256_setr_epi64x(0, 1, 2, 3));
-    const __m256i tail =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32((int)(gsize % 8)), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
     for (int64_t p = 0; p < cands; p++) {
-        double l = lo[p], h = hi[p];
-        /* a NaN bound goes into both */
-        if (l != l)
-            h = l;
-        else if (h != h)
-            l = h;
+        const double l = lo[p], h = hi[p];
         /* clipping is monotone, so the clipped group's min and max are the clipped min and max */
         const double mn = clip(g_mn, l, h), s = clip(g_mx, l, h) - mn;
-        span[p] = s;
         const double z = -_mm_cvtsd_f64(_mm_round_sd(_mm_setzero_pd(), _mm_set_sd(mn / s), RINT));
         const struct quantizer k = {_mm256_set1_pd(l), _mm256_set1_pd(h), _mm256_set1_pd(s / 3.0),
-                                    _mm256_set1_pd(z), s > 0.0, l != l};
+                                    _mm256_set1_pd(z), s > 0.0};
         if (err) {
             for (int64_t i = 0; i < gsize; i += 4)
-                store(err + p * gsize + i, err4(&k, g + i, gsize - i, part), gsize - i, part);
+                _mm256_storeu_pd(err + p * gsize + i, err4(&k, g + i));
             continue;
         }
+        span[p] = s;
         float *ep = e + p * gsize;
         /* two accumulators, so one sum does not wait on the other */
         __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
         int64_t i = 0;
         for (; i + 16 <= gsize; i += 16) {
-            const __m256 f0 = err8f(&k, g + i, 8, part, tail);
-            const __m256 f1 = err8f(&k, g + i + 8, 8, part, tail);
+            const __m256 f0 = err8f(&k, g + i), f1 = err8f(&k, g + i + 8);
             _mm256_storeu_ps(ep + i, f0);
             _mm256_storeu_ps(ep + i + 8, f1);
             acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(f0, f0));
             acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(f1, f1));
         }
-        for (; i < gsize; i += 8) {
-            const __m256 f = err8f(&k, g + i, gsize - i, part, tail);
-            if (gsize - i >= 8)
-                _mm256_storeu_ps(ep + i, f);
-            else
-                _mm256_maskstore_ps(ep + i, tail, f);
+        if (i < gsize) { /* the last 8 values */
+            const __m256 f = err8f(&k, g + i);
+            _mm256_storeu_ps(ep + i, f);
             acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(f, f));
         }
         acc0 = _mm256_add_ps(acc0, acc1);

@@ -107,12 +107,14 @@ search, and in that pass rounds each ``err`` to float32 as numpy's cast
 does, and sums ``n`` in float32 in its own lanes, one of the orders the
 bound allows. Float64 errors exist only for the kept rows: a second call
 on the kept candidates' bounds writes them, with the bits a pass over all
-candidates gives, as each candidate is computed on its own. Where the
-kernel does not load, ``np.clip`` and ``asym_quant_dequant`` give every
-candidate's float64 ``err``, and numpy's cast and einsum ``(e, n)``
-(``_screen_operand``). Both paths give the same ``e`` and the same float64
-errors; ``n`` may differ in its last bits, and so the kept set, but the
-picks and objectives are the reference's on both.
+candidates gives, as each candidate is computed on its own. The kernel
+takes finite groups of a multiple of 8 values: the search rejects a
+non-finite weight or activation before it scores a group. Where the
+kernel does not load or cover G, ``np.clip`` and ``asym_quant_dequant``
+give every candidate's float64 ``err``, and numpy's cast and einsum
+``(e, n)`` (``_screen_operand``). Both paths give the same ``e`` and the
+same float64 errors; ``n`` may differ in its last bits, and so the kept
+set, but the picks and objectives are the reference's on both.
 """
 
 from __future__ import annotations
@@ -231,7 +233,9 @@ def grid_search_clip(
     activations, both already rotated if rotation is in play. Constant
     groups cannot be searched; they get a near-1.0 ratio pair and are
     recorded in ``degenerate_groups``. Raises ``DataError`` at the first
-    (row, group) whose scores overflow to NaN, which no candidate can win.
+    (token, channel) of ``x_r`` and the first (row, group) of ``w_r`` that
+    holds an inf or NaN, and at the first (row, group) whose scores
+    overflow to NaN, which no candidate can win.
 
     Per group, the compiled scorer (or its numpy reference) gives every
     candidate's quantization error as the float32 screen's operand, every
@@ -245,10 +249,18 @@ def grid_search_clip(
     layout.check(w)
     if x.ndim != 2 or x.shape[1] != layout.in_channels:
         raise ConfigError(f"calibration activations {x.shape} do not match layout")
+    bad = ~np.isfinite(x)
+    if bad.any():
+        t, c = np.argwhere(bad)[0]
+        raise DataError(f"calibration activation at (token {t}, channel {c}) is not finite")
 
     rl, rh = _candidate_ratios(cfg)
     groups = np.ascontiguousarray(layout.grouped(w))
     h_dim, n_dim, g_dim = groups.shape
+    bad = ~np.isfinite(groups).all(axis=-1)
+    if bad.any():
+        h, n = np.argwhere(bad)[0]
+        raise DataError(f"weights at (row {h}, group {n}) are not finite")
 
     # Gram matrices depend only on the column block, shared by all rows.
     grams = np.empty((n_dim, g_dim, g_dim))
@@ -266,17 +278,17 @@ def grid_search_clip(
         no_clip_objective=np.zeros((h_dim, n_dim)),
     )
     no_clip_idx = int(np.flatnonzero((rl == 1.0) & (rh == 1.0))[-1])
-    kernel = _native.kernel("clip")
+    kernel = _native.covering("clip", g_dim)
     # The screen's operand, and on the kernel path the arrays the kernel
     # writes. The kernel takes raw pointers: each array here is a C-ordered
     # float64 or float32 one of the shape it expects, held for the whole
     # search, so its address is taken once.
     e = np.empty((rl.size, g_dim), dtype=np.float32)
     prod = np.empty_like(e)
-    lo_c, hi_c, span, kept_span = np.empty((4, rl.size))
+    lo_c, hi_c, span = np.empty((3, rl.size))
     norm = np.empty(rl.size, dtype=np.float32)
     addr = {name: arr.ctypes.data for name, arr in
-            dict(groups=groups, lo=lo_c, hi=hi_c, e=e, norm=norm, span=span, kept_span=kept_span).items()}
+            dict(groups=groups, lo=lo_c, hi=hi_c, e=e, norm=norm, span=span).items()}
 
     for h in range(h_dim):
         for n in range(n_dim):
@@ -308,7 +320,7 @@ def grid_search_clip(
             else:  # float64 errors of the kept candidates alone: the same bits as a pass over all
                 kept, lo_k, hi_k = np.empty((cand.size, g_dim)), lo_c[cand], hi_c[cand]
                 kernel(g_addr, g_dim, mn, mx, lo_k.ctypes.data, hi_k.ctypes.data, cand.size, kept.ctypes.data,
-                       None, None, addr["kept_span"])
+                       None, None, None)
             obj = np.einsum("pg,gk,pk->p", kept, grams[n], kept)
             obj[span[cand] == 0.0] = np.inf
             if np.isnan(obj).any():  # inf - inf in a score: no candidate can be ranked

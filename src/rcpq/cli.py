@@ -132,8 +132,8 @@ def _cmd_quantize(args) -> int:
         compression_vs_fp16=fp16_bytes / (weight_bytes + lut_bytes),
         mean_objective=float(search.objective.mean()),
         degenerate_groups=len(search.degenerate_groups),
-        clip_kernel=_native.path("clip"),
-        ldp_kernel=_native.path("ldp"),
+        clip_kernel=_native.path("clip", layout.group_size),
+        ldp_kernel=_native.path("ldp", layout.group_size),
         seconds=elapsed,
     )
     print(f"wrote {args.out}: weights {weight_bytes} B + LUT {lut_bytes} B "
@@ -196,8 +196,8 @@ def _cmd_verify(args) -> int:
     y_ref, y_fast = gemv_ref(task), gemv_fast(task)
     gap_ref, gap_fast = (_relative_gap(y, oracle, magnitude) for y in (y_ref, y_fast))
     report = _base_report("verify", args)
-    report.update(container_version=VERSION, ldp_kernel=_native.path("ldp"), codes_match=True,
-                  lut_match=True, gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
+    report.update(container_version=VERSION, ldp_kernel=_native.path("ldp", layout.group_size),
+                  codes_match=True, lut_match=True, gemv_ref_gap=gap_ref, gemv_fast_gap=gap_fast)
     differ = np.flatnonzero(y_ref.view(np.uint32) != y_fast.view(np.uint32))
     ok = gap_ref <= GEMV_TOL and gap_fast <= GEMV_TOL  # a NaN gap fails too
     if not ok:

@@ -133,9 +133,9 @@ def _tiles(pw: PackedWeights) -> np.ndarray | None:
     runs only once ``GemvTask._check`` has passed on ``pw`` at ``pw.layout``.
     """
     if "_tiles" not in vars(pw):
-        lay, repack = pw.layout, _native.kernel("w2a4_tiles")
-        tiles = None
-        if lay.group_size % 4 == 0 and repack is not None:
+        lay = pw.layout
+        repack, tiles = _native.covering("w2a4_tiles", lay.group_size), None
+        if repack is not None:
             # Tiles of 32 rows; per group, pairs of 4-channel blocks at 64 bytes a pair.
             pairs = (lay.group_size // 4 + 1) // 2
             tiles = np.empty(-(-lay.out_channels // 32) * lay.num_groups * pairs * 64, dtype=np.uint8)

@@ -27,9 +27,10 @@ field has shape (...), so a single group with scalar logits and a whole
 encoder in ``_quant.c``, which ``_native`` builds and loads in one library
 with the clip search's scorer: one AVX2 pass per group does the float64
 operations of ``_fake_quant_numpy`` in the same order, so the bits are the
-same. ``_fake_quant_numpy`` is its reference and its fallback where the
-kernel does not build or the CPU lacks AVX2. Both take the data-free part
-of the grids (``_partition``) from one place.
+same. ``_fake_quant_numpy`` is its reference, and runs instead where the
+kernel does not build, the CPU lacks AVX2 or the group size is not a
+multiple of 4. Both take the data-free part of the grids (``_partition``)
+from one place.
 """
 
 from __future__ import annotations
@@ -173,9 +174,10 @@ def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.nd
     counts the thresholds at or below ``v`` (ties go to the upper bin) and
     picks that code's entry of ``derive_grids(...).table``, so clipped
     inputs land exactly on the clip endpoints. Runs the compiled encoder
-    when it loads, and otherwise ``_fake_quant_numpy``; both give the same
-    bits. Raises ``InvalidRangeError`` at the first group whose clip logits
-    give ``span <= 0``.
+    where it loads and covers the group size, and otherwise
+    ``_fake_quant_numpy``; both give the same bits. Raises
+    ``InvalidRangeError`` at the first group whose clip logits give
+    ``span <= 0``.
     """
     return _encode(groups, params, values=True)
 
@@ -186,10 +188,11 @@ def encode_codes(groups: np.ndarray, params: LdpParams) -> np.ndarray:
 
 
 def _encode(groups, params: LdpParams, values: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Codes, and values if asked: the compiled encoder, or the numpy one where it does not load."""
+    """Codes, and values if asked: the compiled encoder, or the numpy one
+    where it does not load or cover the group size."""
     g = np.asarray(groups, dtype=np.float64)
-    kernel = _native.kernel("ldp")
-    if kernel is None or g.ndim == 0 or g.size == 0:  # the kernel needs at least one value per group
+    kernel = _native.covering("ldp", g.shape[-1]) if g.ndim else None
+    if kernel is None or g.size == 0:
         return _fake_quant_numpy(g, params, values)
     s_lo, s_hi, _, thresholds, levels = _partition(params)
     batch = np.broadcast_shapes(g.shape[:-1], np.shape(s_lo), np.shape(s_hi), thresholds.shape[:-1])
@@ -217,7 +220,8 @@ def _encode(groups, params: LdpParams, values: bool) -> tuple[np.ndarray, np.nda
 def _fake_quant_numpy(
     g: np.ndarray, params: LdpParams, values: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The reference encoder, and the fallback where the compiled one does not load."""
+    """The reference encoder, and the fallback where the compiled one does
+    not load or cover the group size."""
     grids = derive_grids(g, params)
     v = np.subtract(g, grids.lo[..., None])
     v /= grids.span[..., None]

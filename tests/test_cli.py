@@ -295,6 +295,29 @@ class TestQuantizeVerifyBench:
         assert rep["clip_kernel"] == "numpy"
         assert rep["ldp_kernel"] == _native.path("ldp")
 
+    def test_reports_the_path_that_ran_for_the_group_size(self, tmp_path, monkeypatch):
+        # G = 12 is a multiple of the encoder's block of 4, not of the clip
+        # scorer's 8: the search runs numpy, the encoder C, and the container
+        # has the bytes of a run without the kernels.
+        if _native.kernel("clip") is None:
+            pytest.skip("the quantize kernels do not load here")
+        rng = make_rng(98)
+        wp, xp = tmp_path / "w.npy", tmp_path / "x.npy"
+        save_npy(rng.laplace(scale=0.02, size=(8, 48)).astype(np.float32), wp)
+        save_npy(rng.standard_normal((32, 48)).astype(np.float32), xp)
+
+        def run(name):
+            box, q, v = (tmp_path / f"{name}{suffix}" for suffix in (".rcpq", "-q.json", "-v.json"))
+            assert main(["quantize", "--weights", str(wp), "--calib", str(xp), "--group", "12", "--grid", "8",
+                         "--out", str(box), "--json", str(q)]) == 0
+            assert main(["verify", str(box), "--against", str(wp), "--acts", str(xp), "--json", str(v)]) == 0
+            return box.read_bytes(), _report(q)["clip_kernel"], _report(q)["ldp_kernel"], _report(v)["ldp_kernel"]
+
+        compiled = run("c")
+        assert compiled[1:] == ("numpy", "c", "c")
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+        assert run("numpy") == (compiled[0], "numpy", "numpy", "numpy")
+
     def test_verify_detects_corruption(self, weight_files, tmp_path, capsys):
         wp, xp = weight_files
         box = tmp_path / "m.rcpq"

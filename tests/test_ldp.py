@@ -376,6 +376,13 @@ class TestCompiledEncoder:
             _on(kernel, fake_quant, np.empty((2, 0)), p)
         assert len(numpy_calls) == 2
 
+    def test_uncovered_group_size_uses_numpy(self, kernel, numpy_calls):
+        # The encoder takes whole blocks of 4 values: at G = 6 fake_quant runs the reference.
+        groups = make_rng(47).laplace(size=(3, 6))
+        got = _outcome(_on, kernel, fake_quant, groups, _uniform_params())
+        assert len(numpy_calls) == 1
+        assert got == _outcome(_on, None, fake_quant, groups, _uniform_params())
+
     @needs_cc  # so the library builds here, and only the probe says no
     def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch, numpy_calls):
         probes = []

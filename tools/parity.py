@@ -8,8 +8,9 @@ Each line is the sha256 of one item's outputs (dtype, shape and raw bytes of
 every array, ``float.hex`` of every float), and the last line combines them.
 All inputs come from fixed ``make_rng`` seeds. A run takes well under a
 minute on two cores; per-item times go to stderr, and after the digests
-the path (``c`` or ``numpy``) that each compiled kernel's caller ran, so a
-comparison shows whether both checkouts ran the kernels.
+whether each compiled kernel loads (``c``) or not (``numpy``), so a
+comparison shows whether both checkouts could run the kernels. Every item
+uses group sizes that the kernels cover.
 """
 
 from __future__ import annotations
