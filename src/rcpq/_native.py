@@ -4,13 +4,15 @@
   The same library holds ``w2a4_tiles``, the repack of a
   ``pack.PackedWeights`` into that kernel's tiles, which ``gemv`` runs at
   the weights' first call.
-* ``ldp`` and ``clip`` (``_quant.c``): the LDP encoder behind
-  ``ldp.fake_quant``, and the uniform scorer of the clip candidates in
-  ``calib.grid_search_clip``, which writes either every candidate's error
-  cast to float32 as numpy's plain cast rounds it, with its float32 sum
-  of squares (the screen's operand), or the kept candidates' float64
-  errors. One library serves the quantize side, so quantizing never
-  compiles the GEMV.
+* ``ldp``, ``ldp_grads`` and ``clip`` (``_quant.c``): the LDP encoder
+  behind ``ldp.fake_quant``, its backward pass behind ``ldp.grads``, and
+  the uniform scorer of the clip candidates in ``calib.grid_search_clip``,
+  which writes either every candidate's error cast to float32 as numpy's
+  plain cast rounds it, with its float32 sum of squares (the screen's
+  operand), or the kept candidates' float64 errors. The LDP entries take
+  the sigmoids of the logits from their callers, and derive thresholds,
+  levels and derivatives per group. One library serves the quantize side
+  and training, so neither compiles the GEMV.
 
 Each kernel is compiled on first use, with ``cc`` and ``_CFLAGS``, into
 ``$XDG_CACHE_HOME/rcpq/`` (default ``~/.cache/rcpq/``) and called through
@@ -21,19 +23,20 @@ can share it without rebuilding in turn. The kernels are AVX2 code
 compiled under a target attribute (the repack is plain C), and each library
 is chosen by its run-time probe ``rcpq_has_avx2``, so the flags carry no
 ``-march=native`` and a cache directory may be shared between machines.
-``-ffp-contract=off`` keeps the compiler from fusing a multiply and an add into one FMA: the LDP encoder's
-and the clip scorer's bits equal numpy's only when each float operation
-rounds once, as numpy's do. The GEMV sums integers, which the flag cannot
-change.
+``-ffp-contract=off`` keeps the compiler from fusing a multiply and an add
+into one FMA: the LDP entries' and the clip scorer's bits equal numpy's only
+when each float operation rounds once, as numpy's do. The GEMV sums
+integers, which the flag cannot change.
 
 Every entry takes raw pointers (see ``_ENTRY``), so nothing here checks an
 array; each caller says why its arrays fit. Each entry also takes whole
 blocks only: groups of a multiple of its block size (``_ENTRY``: 4 values
-for the GEMV, its repack and the LDP encoder, 8 for the clip scorer, whose
-values must also be finite), and ``covering`` gives it only for such
-groups. A kernel that fails to build or load, or a CPU without AVX2, gives
-``None`` for the rest of the process. Either way its caller runs its numpy
-reference.
+for the GEMV, its repack and the two LDP entries, 8 for the clip scorer,
+whose values must also be finite), and ``covering`` gives it only for such
+groups. The LDP backward pass also says where it meets a value that is not
+finite, and ``ldp.grads`` then runs its reference. A kernel that fails to
+build or load, or a CPU without AVX2, gives ``None`` for the rest of the
+process. Either way its caller runs its numpy reference.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ _ptr = ctypes.c_void_p
 _ENTRY = {
     "w2a4": ("w2a4", "rcpq_w2a4_gemv", [_ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr], 4),
     "w2a4_tiles": ("w2a4", "rcpq_w2a4_tiles", [_ptr, _i64, _i64, _i64, _ptr], 4),
-    "ldp": ("quant", "rcpq_ldp_encode", [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr], 4),
+    "ldp": ("quant", "rcpq_ldp_encode", [_ptr, _i64, _i64, _ptr, _ptr, _ptr], 4),
+    "ldp_grads": ("quant", "rcpq_ldp_grads", [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr], 4),
     "clip": ("quant", "rcpq_clip_errors", [_ptr, _i64, _f64, _f64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr], 8),
 }
 

@@ -1,17 +1,22 @@
-/* Compiled fast paths of the quantize side, AVX2: the LDP encoder behind
- * rcpq.ldp.fake_quant, and the uniform scorer of the clip candidates in
+/* Compiled fast paths of the quantize side and of training, AVX2: the LDP
+ * encoder behind rcpq.ldp.fake_quant, its backward pass behind
+ * rcpq.ldp.grads, and the uniform scorer of the clip candidates in
  * rcpq.calib.grid_search_clip, which writes each candidate's float64 error
  * or that error cast to float32 as numpy's plain cast rounds it.
  *
  * Each does the IEEE double operations of its numpy reference in the same
  * order, and each operation rounds once: the library is built with
- * -ffp-contract=off, so no multiply and add fuse into an FMA. Both require
- * an AVX2 CPU (rcpq_has_avx2) and take whole blocks only: the encoder
+ * -ffp-contract=off, so no multiply and add fuse into an FMA. All require
+ * an AVX2 CPU (rcpq_has_avx2) and take whole blocks only: the LDP entries
  * groups of a multiple of 4 values, the scorer groups of a multiple of 8
- * finite values. ldp.py and calib.py run their numpy references everywhere
- * else (rcpq._native.covering holds the block sizes).
+ * finite values. The backward pass also takes finite values only, and
+ * says where it meets others. ldp.py and calib.py run their numpy
+ * references everywhere else (rcpq._native.covering holds the block sizes).
+ * Neither LDP entry takes an exp: the callers pass the sigmoids of the
+ * logits as numpy computes them, whose bits depend on numpy's SIMD dispatch.
  */
 #include <immintrin.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -25,11 +30,16 @@ int rcpq_has_avx2(void)
 
 /* The LDP encoder, one pass per group.
  *
- * Per group of gsize doubles x, as the numpy reference in ldp.py:
+ * Per group of gsize doubles x, as the numpy reference in ldp.py
+ * (_fake_quant_numpy, through derive_grids):
  *   mn, mx   the group's min and max, a NaN of the group if it holds one;
+ *   the thresholds t and levels of the split sigmoids a and b, as
+ *            p2 = (1 - a) * b, p3 = (1 - a) * (1 - b), t1 = a / 2,
+ *            t2 = t1 + (a + p2) / 2, t3 = t2 + (p2 + p3) / 2,
+ *            levels = {0, (t1 + t2) / 2, (t2 + t3) / 2, 1};
  *   lo = s_lo * mn, span = s_hi * mx - lo, table[k] = lo + span * levels[k];
  *   v = (x - lo) / span, clipped to [0, 1], a NaN kept as np.clip keeps it;
- *   code = #{k : thresholds[k] <= v}, and values = table[code].
+ *   code = #{k : t[k] <= v}, and values = table[code].
  * So codes, values and table equal the reference's bit for bit. Where a
  * group's min or max is a zero, numpy may return either sign; no output
  * depends on it: lo + span * level and the compares come out the same for
@@ -40,11 +50,11 @@ int rcpq_has_avx2(void)
  * patterns, numpy does not say which one its min returns; this takes the
  * first, so only those NaN values' payloads may differ.
  *
- * x: (groups, gsize); s_lo, s_hi: (groups,), the sigmoids of the clip
- * logits; thresholds: (groups, 3); levels: (groups, 4); codes: (groups,
- * gsize); values: (groups, gsize), or NULL for codes alone. Requires gsize
- * a multiple of 4, at least 4. Returns -1, or the first group whose span
- * <= 0; that group and the groups after it are then left unset.
+ * x: (groups, gsize); sig: (4, groups), the sigmoids of the lo, hi, split1
+ * and split2 logits; codes: (groups, gsize); values: (groups, gsize), or
+ * NULL for codes alone. Requires gsize a multiple of 4, at least 4. Returns
+ * -1, or the first group whose span <= 0; that group and the groups after
+ * it are then left unset.
  */
 
 /* SPREAD[m]: byte j is bit j of the 4-bit compare mask m. */
@@ -82,35 +92,37 @@ __attribute__((target("avx2"))) static void min_max(const double *x, int64_t n, 
 }
 
 __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t groups, int64_t gsize,
-                                                        const double *s_lo, const double *s_hi,
-                                                        const double *thresholds, const double *levels,
-                                                        uint8_t *codes, double *values)
+                                                        const double *sig, uint8_t *codes, double *values)
 {
     const __m256d zero = _mm256_setzero_pd(), one = _mm256_set1_pd(1.0);
     const __m256i one64 = _mm256_set1_epi64x(1);
     for (int64_t g = 0; g < groups; g++) {
-        const double *xg = x + g * gsize, *t = thresholds + 3 * g;
+        const double *xg = x + g * gsize;
         double mn, mx;
         min_max(xg, gsize, &mn, &mx);
-        const double lo = s_lo[g] * mn;
-        const double span = s_hi[g] * mx - lo;
+        const double lo = sig[g] * mn;
+        const double span = sig[groups + g] * mx - lo;
         if (span <= 0.0)
             return g;
+        const double a = sig[2 * groups + g], b = sig[3 * groups + g];
+        const double p2 = (1.0 - a) * b, p3 = (1.0 - a) * (1.0 - b);
+        const double t1 = a / 2.0, t2 = t1 + (a + p2) / 2.0, t3 = t2 + (p2 + p3) / 2.0;
+        const double levels[4] = {0.0, (t1 + t2) / 2.0, (t2 + t3) / 2.0, 1.0};
         double table[4];
         for (int k = 0; k < 4; k++)
-            table[k] = lo + span * levels[4 * g + k];
+            table[k] = lo + span * levels[k];
         /* table as eight 32-bit halves: code c's double is halves 2c and 2c + 1 */
         const __m256i tab = _mm256_castpd_si256(_mm256_loadu_pd(table));
         const __m256d lo4 = _mm256_set1_pd(lo), span4 = _mm256_set1_pd(span);
-        const __m256d t0 = _mm256_set1_pd(t[0]), t1 = _mm256_set1_pd(t[1]), t2 = _mm256_set1_pd(t[2]);
+        const __m256d tv1 = _mm256_set1_pd(t1), tv2 = _mm256_set1_pd(t2), tv3 = _mm256_set1_pd(t3);
         uint8_t *cg = codes + g * gsize;
         double *vg = values ? values + g * gsize : NULL;
         for (int64_t i = 0; i < gsize; i += 4) {
             __m256d v = _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(xg + i), lo4), span4);
             /* max and min return their second operand when either is NaN */
             v = _mm256_min_pd(one, _mm256_max_pd(zero, v));
-            __m256d m0 = _mm256_cmp_pd(v, t0, _CMP_GE_OQ), m1 = _mm256_cmp_pd(v, t1, _CMP_GE_OQ),
-                    m2 = _mm256_cmp_pd(v, t2, _CMP_GE_OQ);
+            __m256d m0 = _mm256_cmp_pd(v, tv1, _CMP_GE_OQ), m1 = _mm256_cmp_pd(v, tv2, _CMP_GE_OQ),
+                    m2 = _mm256_cmp_pd(v, tv3, _CMP_GE_OQ);
             uint32_t c4 = SPREAD[_mm256_movemask_pd(m0)] + SPREAD[_mm256_movemask_pd(m1)] +
                           SPREAD[_mm256_movemask_pd(m2)];
             memcpy(cg + i, &c4, 4); /* little-endian: byte j is element i + j */
@@ -125,6 +137,152 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
         }
     }
     return -1;
+}
+
+/* The LDP backward pass, one pass per group.
+ *
+ * Per group of gsize doubles x, with upstream gradients up and the forward
+ * pass's codes, as the numpy reference in ldp.py (_grads_numpy):
+ *   mn, mx   the group's min and max;
+ *   lo = s_lo * mn, span = s_hi * mx - lo, hi = lo + span;
+ *   level[c] and its split1 and split2 derivatives d1[c] and d2[c], from
+ *            the split sigmoids a and b with the reference's expressions;
+ *   terms    (u * c_lo) * (1 - level[c]), (u * c_hi) * level[c],
+ *            (u * span) * d1[c] and (u * span) * d2[c] per value, where
+ *            c_lo = (s_lo * (1 - s_lo)) * mn and c_hi = (s_hi * (1 - s_hi)) * mx;
+ *   d_logits each row of terms summed as numpy's terms.sum(axis=-1) sums it
+ *            (pairwise4, below): numpy's pairwise sum, then the reduce's
+ *            identity 0.0 added;
+ *   d_group  u where lo <= x <= hi, else 0.0.
+ * So every output equals the reference's bit for bit. Where a group's min or
+ * max is a zero, numpy may return either sign; no output depends on it: hi
+ * is span, the compares are the same for +0 and -0, and the zero terms it
+ * signs sum to zeros that the identity makes +0.
+ *
+ * x, up: (groups, gsize); sig: (4, groups), the sigmoids of the lo, hi,
+ * split1 and split2 logits; codes: (groups, gsize); d_group: (groups,
+ * gsize); d_logits: (4, groups), a row per logit. Requires gsize a
+ * multiple of 4, at least 4. Returns -1 when every output is written, and
+ * -2 at the first group that holds a value of x or up, or a sigmoid, that
+ * is not finite, so that the caller runs the reference, as a NaN payload
+ * could take a different way through these operations. Else it returns
+ * 2 * g + 1 for the first group g that holds a code above 3, or, where no
+ * group does, 2 * g for the first group whose span <= 0. Outputs are then
+ * left partly unset.
+ */
+
+/* One group's backward: its chain factors, and its tables by code. */
+struct backward {
+    const double *up;
+    const uint8_t *codes;
+    double c_lo, c_hi, span;
+    double table[4][4]; /* 1 - level, level, d1, d2 */
+};
+
+/* The four terms of value i */
+static inline void terms(const struct backward *k, int64_t i, double t[4])
+{
+    const int c = k->codes[i];
+    const double u = k->up[i], us = u * k->span;
+    t[0] = u * k->c_lo * k->table[0][c];
+    t[1] = u * k->c_hi * k->table[1][c];
+    t[2] = us * k->table[2][c];
+    t[3] = us * k->table[3][c];
+}
+
+/* Each row of terms over values i0 .. i0 + n - 1 summed in the order of
+ * numpy's pairwise sum (pairwise_sum in numpy/_core/src/umath/loops_utils.h.src),
+ * which np.add.reduce runs on each contiguous row:
+ *   n < 8         start at -0.0 and add in order;
+ *   8 <= n <= 128 eight accumulators r[j] over terms j, j + 8, ..., up to
+ *                 n - n % 8, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+ *                 then the rest added in order;
+ *   n > 128       the sums of the first n2 = n / 2 - (n / 2) % 8 terms and of
+ *                 the rest, added.
+ * Starting every accumulator at -0.0 gives both short branches: -0.0 + t is t.
+ */
+static void pairwise4(const struct backward *k, int64_t i0, int64_t n, double sum[4])
+{
+    if (n > 128) {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        double rest[4];
+        pairwise4(k, i0, n2, sum);
+        pairwise4(k, i0 + n2, n - n2, rest);
+        for (int r = 0; r < 4; r++)
+            sum[r] += rest[r];
+        return;
+    }
+    double acc[4][8], t[4];
+    for (int r = 0; r < 4; r++)
+        for (int j = 0; j < 8; j++)
+            acc[r][j] = -0.0;
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8; j++) {
+            terms(k, i0 + i + j, t);
+            for (int r = 0; r < 4; r++)
+                acc[r][j] += t[r];
+        }
+    for (int r = 0; r < 4; r++) {
+        const double *a = acc[r];
+        sum[r] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+    }
+    for (; i < n; i++) {
+        terms(k, i0 + i, t);
+        for (int r = 0; r < 4; r++)
+            sum[r] += t[r];
+    }
+}
+
+__attribute__((target("avx2"))) int64_t rcpq_ldp_grads(const double *x, int64_t groups, int64_t gsize,
+                                                       const double *sig, const uint8_t *codes,
+                                                       const double *up, double *d_group, double *d_logits)
+{
+    int64_t bad_range = -1;
+    for (int64_t g = 0; g < groups; g++) {
+        const double *xg = x + g * gsize, *ug = up + g * gsize;
+        const uint8_t *cg = codes + g * gsize;
+        const double s_lo = sig[g], s_hi = sig[groups + g], a = sig[2 * groups + g], b = sig[3 * groups + g];
+        unsigned seen = 0;
+        int finite = isfinite(s_lo) && isfinite(s_hi) && isfinite(a) && isfinite(b);
+        for (int64_t i = 0; i < gsize; i++) {
+            seen |= cg[i];
+            finite &= isfinite(xg[i]) && isfinite(ug[i]);
+        }
+        if (seen > 3)
+            return 2 * g + 1;
+        if (!finite)
+            return -2;
+        if (bad_range >= 0)
+            continue; /* only a stray code or a non-finite value can change the outcome */
+        double mn, mx;
+        min_max(xg, gsize, &mn, &mx);
+        const double lo = s_lo * mn;
+        const double span = s_hi * mx - lo;
+        if (span <= 0.0) {
+            bad_range = g;
+            continue;
+        }
+        const double hi = lo + span;
+        const double na = 1.0 - a, nab = na * b, da = a * na, nadb = na * (b * (1.0 - b));
+        const double l1 = (3.0 * a + nab) / 4.0, l2 = a + nab / 2.0 + na / 4.0;
+        const struct backward k = {
+            ug, cg, s_lo * (1.0 - s_lo) * mn, s_hi * (1.0 - s_hi) * mx, span,
+            {{1.0, 1.0 - l1, 1.0 - l2, 0.0},
+             {0.0, l1, l2, 1.0},
+             {0.0, da * (3.0 - b) / 4.0, da * (3.0 - 2.0 * b) / 4.0, 0.0},
+             {0.0, nadb / 4.0, nadb / 2.0, 0.0}},
+        };
+        double sum[4];
+        pairwise4(&k, 0, gsize, sum);
+        for (int r = 0; r < 4; r++)
+            d_logits[r * groups + g] = sum[r] + 0.0; /* the reduce's identity: a -0 sum becomes +0 */
+        double *dg = d_group + g * gsize;
+        for (int64_t i = 0; i < gsize; i++)
+            dg[i] = xg[i] >= lo && xg[i] <= hi ? ug[i] : 0.0;
+    }
+    return bad_range < 0 ? -1 : 2 * bad_range;
 }
 
 /* The uniform scorer: each clip candidate's 2-bit quantization error.

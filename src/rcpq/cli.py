@@ -24,7 +24,7 @@ from .errors import RcpqError, ZeroTokenError
 from .gemv import GemvTask, bench_gemv, decode_dense, gemv_fast, gemv_ref, random_activation
 from .pack import VERSION, pack_activation_codes, read_rcpq, unpack_weight_codes, write_rcpq
 from .pipeline import encode, quantize_layer, rotate
-from .qat import DistillConfig, train_toy
+from .qat import TOY, DistillConfig, train_toy
 from .rotation import fuse, randomized_hadamard
 from .stats import analytic_kurtosis, groupwise_kurtosis, qerr_vs_kurt, rotation_kurtosis_mc
 from .uniform import quant_act_per_token
@@ -247,6 +247,7 @@ def _cmd_train_toy(args) -> int:
         eval_loss=rep.eval_loss,
         max_loss_spike=rep.max_loss_spike,
         agreement=rep.agreement,
+        ldp_kernel=_native.path("ldp", TOY.group_size),  # one library holds the encoder and its backward
         loss_trace=rep.loss_trace,
         levels=[lv.tolist() for lv in rep.levels],
     )

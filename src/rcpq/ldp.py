@@ -24,13 +24,16 @@ field has shape (...), so a single group with scalar logits and a whole
 (H, N) parameter grid go through the same code path.
 
 ``fake_quant`` (and ``encode_codes``, its codes alone) runs a compiled
-encoder in ``_quant.c``, which ``_native`` builds and loads in one library
-with the clip search's scorer: one AVX2 pass per group does the float64
-operations of ``_fake_quant_numpy`` in the same order, so the bits are the
-same. ``_fake_quant_numpy`` is its reference, and runs instead where the
-kernel does not build, the CPU lacks AVX2 or the group size is not a
-multiple of 4. Both take the data-free part of the grids (``_partition``)
-from one place.
+encoder in ``_quant.c``, and ``grads`` a compiled backward pass in the same
+library, which ``_native`` builds and loads with the clip search's scorer.
+Each does one pass per group, with the float64 operations of its numpy
+reference (``_fake_quant_numpy``, ``_grads_numpy``) in the same order, so
+the bits are the same. Both take the sigmoids of the four logit fields from
+one numpy call (``_sigmoids``), whose bits depend on numpy's SIMD dispatch,
+and derive the rest per group. The references run instead where a kernel
+does not build, the CPU lacks AVX2 or the group size is not a multiple of
+4; ``grads`` runs its reference also for any call but 2-D groups with uint8
+codes, a logit of each field per group, and finite values.
 """
 
 from __future__ import annotations
@@ -136,13 +139,15 @@ def _range(
     return mn, mx, np.asarray(lo), np.asarray(lo + span), np.asarray(span)
 
 
-def _partition(params: LdpParams) -> tuple:
-    """The part of ``derive_grids`` that reads no data: the sigmoids of the
-    clip logits, and shares, thresholds and levels from the split logits.
+def _sigmoids(params: LdpParams) -> np.ndarray:
+    """The sigmoids of the lo, hi, split1 and split2 logits, broadcast
+    together, as one (4, ...) array from one call."""
+    fields = np.broadcast_arrays(params.lo_logit, params.hi_logit, params.split1, params.split2)
+    return sigmoid(np.stack(fields))
 
-    Returns ``(s_lo, s_hi, shares, thresholds, levels)``; the numpy and the
-    compiled encoder both take it from here.
-    """
+
+def derive_grids(groups: np.ndarray, params: LdpParams) -> LdpGrids:
+    """Partition shares, thresholds, and dequant levels for each group."""
     a = np.asarray(sigmoid(params.split1))
     b = np.asarray(sigmoid(params.split2))
     p1 = a
@@ -156,13 +161,7 @@ def _partition(params: LdpParams) -> tuple:
     shares = np.stack([p1, p2, p3], axis=-1)
     thresholds = np.stack([t1, t2, t3], axis=-1)
     levels = np.stack([np.zeros_like(w1), w1, w2, np.ones_like(w1)], axis=-1)
-    return sigmoid(params.lo_logit), sigmoid(params.hi_logit), shares, thresholds, levels
-
-
-def derive_grids(groups: np.ndarray, params: LdpParams) -> LdpGrids:
-    """Partition shares, thresholds, and dequant levels for each group."""
-    s_lo, s_hi, shares, thresholds, levels = _partition(params)
-    _, _, lo, hi, span = _range(groups, s_lo, s_hi)
+    _, _, lo, hi, span = _range(groups, sigmoid(params.lo_logit), sigmoid(params.hi_logit))
     table = lo[..., None] + span[..., None] * levels
     return LdpGrids(shares, thresholds, levels, table, lo, hi, span)
 
@@ -194,23 +193,23 @@ def _encode(groups, params: LdpParams, values: bool) -> tuple[np.ndarray, np.nda
     kernel = _native.covering("ldp", g.shape[-1]) if g.ndim else None
     if kernel is None or g.size == 0:
         return _fake_quant_numpy(g, params, values)
-    s_lo, s_hi, _, thresholds, levels = _partition(params)
-    batch = np.broadcast_shapes(g.shape[:-1], np.shape(s_lo), np.shape(s_hi), thresholds.shape[:-1])
+    sig = _sigmoids(params)
+    batch = np.broadcast_shapes(g.shape[:-1], sig.shape[1:])
+    sig = sig.reshape((4,) + (1,) * (len(batch) + 1 - sig.ndim) + sig.shape[1:])  # fields on batch's last axes
 
-    def per_group(a, *tail):
-        if np.shape(a) != batch + tail:  # broadcast_to costs more than the kernel on a small layer
-            a = np.broadcast_to(a, batch + tail)
-        return np.ascontiguousarray(a, dtype=np.float64)
+    def laid_out(a, shape):
+        if a.shape != shape:  # broadcast_to costs more than the kernel on a small layer
+            a = np.broadcast_to(a, shape)
+        return np.ascontiguousarray(a)
 
     # The kernel takes raw pointers: every array is a C-ordered float64 one
     # of its per-group shape (codes uint8), held in a local while it runs.
-    x = per_group(g, g.shape[-1])
-    lo, hi, t, lv = per_group(s_lo), per_group(s_hi), per_group(thresholds, 3), per_group(levels, 4)
+    x, s = laid_out(g, batch + g.shape[-1:]), laid_out(sig, (4,) + batch)
     codes = np.empty(x.shape, dtype=np.uint8)
     out = np.empty(x.shape, dtype=np.float64) if values else None
     bad = kernel(
-        x.ctypes.data, x.size // x.shape[-1], x.shape[-1], lo.ctypes.data, hi.ctypes.data, t.ctypes.data,
-        lv.ctypes.data, codes.ctypes.data, None if out is None else out.ctypes.data,
+        x.ctypes.data, x.size // x.shape[-1], x.shape[-1], s.ctypes.data, codes.ctypes.data,
+        None if out is None else out.ctypes.data,
     )
     if bad >= 0:
         raise _invalid_range(np.unravel_index(bad, batch or (1,)))
@@ -236,6 +235,10 @@ def _fake_quant_numpy(
     return codes, np.take_along_axis(grids.table, codes, axis=-1) if values else None
 
 
+def _stray_codes(index) -> ValueError:
+    return ValueError(f"codes outside 0..3 at group index {tuple(int(i) for i in index)}")
+
+
 def grads(
     groups: np.ndarray,
     params: LdpParams,
@@ -249,25 +252,63 @@ def grads(
     The weight gradient is the clipped straight-through pass (upstream
     inside [lo, hi], zero outside). Parameter gradients differentiate
     ``w_hat = lo + span * level[code]`` exactly with the code held fixed;
-    group min/max are treated as constants for the step.
+    group min/max are treated as constants for the step. Runs the compiled
+    backward pass where it loads and covers the call, and otherwise
+    ``_grads_numpy``; both give the same bits.
 
     Raises ``ValueError`` when ``codes`` or ``upstream`` do not have the
     shape of ``groups``, and at the first group holding a code outside
     {0..3}: the codes index one flat table of every group's levels, where a
-    stray code would read a neighbouring group's entry.
+    stray code would read a neighbouring group's entry. Then raises
+    ``InvalidRangeError`` at the first group whose clip logits give
+    ``span <= 0``.
     """
     g = np.asarray(groups, dtype=np.float64)
-    idx = np.asarray(codes, dtype=np.intp)
+    # uint8 codes, as fake_quant makes them, go to the kernel as they are
+    uint8 = isinstance(codes, np.ndarray) and codes.dtype == np.uint8
+    idx = codes if uint8 else np.asarray(codes, dtype=np.intp)
     up = np.asarray(upstream, dtype=np.float64)
     for name, arr in (("codes", idx), ("upstream", up)):
         if arr.shape != g.shape:
             raise ValueError(f"{name} {arr.shape} does not match groups {g.shape}")
+    sig = _sigmoids(params)
+    covered = uint8 and g.ndim == 2 and sig.shape == (4, g.shape[0])
+    kernel = _native.covering("ldp_grads", g.shape[-1]) if covered else None
+    if kernel is not None:
+        out = _grads_compiled(kernel, g, sig, idx, up)
+        if out is not None:
+            return out
+    return _grads_numpy(g, sig, idx, up)
+
+
+def _grads_compiled(kernel, g, sig, codes, up) -> tuple | None:
+    """The compiled backward pass on 2-D groups with a column of ``sig``
+    per group; None where a value is not finite, for the reference to run."""
+    # The kernel takes raw pointers: C-ordered float64 arrays (codes uint8)
+    # of the shapes its C comment gives, held in locals while it runs.
+    x, s, c, u = (np.ascontiguousarray(a) for a in (g, sig, codes, up))
+    d_group = np.empty(x.shape)
+    d_logits = np.empty((4, x.shape[0]))
+    bad = kernel(
+        x.ctypes.data, x.shape[0], x.shape[1], s.ctypes.data, c.ctypes.data, u.ctypes.data,
+        d_group.ctypes.data, d_logits.ctypes.data,
+    )
+    if bad == -2:
+        return None
+    if bad >= 0:
+        group, stray = divmod(bad, 2)
+        raise _stray_codes((group,)) if stray else _invalid_range((group,))
+    return (d_group, *d_logits)
+
+
+def _grads_numpy(g: np.ndarray, sig: np.ndarray, codes: np.ndarray, up: np.ndarray) -> tuple:
+    """The reference backward pass, and the fallback where the compiled one
+    does not load or cover the call. ``sig`` is ``_sigmoids(params)``."""
+    idx = np.asarray(codes, dtype=np.intp)
     stray = idx.view(np.uintp) > 3  # a negative code wraps to a huge unsigned one
     if stray.any():
-        group = np.argwhere(stray)[0][:-1]  # the first stray code's group
-        raise ValueError(f"codes outside 0..3 at group index {tuple(int(i) for i in group)}")
-    fields = np.broadcast_arrays(params.lo_logit, params.hi_logit, params.split1, params.split2)
-    s_lo, s_hi, a, b = sigmoid(np.stack(fields))  # one call for the four fields
+        raise _stray_codes(np.argwhere(stray)[0][:-1])  # the first stray code's group
+    s_lo, s_hi, a, b = sig
     mn, mx, lo, hi, span = _range(g, s_lo, s_hi)
     batch = np.broadcast_shapes(g.shape[:-1], span.shape, np.shape(a))
     na = 1.0 - a

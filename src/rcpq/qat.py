@@ -19,9 +19,10 @@ Both layers use the same group size, so the student lives in two buffers:
 every weight, layer after layer, as one (groups, G) array, and every
 quantizer logit as one (4, groups) array with a row per field (lo_logit,
 hi_logit, split1, split2). A pass makes one ``fake_quant`` call and one
-``grads`` call on the whole model, and a training step is one Adam update
-per buffer; every operation on a group is the one per-layer calls would
-make, so the bits are the same.
+``grads`` call on the whole model, each one call of its compiled kernel
+where that loads (see ``ldp``), and a training step is one Adam update per
+buffer; every operation on a group is the one per-layer calls would make,
+so the bits are the same.
 """
 from __future__ import annotations
 

@@ -155,7 +155,7 @@ REPORT_KEYS = {
     "train-toy --steps 2": _HEAD + [
         "config.seed", "config.steps", "config.batch", "config.freeze_partitions", "config.json",
         "alpha", "initial_loss", "final_loss", "loss_ratio", "eval_loss", "max_loss_spike", "agreement",
-        "loss_trace", "levels",
+        "ldp_kernel", "loss_trace", "levels",
     ],
 }
 
@@ -717,3 +717,16 @@ class TestTrainToy:
         ])
         assert code == 0
         assert _report(out)["config"]["freeze_partitions"] is True
+
+    def test_reports_the_ldp_path(self, tmp_path, monkeypatch):
+        # One library holds the encoder and its backward pass; without it
+        # both run numpy, and the loss trace is the same.
+        out = tmp_path / "t.json"
+        assert main(["train-toy", "--steps", "3", "--json", str(out)]) == 0
+        compiled = _report(out)
+        assert compiled["ldp_kernel"] == _native.path("ldp", 16) == _native.path("ldp_grads", 16)
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+        assert main(["train-toy", "--steps", "3", "--json", str(out)]) == 0
+        reference = _report(out)
+        assert reference["ldp_kernel"] == "numpy"
+        assert reference["loss_trace"] == compiled["loss_trace"]

@@ -549,6 +549,162 @@ class TestGrads:
         np.testing.assert_array_equal(d_group, np.where(inside, 1.0, 0.0))
 
 
+@pytest.fixture(scope="module")
+def grads_kernel(build_kernel):
+    """The LDP backward pass, built afresh (see ``conftest.build_kernel``)."""
+    return build_kernel("ldp_grads")
+
+
+@pytest.fixture
+def numpy_grads(monkeypatch):
+    """Counts the calls that run the numpy backward pass."""
+    calls = []
+    run = ldp._grads_numpy
+    monkeypatch.setattr(ldp, "_grads_numpy", lambda *a: calls.append(a) or run(*a))
+    return calls
+
+
+def _backward(fn, *args):
+    """``fn(*args)``'s outputs as (dtype, shape, bytes), or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):  # overflows, and NaN or inf values
+            out = fn(*args)
+    except (ValueError, InvalidRangeError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in out]
+
+
+def _grads_on(kernel, *args):
+    """``_backward`` of ``grads`` with ``kernel`` as the backward pass (None: the numpy path)."""
+    return _backward(_on, kernel, grads, *args)
+
+
+def _backward_case(rng, rows, g, data="laplace"):
+    """Groups, params, uint8 codes and upstream for a (rows, g) backward call.
+
+    Each row's groups and upstream are scaled by their own powers of ten in
+    [1e-300, 1e300], so products overflow and underflow in some rows.
+    """
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, (2, rows, 1))
+    groups = rng.laplace(size=(rows, g)) * scale[0]
+    upstream = rng.standard_normal((rows, g)) * scale[1]
+    if data == "one_sign":  # lo above hi in some groups: InvalidRangeError
+        groups = np.abs(groups) * rng.choice([-1.0, 1.0], (rows, 1))
+    elif data == "zeros":  # a min or max of +0 or -0
+        groups = np.abs(groups) * rng.choice([-1.0, 1.0], (rows, 1))
+        hit = rng.random(groups.shape) < 0.3
+        groups = np.where(hit, rng.choice([0.0, -0.0], groups.shape), groups)
+    codes = rng.integers(0, 4, (rows, g)).astype(np.uint8)
+    return groups, _sweep_logits(rng, (rows,)), codes, upstream
+
+
+class TestCompiledGrads:
+    # G = 4 takes numpy's short sum, 12 its eight accumulators and a tail,
+    # 136 and 256 its halving; the hypothesis examples share the module's kernel.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.sampled_from([4, 8, 12, 16, 64, 128, 132, 136, 256, 516]),
+        rows=st.integers(0, 12),
+        data=st.sampled_from(["laplace", "one_sign", "zeros"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_numpy(self, grads_kernel, g, rows, data, seed):
+        args = _backward_case(make_rng(seed), rows, g, data)
+        assert _grads_on(grads_kernel, *args) == _grads_on(None, *args)
+
+    def test_covered_call_runs_the_kernel(self, grads_kernel, numpy_grads):
+        # train_toy's shape, with the forward pass's codes
+        rng = make_rng(48)
+        groups = rng.laplace(size=(320, 16))
+        params = _sweep_logits(rng, (320,))
+        args = (groups, params, fake_quant(groups, params)[0], rng.standard_normal((320, 16)))
+        got = _grads_on(grads_kernel, *args)
+        assert numpy_grads == []
+        assert got == _grads_on(None, *args)
+
+    def test_errors_match_numpy(self, grads_kernel):
+        groups = np.ones((6, 8))
+        groups[:, 0] = -1.0
+        groups[[2, 4]] = 2.0  # all positive: lo = 1.98 > hi = 0.2
+        bad_range = LdpParams(*[np.full(6, v) for v in (SAT, -2.2, 0.0, 0.0)])
+        fine = LdpParams(*[np.zeros(6)] * 4)
+        codes = np.zeros((6, 8), dtype=np.uint8)
+        stray = codes.copy()
+        stray[3, 5] = stray[5, 0] = 4
+        up = np.ones((6, 8))
+        cases = [
+            ((groups, fine, codes[:5], up), "codes (5, 8) does not match groups (6, 8)"),
+            ((groups, fine, codes, up[:, :7]), "upstream (6, 7) does not match groups (6, 8)"),
+            ((groups, fine, stray, up), "codes outside 0..3 at group index (3,)"),
+            ((groups, bad_range, codes, up), "clip logits give non-positive range at group index (2,)"),
+            # a stray code outranks an earlier group's bad range
+            ((groups, bad_range, stray, up), "codes outside 0..3 at group index (3,)"),
+        ]
+        for args, message in cases:
+            got = _grads_on(grads_kernel, *args)
+            assert got == _grads_on(None, *args)
+            assert got[1] == message
+
+    @pytest.mark.parametrize("case", ["nan group", "inf group", "nan upstream", "inf upstream", "nan logit",
+                                      "int64 codes", "broadcast params", "scalar params", "one group",
+                                      "stacked groups", "uncovered group size"])
+    def test_uncovered_calls_use_numpy(self, grads_kernel, numpy_grads, case):
+        rng = make_rng(49)
+        shape = (5, 6 if case == "uncovered group size" else 8)
+        groups, upstream = rng.laplace(size=shape), rng.standard_normal(shape)
+        params = _sweep_logits(rng, shape[:1])
+        codes = rng.integers(0, 4, shape).astype(np.uint8)
+
+        def each_field(fn):
+            return LdpParams(*[fn(getattr(params, f)) for f in ("lo_logit", "hi_logit", "split1", "split2")])
+
+        if case.startswith(("nan", "inf")):
+            value = np.nan if case.startswith("nan") else -np.inf
+            if case.endswith("logit"):
+                params.split2[1] = value
+            else:
+                (groups if case.endswith("group") else upstream)[3, 2] = value
+        elif case == "int64 codes":
+            codes = codes.astype(np.int64)
+        elif case == "broadcast params":
+            params = each_field(lambda f: f[:1])
+        elif case == "scalar params":
+            params = LdpParams(1.5, 2.0, -0.3, 0.4)
+        elif case == "one group":
+            groups, params, codes, upstream = groups[0], LdpParams(1.5, 2.0, -0.3, 0.4), codes[0], upstream[0]
+        elif case == "stacked groups":
+            groups, codes, upstream = (a.reshape(5, 1, -1) for a in (groups, codes, upstream))
+            params = each_field(lambda f: f[:, None])
+        got = _grads_on(grads_kernel, groups, params, codes, upstream)
+        assert len(numpy_grads) == 1
+        assert got == _grads_on(None, groups, params, codes, upstream)
+
+    @needs_cc  # so the library builds here, and only the probe says no
+    def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch, numpy_grads):
+        monkeypatch.setattr(_native, "_has_avx2", lambda lib: False)
+        args = _backward_case(make_rng(50), 8, 16)
+        assert _backward(grads, *args) == _grads_on(None, *args)
+        assert len(numpy_grads) == 2
+        assert _native.path("ldp_grads") == "numpy"
+
+    @pytest.mark.parametrize("failure", ["no compiler", "compile error"])
+    def test_failed_build_falls_back(self, failure, fresh_kernel, monkeypatch, numpy_grads):
+        def no_compiler(cmd, **kwargs):
+            raise FileNotFoundError(cmd[0])
+
+        if failure == "no compiler":
+            monkeypatch.setattr(_native.subprocess, "run", no_compiler)
+        else:
+            monkeypatch.setattr(_native, "_CFLAGS", _native._CFLAGS + ("-include", "no-such-header.h"))
+        rng = make_rng(51)
+        for _ in range(2):
+            args = _backward_case(rng, 8, 16)
+            assert _backward(grads, *args) == _grads_on(None, *args)
+        assert len(numpy_grads) == 4  # grads' and the reference's, twice
+        assert not list(fresh_kernel.glob("*.tmp"))
+        assert _native.path("ldp_grads") == "numpy"
+
+
 @pytest.fixture(scope="module", params=["c", "numpy"])
 def encoder(request):
     """The LDP encoder of each path: the compiled kernel, or None for numpy."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rcpq.errors import ConfigError, DataError, TrainingFailureError
-from rcpq import ldp, qat
+from rcpq import _native, ldp, qat
 from rcpq.qat import (
     TOY,
     DistillConfig,
@@ -303,6 +303,22 @@ class TestBufferedLoopMatchesPerLayerLoop:
         assert [v.hex() for v in rep.loss_trace] == [v.hex() for v in trace]
         levels = [ldp.derive_grids(lay.grouped(w), p).levels for w, p, lay in zip(student, params, _LAYOUTS)]
         for got, want in zip(rep.levels, levels):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestKernelsMatchNumpy:
+    # The compiled encoder and backward pass give the numpy references' bits,
+    # so training without them takes the same steps.
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loss_trace_and_levels_bit_for_bit(self, seed, freeze, monkeypatch):
+        cfg = DistillConfig(seed=seed, steps=20, freeze_partitions=freeze)
+        compiled = train_toy(cfg)
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+        reference = train_toy(cfg)
+        assert [v.hex() for v in compiled.loss_trace] == [v.hex() for v in reference.loss_trace]
+        assert compiled.eval_loss.hex() == reference.eval_loss.hex()
+        for got, want in zip(compiled.levels, reference.levels):
             assert got.tobytes() == want.tobytes()
 
 

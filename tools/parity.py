@@ -8,9 +8,11 @@ Each line is the sha256 of one item's outputs (dtype, shape and raw bytes of
 every array, ``float.hex`` of every float), and the last line combines them.
 All inputs come from fixed ``make_rng`` seeds. A run takes well under a
 minute on two cores; per-item times go to stderr, and after the digests
-whether each compiled kernel loads (``c``) or not (``numpy``), so a
-comparison shows whether both checkouts could run the kernels. Every item
-uses group sizes that the kernels cover.
+whether each compiled kernel loads (``c``) or not (``numpy``): ``clip``,
+``ldp`` (the encoder), ``ldp_grads`` (its backward pass, which the
+``train_toy`` and ``grad_check`` items run) and ``w2a4``, so a comparison
+shows whether both checkouts could run the kernels. Every item uses group
+sizes that the kernels cover.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def main() -> int:
         print(f"{line}  {name}", flush=True)
         print(f"  {name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     print(f"{combined.hexdigest()}  combined")
-    for name in ("clip", "ldp", "w2a4"):
+    for name in ("clip", "ldp", "ldp_grads", "w2a4"):
         print(f"  kernel {name}: {_native.path(name)}", file=sys.stderr)
     return 0
 
