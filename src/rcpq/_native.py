@@ -31,12 +31,16 @@ integers, which the flag cannot change.
 Every entry takes raw pointers (see ``_ENTRY``), so nothing here checks an
 array; each caller says why its arrays fit. Each entry also takes whole
 blocks only: groups of a multiple of its block size (``_ENTRY``: 4 values
-for the GEMV, its repack and the two LDP entries, 8 for the clip scorer,
-whose values must also be finite), and ``covering`` gives it only for such
-groups. The LDP backward pass also says where it meets a value that is not
-finite, and ``ldp.grads`` then runs its reference. A kernel that fails to
-build or load, or a CPU without AVX2, gives ``None`` for the rest of the
-process. Either way its caller runs its numpy reference.
+for the GEMV, its repack and the two LDP entries, 8 for the clip scorer),
+and ``covering`` gives it only for such groups. The clip scorer and the
+LDP entries take finite values only. The search checks its own. Both LDP
+entries check theirs and share one contract: they return -1 when every
+output is written, -2 where a group, upstream gradient or sigmoid is not
+finite, and else the first group whose range is empty (``span <= 0``),
+which ``ldp`` raises as ``InvalidRangeError``; on a -2 ``ldp`` runs its
+reference. A kernel that fails to build or load, or a CPU without AVX2,
+gives ``None`` for the rest of the process. Either way its caller runs
+its numpy reference.
 """
 
 from __future__ import annotations

@@ -7,16 +7,18 @@
  * Each does the IEEE double operations of its numpy reference in the same
  * order, and each operation rounds once: the library is built with
  * -ffp-contract=off, so no multiply and add fuse into an FMA. All require
- * an AVX2 CPU (rcpq_has_avx2) and take whole blocks only: the LDP entries
- * groups of a multiple of 4 values, the scorer groups of a multiple of 8
- * finite values. The backward pass also takes finite values only, and
- * says where it meets others. ldp.py and calib.py run their numpy
- * references everywhere else (rcpq._native.covering holds the block sizes).
- * Neither LDP entry takes an exp: the callers pass the sigmoids of the
- * logits as numpy computes them, whose bits depend on numpy's SIMD dispatch.
+ * an AVX2 CPU (rcpq_has_avx2) and take whole blocks of finite values only:
+ * the LDP entries groups of a multiple of 4 values, the scorer groups of a
+ * multiple of 8. Both LDP entries return -1 when every output is written,
+ * -2 where an input is not finite, and else the first group whose range
+ * span <= 0, whose error rcpq.ldp raises. ldp.py and calib.py run their
+ * numpy references everywhere else (rcpq._native.covering holds the block
+ * sizes), and ldp.py also on a -2, as a NaN's payload could take a
+ * different way through these operations. Neither LDP entry takes an exp:
+ * the callers pass the sigmoids of the logits as numpy computes them, whose
+ * bits depend on numpy's SIMD dispatch.
  */
 #include <immintrin.h>
-#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -32,29 +34,25 @@ int rcpq_has_avx2(void)
  *
  * Per group of gsize doubles x, as the numpy reference in ldp.py
  * (_fake_quant_numpy, through derive_grids):
- *   mn, mx   the group's min and max, a NaN of the group if it holds one;
+ *   mn, mx   the group's min and max;
  *   the thresholds t and levels of the split sigmoids a and b, as
  *            p2 = (1 - a) * b, p3 = (1 - a) * (1 - b), t1 = a / 2,
  *            t2 = t1 + (a + p2) / 2, t3 = t2 + (p2 + p3) / 2,
  *            levels = {0, (t1 + t2) / 2, (t2 + t3) / 2, 1};
  *   lo = s_lo * mn, span = s_hi * mx - lo, table[k] = lo + span * levels[k];
- *   v = (x - lo) / span, clipped to [0, 1], a NaN kept as np.clip keeps it;
+ *   v = (x - lo) / span, clipped to [0, 1], a NaN kept as np.clip keeps it
+ *            (finite values still give one: an inf over an inf span);
  *   code = #{k : t[k] <= v}, and values = table[code].
  * So codes, values and table equal the reference's bit for bit. Where a
  * group's min or max is a zero, numpy may return either sign; no output
  * depends on it: lo + span * level and the compares come out the same for
- * +0 and -0. A NaN is kept, unlike in the clip scorer, because training
- * needs it: a diverged train_toy student's weights hold NaNs, and its
- * values must too, so that its loss is NaN and training raises
- * TrainingFailureError. Where a group holds NaNs of different bit
- * patterns, numpy does not say which one its min returns; this takes the
- * first, so only those NaN values' payloads may differ.
+ * +0 and -0.
  *
  * x: (groups, gsize); sig: (4, groups), the sigmoids of the lo, hi, split1
  * and split2 logits; codes: (groups, gsize); values: (groups, gsize), or
  * NULL for codes alone. Requires gsize a multiple of 4, at least 4. Returns
- * -1, or the first group whose span <= 0; that group and the groups after
- * it are then left unset.
+ * -1, -2 or the first group whose span <= 0, as above, once it meets that
+ * group or a value of x or sig that is not finite; the rest is left unset.
  */
 
 /* SPREAD[m]: byte j is bit j of the 4-bit compare mask m. */
@@ -63,15 +61,16 @@ static const uint32_t SPREAD[16] = {
     0x01000000, 0x01000001, 0x01000100, 0x01000101, 0x01010000, 0x01010001, 0x01010100, 0x01010101,
 };
 
-/* The min and max of n values, n a multiple of 4, or the first NaN among them for both. */
-__attribute__((target("avx2"))) static void min_max(const double *x, int64_t n, double *mn, double *mx)
+/* The min and max of n values, n a multiple of 4; returns whether all n
+ * are finite, and mn and mx hold only where they are. */
+__attribute__((target("avx2"))) static int finite_min_max(const double *x, int64_t n, double *mn, double *mx)
 {
-    __m256d lo = _mm256_set1_pd(x[0]), hi = lo, nan = _mm256_setzero_pd();
+    __m256d lo = _mm256_loadu_pd(x), hi = lo, sum = _mm256_setzero_pd();
     for (int64_t i = 0; i < n; i += 4) {
-        __m256d v = _mm256_loadu_pd(x + i);
+        const __m256d v = _mm256_loadu_pd(x + i);
         lo = _mm256_min_pd(lo, v);
         hi = _mm256_max_pd(hi, v);
-        nan = _mm256_or_pd(nan, _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
+        sum = _mm256_add_pd(sum, _mm256_sub_pd(v, v)); /* v - v: 0, or NaN for an inf or NaN */
     }
     double l[4], h[4];
     _mm256_storeu_pd(l, lo);
@@ -81,14 +80,17 @@ __attribute__((target("avx2"))) static void min_max(const double *x, int64_t n, 
         a = l[k] < a ? l[k] : a;
         b = h[k] > b ? h[k] : b;
     }
-    if (!_mm256_testz_pd(nan, nan)) {
-        int64_t i = 0;
-        while (x[i] == x[i])
-            i++;
-        a = b = x[i];
-    }
     *mn = a;
     *mx = b;
+    const __m256d nan = _mm256_cmp_pd(sum, sum, _CMP_UNORD_Q);
+    return _mm256_testz_pd(nan, nan);
+}
+
+/* Whether n values are all finite, n a multiple of 4. */
+__attribute__((target("avx2"))) static int all_finite(const double *x, int64_t n)
+{
+    double mn, mx;
+    return finite_min_max(x, n, &mn, &mx);
 }
 
 __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t groups, int64_t gsize,
@@ -96,10 +98,13 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
 {
     const __m256d zero = _mm256_setzero_pd(), one = _mm256_set1_pd(1.0);
     const __m256i one64 = _mm256_set1_epi64x(1);
+    if (!all_finite(sig, 4 * groups))
+        return -2;
     for (int64_t g = 0; g < groups; g++) {
         const double *xg = x + g * gsize;
         double mn, mx;
-        min_max(xg, gsize, &mn, &mx);
+        if (!finite_min_max(xg, gsize, &mn, &mx))
+            return -2;
         const double lo = sig[g] * mn;
         const double span = sig[groups + g] * mx - lo;
         if (span <= 0.0)
@@ -150,9 +155,9 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
  *   terms    (u * c_lo) * (1 - level[c]), (u * c_hi) * level[c],
  *            (u * span) * d1[c] and (u * span) * d2[c] per value, where
  *            c_lo = (s_lo * (1 - s_lo)) * mn and c_hi = (s_hi * (1 - s_hi)) * mx;
- *   d_logits each row of terms summed as numpy's terms.sum(axis=-1) sums it
- *            (pairwise4, below): numpy's pairwise sum, then the reduce's
- *            identity 0.0 added;
+ *   d_logits each of the four terms summed over the group as numpy's
+ *            sum(axis=-1) sums it (pairwise4, below): numpy's pairwise
+ *            sum, then the reduce's identity 0.0 added;
  *   d_group  u where lo <= x <= hi, else 0.0.
  * So every output equals the reference's bit for bit. Where a group's min or
  * max is a zero, numpy may return either sign; no output depends on it: hi
@@ -162,13 +167,9 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_encode(const double *x, int64_t
  * x, up: (groups, gsize); sig: (4, groups), the sigmoids of the lo, hi,
  * split1 and split2 logits; codes: (groups, gsize); d_group: (groups,
  * gsize); d_logits: (4, groups), a row per logit. Requires gsize a
- * multiple of 4, at least 4. Returns -1 when every output is written, and
- * -2 at the first group that holds a value of x or up, or a sigmoid, that
- * is not finite, so that the caller runs the reference, as a NaN payload
- * could take a different way through these operations. Else it returns
- * 2 * g + 1 for the first group g that holds a code above 3, or, where no
- * group does, 2 * g for the first group whose span <= 0. Outputs are then
- * left partly unset.
+ * multiple of 4, at least 4, and codes in 0..3. Returns -1, -2 or the
+ * first group whose span <= 0, as above, once it meets that group or a
+ * value of x, up or sig that is not finite; the rest is left unset.
  */
 
 /* One group's backward: its chain factors, and its tables by code. */
@@ -239,36 +240,23 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_grads(const double *x, int64_t 
                                                        const double *sig, const uint8_t *codes,
                                                        const double *up, double *d_group, double *d_logits)
 {
-    int64_t bad_range = -1;
+    if (!all_finite(sig, 4 * groups))
+        return -2;
     for (int64_t g = 0; g < groups; g++) {
         const double *xg = x + g * gsize, *ug = up + g * gsize;
-        const uint8_t *cg = codes + g * gsize;
-        const double s_lo = sig[g], s_hi = sig[groups + g], a = sig[2 * groups + g], b = sig[3 * groups + g];
-        unsigned seen = 0;
-        int finite = isfinite(s_lo) && isfinite(s_hi) && isfinite(a) && isfinite(b);
-        for (int64_t i = 0; i < gsize; i++) {
-            seen |= cg[i];
-            finite &= isfinite(xg[i]) && isfinite(ug[i]);
-        }
-        if (seen > 3)
-            return 2 * g + 1;
-        if (!finite)
-            return -2;
-        if (bad_range >= 0)
-            continue; /* only a stray code or a non-finite value can change the outcome */
         double mn, mx;
-        min_max(xg, gsize, &mn, &mx);
+        if (!finite_min_max(xg, gsize, &mn, &mx) || !all_finite(ug, gsize))
+            return -2;
+        const double s_lo = sig[g], s_hi = sig[groups + g], a = sig[2 * groups + g], b = sig[3 * groups + g];
         const double lo = s_lo * mn;
         const double span = s_hi * mx - lo;
-        if (span <= 0.0) {
-            bad_range = g;
-            continue;
-        }
+        if (span <= 0.0)
+            return g;
         const double hi = lo + span;
         const double na = 1.0 - a, nab = na * b, da = a * na, nadb = na * (b * (1.0 - b));
         const double l1 = (3.0 * a + nab) / 4.0, l2 = a + nab / 2.0 + na / 4.0;
         const struct backward k = {
-            ug, cg, s_lo * (1.0 - s_lo) * mn, s_hi * (1.0 - s_hi) * mx, span,
+            ug, codes + g * gsize, s_lo * (1.0 - s_lo) * mn, s_hi * (1.0 - s_hi) * mx, span,
             {{1.0, 1.0 - l1, 1.0 - l2, 0.0},
              {0.0, l1, l2, 1.0},
              {0.0, da * (3.0 - b) / 4.0, da * (3.0 - 2.0 * b) / 4.0, 0.0},
@@ -282,7 +270,7 @@ __attribute__((target("avx2"))) int64_t rcpq_ldp_grads(const double *x, int64_t 
         for (int64_t i = 0; i < gsize; i++)
             dg[i] = xg[i] >= lo && xg[i] <= hi ? ug[i] : 0.0;
     }
-    return bad_range < 0 ? -1 : 2 * bad_range;
+    return -1;
 }
 
 /* The uniform scorer: each clip candidate's 2-bit quantization error.

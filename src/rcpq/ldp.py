@@ -19,9 +19,12 @@ and code 3 on ``lo + span``. The backward pass treats the step
 functions as straight-through: it takes the codes the forward pass computed
 and holds them constant, and everything else is differentiated analytically.
 
-All functions broadcast: ``groups`` has shape (..., G) and each parameter
-field has shape (...), so a single group with scalar logits and a whole
-(H, N) parameter grid go through the same code path.
+``groups`` has shape (..., G), a batch of groups of G values. In
+``fake_quant``, ``encode_codes`` and ``grads`` each parameter field has the
+batch shape ``groups.shape[:-1]``, so a single group takes scalar logits
+and an (H, N, G) layer an (H, N) grid; any other shape raises
+``ShapeError``. ``derive_grids`` and ``nf3_fake_quant`` broadcast as numpy
+does.
 
 ``fake_quant`` (and ``encode_codes``, its codes alone) runs a compiled
 encoder in ``_quant.c``, and ``grads`` a compiled backward pass in the same
@@ -29,22 +32,21 @@ library, which ``_native`` builds and loads with the clip search's scorer.
 Each does one pass per group, with the float64 operations of its numpy
 reference (``_fake_quant_numpy``, ``_grads_numpy``) in the same order, so
 the bits are the same. Both take the sigmoids of the four logit fields from
-one numpy call (``_sigmoids``), whose bits depend on numpy's SIMD dispatch,
+one numpy call (``_operands``), whose bits depend on numpy's SIMD dispatch,
 and derive the rest per group. The references run instead where a kernel
-does not build, the CPU lacks AVX2 or the group size is not a multiple of
-4; ``grads`` runs its reference also for any call but 2-D groups with uint8
-codes, a logit of each field per group, and finite values.
+does not build, where the CPU lacks AVX2, where the group size is not a
+multiple of 4, and where a group, an upstream gradient or a sigmoid holds
+a value that is not finite.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _native
-from .errors import DegenerateGroupError, InvalidRangeError
+from .errors import DegenerateGroupError, InvalidRangeError, ShapeError
 
 __all__ = [
     "LdpParams",
@@ -71,7 +73,7 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))  # not -|x|, which would flip a NaN's sign bit
-    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(pos, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -139,11 +141,44 @@ def _range(
     return mn, mx, np.asarray(lo), np.asarray(lo + span), np.asarray(span)
 
 
-def _sigmoids(params: LdpParams) -> np.ndarray:
-    """The sigmoids of the lo, hi, split1 and split2 logits, broadcast
-    together, as one (4, ...) array from one call."""
-    fields = np.broadcast_arrays(params.lo_logit, params.hi_logit, params.split1, params.split2)
-    return sigmoid(np.stack(fields))
+_FIELDS = tuple(f.name for f in fields(LdpParams))  # the rows of the kernels' sigmoids
+
+
+def _operands(groups, params: LdpParams) -> tuple[np.ndarray, np.ndarray]:
+    """``groups`` as a C-ordered float64 array, and the sigmoids of the lo,
+    hi, split1 and split2 logits as one (4, *batch) array from one call.
+
+    Raises ``ShapeError`` where a field's shape is not the groups' batch
+    shape ``groups.shape[:-1]``.
+    """
+    g = np.asarray(groups, dtype=np.float64, order="C")
+    if g.ndim == 0:
+        raise ShapeError("groups () have no axis of values")
+    batch = g.shape[:-1]
+    logits = [getattr(params, name) for name in _FIELDS]
+    for name, field in zip(_FIELDS, logits):
+        if np.shape(field) != batch:
+            raise ShapeError(f"{name} {np.shape(field)} is not the batch shape {batch} of groups {g.shape}")
+    return g, sigmoid(np.array(logits))
+
+
+def _run(kernel, g: np.ndarray, sig: np.ndarray, *arrays) -> bool:
+    """``kernel`` on ``_operands``' groups and sigmoids, as (groups, G) and
+    (4, groups), then on ``arrays``: True where it wrote every output, False
+    where a value is not finite, for the numpy reference to run. Raises
+    ``InvalidRangeError`` at the first group whose clip logits give
+    ``span <= 0``.
+
+    The kernel takes raw pointers: each of ``arrays`` is None or a C-ordered
+    array of the dtype and shape its C comment gives, held while it runs.
+    """
+    bad = kernel(
+        g.ctypes.data, g.size // g.shape[-1], g.shape[-1], sig.ctypes.data,
+        *(None if a is None else a.ctypes.data for a in arrays),
+    )
+    if bad >= 0:
+        raise _invalid_range(np.unravel_index(bad, g.shape[:-1] or (1,)))
+    return bad == -1
 
 
 def derive_grids(groups: np.ndarray, params: LdpParams) -> LdpGrids:
@@ -173,8 +208,9 @@ def fake_quant(groups: np.ndarray, params: LdpParams) -> tuple[np.ndarray, np.nd
     counts the thresholds at or below ``v`` (ties go to the upper bin) and
     picks that code's entry of ``derive_grids(...).table``, so clipped
     inputs land exactly on the clip endpoints. Runs the compiled encoder
-    where it loads and covers the group size, and otherwise
-    ``_fake_quant_numpy``; both give the same bits. Raises
+    where it loads and covers the call, and otherwise
+    ``_fake_quant_numpy``; both give the same bits. Raises ``ShapeError``
+    where a logit field's shape is not ``groups.shape[:-1]``, then
     ``InvalidRangeError`` at the first group whose clip logits give
     ``span <= 0``.
     """
@@ -188,39 +224,22 @@ def encode_codes(groups: np.ndarray, params: LdpParams) -> np.ndarray:
 
 def _encode(groups, params: LdpParams, values: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Codes, and values if asked: the compiled encoder, or the numpy one
-    where it does not load or cover the group size."""
-    g = np.asarray(groups, dtype=np.float64)
-    kernel = _native.covering("ldp", g.shape[-1]) if g.ndim else None
-    if kernel is None or g.size == 0:
-        return _fake_quant_numpy(g, params, values)
-    sig = _sigmoids(params)
-    batch = np.broadcast_shapes(g.shape[:-1], sig.shape[1:])
-    sig = sig.reshape((4,) + (1,) * (len(batch) + 1 - sig.ndim) + sig.shape[1:])  # fields on batch's last axes
-
-    def laid_out(a, shape):
-        if a.shape != shape:  # broadcast_to costs more than the kernel on a small layer
-            a = np.broadcast_to(a, shape)
-        return np.ascontiguousarray(a)
-
-    # The kernel takes raw pointers: every array is a C-ordered float64 one
-    # of its per-group shape (codes uint8), held in a local while it runs.
-    x, s = laid_out(g, batch + g.shape[-1:]), laid_out(sig, (4,) + batch)
-    codes = np.empty(x.shape, dtype=np.uint8)
-    out = np.empty(x.shape, dtype=np.float64) if values else None
-    bad = kernel(
-        x.ctypes.data, x.size // x.shape[-1], x.shape[-1], s.ctypes.data, codes.ctypes.data,
-        None if out is None else out.ctypes.data,
-    )
-    if bad >= 0:
-        raise _invalid_range(np.unravel_index(bad, batch or (1,)))
-    return codes, out
+    where it does not load or cover the call."""
+    g, sig = _operands(groups, params)
+    kernel = _native.covering("ldp", g.shape[-1]) if g.size else None
+    if kernel is not None:
+        codes = np.empty(g.shape, dtype=np.uint8)
+        out = np.empty(g.shape) if values else None
+        if _run(kernel, g, sig, codes, out):
+            return codes, out
+    return _fake_quant_numpy(g, params, values)
 
 
 def _fake_quant_numpy(
     g: np.ndarray, params: LdpParams, values: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The reference encoder, and the fallback where the compiled one does
-    not load or cover the group size."""
+    not load or cover the call."""
     grids = derive_grids(g, params)
     v = np.subtract(g, grids.lo[..., None])
     v /= grids.span[..., None]
@@ -256,103 +275,61 @@ def grads(
     backward pass where it loads and covers the call, and otherwise
     ``_grads_numpy``; both give the same bits.
 
-    Raises ``ValueError`` when ``codes`` or ``upstream`` do not have the
-    shape of ``groups``, and at the first group holding a code outside
-    {0..3}: the codes index one flat table of every group's levels, where a
-    stray code would read a neighbouring group's entry. Then raises
-    ``InvalidRangeError`` at the first group whose clip logits give
+    Raises ``ShapeError`` where a logit field's shape is not
+    ``groups.shape[:-1]``, ``ValueError`` when ``codes`` or ``upstream`` do
+    not have the shape of ``groups``, and at the first group holding a code
+    outside {0..3}, which would index past the group's four levels. Then
+    raises ``InvalidRangeError`` at the first group whose clip logits give
     ``span <= 0``.
     """
-    g = np.asarray(groups, dtype=np.float64)
-    # uint8 codes, as fake_quant makes them, go to the kernel as they are
-    uint8 = isinstance(codes, np.ndarray) and codes.dtype == np.uint8
-    idx = codes if uint8 else np.asarray(codes, dtype=np.intp)
-    up = np.asarray(upstream, dtype=np.float64)
-    for name, arr in (("codes", idx), ("upstream", up)):
+    g, sig = _operands(groups, params)
+    c = np.asarray(codes)
+    up = np.asarray(upstream, dtype=np.float64, order="C")
+    for name, arr in (("codes", c), ("upstream", up)):
         if arr.shape != g.shape:
             raise ValueError(f"{name} {arr.shape} does not match groups {g.shape}")
-    sig = _sigmoids(params)
-    covered = uint8 and g.ndim == 2 and sig.shape == (4, g.shape[0])
-    kernel = _native.covering("ldp_grads", g.shape[-1]) if covered else None
+    stray = (c < 0) | (c > 3)
+    if stray.any():
+        raise _stray_codes(np.argwhere(stray)[0][:-1])  # the first stray code's group
+    c = np.asarray(c, dtype=np.uint8, order="C")
+    kernel = _native.covering("ldp_grads", g.shape[-1]) if g.size else None
     if kernel is not None:
-        out = _grads_compiled(kernel, g, sig, idx, up)
-        if out is not None:
-            return out
-    return _grads_numpy(g, sig, idx, up)
-
-
-def _grads_compiled(kernel, g, sig, codes, up) -> tuple | None:
-    """The compiled backward pass on 2-D groups with a column of ``sig``
-    per group; None where a value is not finite, for the reference to run."""
-    # The kernel takes raw pointers: C-ordered float64 arrays (codes uint8)
-    # of the shapes its C comment gives, held in locals while it runs.
-    x, s, c, u = (np.ascontiguousarray(a) for a in (g, sig, codes, up))
-    d_group = np.empty(x.shape)
-    d_logits = np.empty((4, x.shape[0]))
-    bad = kernel(
-        x.ctypes.data, x.shape[0], x.shape[1], s.ctypes.data, c.ctypes.data, u.ctypes.data,
-        d_group.ctypes.data, d_logits.ctypes.data,
-    )
-    if bad == -2:
-        return None
-    if bad >= 0:
-        group, stray = divmod(bad, 2)
-        raise _stray_codes((group,)) if stray else _invalid_range((group,))
-    return (d_group, *d_logits)
+        d_group, d_logits = np.empty(g.shape), np.empty(sig.shape)
+        if _run(kernel, g, sig, c, up, d_group, d_logits):
+            return (d_group, *d_logits)
+    return _grads_numpy(g, sig, c, up)
 
 
 def _grads_numpy(g: np.ndarray, sig: np.ndarray, codes: np.ndarray, up: np.ndarray) -> tuple:
     """The reference backward pass, and the fallback where the compiled one
-    does not load or cover the call. ``sig`` is ``_sigmoids(params)``."""
-    idx = np.asarray(codes, dtype=np.intp)
-    stray = idx.view(np.uintp) > 3  # a negative code wraps to a huge unsigned one
-    if stray.any():
-        raise _stray_codes(np.argwhere(stray)[0][:-1])  # the first stray code's group
+    does not load or cover the call. ``sig`` is ``_operands``' sigmoids,
+    and ``codes`` lie in 0..3."""
     s_lo, s_hi, a, b = sig
     mn, mx, lo, hi, span = _range(g, s_lo, s_hi)
-    batch = np.broadcast_shapes(g.shape[:-1], span.shape, np.shape(a))
     na = 1.0 - a
     nab = na * b
     da = a * na
     nadb = na * (b * (1.0 - b))
+    zero = np.zeros_like(a)
 
-    # Level values (row 0) and their split1 (row 1) and split2 (row 2)
-    # derivatives, per group and code; codes 0 and 3 sit on the clip
-    # endpoints, so only their level (1 for code 3) is non-zero.
-    table = np.zeros((3,) + batch + (4,))
-    table[0, ..., 1] = (3.0 * a + nab) / 4.0
-    table[0, ..., 2] = a + nab / 2.0 + na / 4.0
-    table[0, ..., 3] = 1.0
-    table[1, ..., 1] = da * (3.0 - b) / 4.0
-    table[1, ..., 2] = da * (3.0 - 2.0 * b) / 4.0
-    table[2, ..., 1] = nadb / 4.0
-    table[2, ..., 2] = nadb / 2.0
+    def picked(*by_code):
+        """Each value's entry of a per-group table, one entry per code."""
+        return np.take_along_axis(np.stack(by_code, axis=-1), codes, axis=-1)
 
-    # One gather for all three rows: group i's entry for code c sits at
-    # 4 * i + c of each flattened row (the codes are checked, so "wrap"
-    # never wraps). Row 0 of ``picked`` becomes 1 - level.
-    shape = batch + g.shape[-1:]
-    first = np.arange(0, 4 * math.prod(batch), 4).reshape(batch + (1,))
-    picked = np.empty((4,) + shape)
-    np.take(table.reshape(3, -1), first + idx, axis=1, out=picked[1:], mode="wrap")
-    np.subtract(1.0, picked[1], out=picked[0])
-
-    # The per-group range and chain factors, repeated over each group's
-    # values so the products below run over contiguous memory.
-    per_group = np.empty((5,) + batch + (1,))
-    per_group[0, ..., 0] = lo
-    per_group[1, ..., 0] = hi
-    per_group[2, ..., 0] = s_lo * (1.0 - s_lo) * mn
-    per_group[3, ..., 0] = s_hi * (1.0 - s_hi) * mx
-    per_group[4, ..., 0] = span
-    per_value = np.repeat(per_group, g.shape[-1], axis=-1)
-    terms = np.empty((4,) + shape)
-    np.multiply(up, per_value[2:4], out=terms[:2])  # up * dlo_dlogit, up * dhi_dlogit
-    np.multiply(up, per_value[4], out=terms[2])  # up * span, for both split logits
-    terms[3] = terms[2]
-    terms *= picked
-    d_lo_logit, d_hi_logit, d_split1, d_split2 = terms.sum(axis=-1)
-    d_group = np.where((g >= per_value[0]) & (g <= per_value[1]), up, 0.0)
+    # The level of each value's code and its split1 and split2 derivatives;
+    # codes 0 and 3 sit on the clip endpoints, so only their level (1 for
+    # code 3) is non-zero.
+    level = picked(zero, (3.0 * a + nab) / 4.0, a + nab / 2.0 + na / 4.0, np.ones_like(a))
+    d_level1 = picked(zero, da * (3.0 - b) / 4.0, da * (3.0 - 2.0 * b) / 4.0, zero)
+    d_level2 = picked(zero, nadb / 4.0, nadb / 2.0, zero)
+    c_lo = (s_lo * (1.0 - s_lo) * mn)[..., None]
+    c_hi = (s_hi * (1.0 - s_hi) * mx)[..., None]
+    up_span = up * span[..., None]
+    d_lo_logit = (up * c_lo * (1.0 - level)).sum(axis=-1)
+    d_hi_logit = (up * c_hi * level).sum(axis=-1)
+    d_split1 = (up_span * d_level1).sum(axis=-1)
+    d_split2 = (up_span * d_level2).sum(axis=-1)
+    d_group = np.where((g >= lo[..., None]) & (g <= hi[..., None]), up, 0.0)
     return d_group, d_lo_logit, d_hi_logit, d_split1, d_split2
 
 

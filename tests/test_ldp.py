@@ -1,5 +1,6 @@
 """Partition grids, fake quantization, exact gradients, NF3 variant."""
 
+import re
 import shutil
 import subprocess
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from rcpq import _native, ldp
 from rcpq.core import GroupLayout, make_rng
-from rcpq.errors import DegenerateGroupError, InvalidRangeError
+from rcpq.errors import DegenerateGroupError, InvalidRangeError, ShapeError
 from rcpq.ldp import (
     UNIFORM_SIDE_GRID,
     LdpParams,
@@ -31,9 +32,9 @@ from rcpq.uniform import asym_quant_dequant
 SAT = 20.0  # saturated clip logits: sigmoid(20) ~ 1 - 2e-9
 
 
-def _uniform_params() -> LdpParams:
-    s1, s2 = uniform_split_logits()
-    return LdpParams(SAT, SAT, s1, s2)
+def _uniform_params(batch=()) -> LdpParams:
+    """Saturated clips and uniform thirds, a logit of each field per group of ``batch``."""
+    return LdpParams(*[np.full(batch, v) for v in (SAT, SAT, *uniform_split_logits())])
 
 
 class TestDeriveGrids:
@@ -148,13 +149,41 @@ class TestFakeQuant:
         np.testing.assert_array_equal(w_hat[2, 1], w0)
 
     def test_scalar_params_broadcast_over_stacked_groups(self):
+        # The caller broadcasts scalar logits to the batch shape; fake_quant does not.
         groups = make_rng(35).normal(size=(5, 3, 8))
-        p = LdpParams(1.5, 2.0, -0.3, 0.4)
-        codes, w_hat = fake_quant(groups, p)
+        values = (1.5, 2.0, -0.3, 0.4)
+        p = LdpParams(*values)
+        codes, w_hat = fake_quant(groups, LdpParams(*[np.broadcast_to(v, (5, 3)) for v in values]))
         assert codes.shape == w_hat.shape == (5, 3, 8)
         c0, w0 = fake_quant(groups[4, 2], p)
         np.testing.assert_array_equal(codes[4, 2], c0)
         np.testing.assert_array_equal(w_hat[4, 2], w0)
+
+
+class TestOperandRule:
+    # Each logit field has the groups' batch shape, groups.shape[:-1]; none broadcasts.
+    @pytest.mark.parametrize("case", ["scalar params", "trailing batch axis", "one field off",
+                                      "broadcast params"])
+    def test_params_off_the_batch_shape_raise(self, case):
+        shape, pshape = {"scalar params": ((5, 3, 8), ()), "trailing batch axis": ((2, 5, 8), (5,)),
+                         "one field off": ((5, 8), (5,)), "broadcast params": ((5, 8), (1,))}[case]
+        groups = make_rng(35).normal(size=shape)
+        fields = [np.full(pshape, v) for v in (1.5, 2.0, -0.3, 0.4)]
+        if case == "one field off":
+            fields[3] = fields[3][:1]
+        name, got = ("split2", fields[3].shape) if case == "one field off" else ("lo_logit", pshape)
+        params = LdpParams(*fields)
+        codes, upstream = np.zeros(shape, dtype=np.uint8), np.ones(shape)
+        message = "^" + re.escape(f"{name} {got} is not the batch shape {shape[:-1]} of groups {shape}") + "$"
+        for fn, args in ((fake_quant, ()), (encode_codes, ()), (grads, (codes, upstream))):
+            with pytest.raises(ShapeError, match=message):  # the process's path, then numpy's
+                fn(groups, params, *args)
+            with pytest.raises(ShapeError, match=message):
+                _on(None, fn, groups, params, *args)
+
+    def test_groups_need_an_axis_of_values(self):
+        with pytest.raises(ShapeError, match=r"^groups \(\) have no axis of values$"):
+            fake_quant(np.float64(1.0), LdpParams(0.0, 0.0, 0.0, 0.0))
 
 
 def _fake_quant_reference(groups, params):
@@ -268,7 +297,7 @@ class TestInPlace:
         # Clip logits of 800 give lo = 0 and span = 1 on [0, 1] groups, so
         # v = w: each threshold and the float just below it are probed exactly.
         rng = make_rng(40)
-        params = LdpParams(800.0, 800.0, rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16))
+        params = LdpParams(*np.full((2, 16), 800.0), rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16))
         t = derive_grids(np.array([0.0, 1.0]), params).thresholds
         below = np.nextafter(t, -np.inf)
         groups = np.concatenate([np.zeros((16, 1)), t, below, np.ones((16, 1))], axis=-1)
@@ -325,18 +354,15 @@ class TestCompiledEncoder:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         g=st.sampled_from([1, 2, 3, 4, 5, 7, 16, 31, 33, 128]),
-        shapes=st.sampled_from([((), ()), ((1,), ()), ((3,), (3,)), ((3,), ()), ((2, 5), (2, 5)),
-                                ((2, 5), (5,)), ((2, 5), (2, 1)), ((4,), (2, 4))]),
+        batch=st.sampled_from([(), (1,), (3,), (2, 5)]),
         dtype=st.sampled_from([np.float32, np.float64]),
         data=st.sampled_from(["laplace", "specials", "one_sign", "thresholds"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bits_equal_numpy(self, kernel, g, shapes, dtype, data, seed):
-        # groups (*batch, g) and params of shape ``pshape``; the last case
-        # broadcasts the groups up to the params.
-        batch, pshape = shapes
+    def test_bits_equal_numpy(self, kernel, g, batch, dtype, data, seed):
+        # groups (*batch, g), and params of the batch shape
         rng = make_rng(seed)
-        params = _sweep_logits(rng, pshape)
+        params = _sweep_logits(rng, batch)
         groups = rng.laplace(scale=rng.uniform(0.01, 10.0), size=batch + (g,))
         if data == "specials":  # NaN, +-inf and +-0 in about a third of the groups
             hit = rng.random(groups.shape) < rng.choice([0.05, 0.5]) * (rng.random(batch + (1,)) < 0.3)
@@ -344,10 +370,9 @@ class TestCompiledEncoder:
         elif data == "one_sign":  # lo above hi in some groups: InvalidRangeError
             groups = np.abs(groups) * rng.choice([-1.0, 1.0])
         elif data == "thresholds":  # lo = 0 and span = 1, so v = w: on and just below each threshold
-            params.lo_logit = np.full(pshape, 800.0)
-            params.hi_logit = np.full(pshape, 800.0)
+            params.lo_logit = np.full(batch, 800.0)
+            params.hi_logit = np.full(batch, 800.0)
             t = derive_grids(np.array([0.0, 1.0]), params).thresholds
-            t = np.broadcast_to(t, np.broadcast_shapes(batch, pshape) + (3,))
             picks = np.concatenate([t, np.nextafter(t, -np.inf), np.zeros_like(t[..., :1]),
                                     np.ones_like(t[..., :1])], axis=-1)
             groups = np.take_along_axis(picks, rng.integers(0, 8, t.shape[:-1] + (g,)), axis=-1)
@@ -364,24 +389,48 @@ class TestCompiledEncoder:
         groups[..., 0] = -1.0
         groups[1, 2] = 2.0  # all positive: lo = 1.98 > hi = 0.2
         groups[2, 0] = 2.0
-        params = LdpParams(SAT, -2.2, 0.0, 0.0)
+        params = LdpParams(*[np.full((3, 4), v) for v in (SAT, -2.2, 0.0, 0.0)])
         for k in (None, kernel):
             with pytest.raises(InvalidRangeError, match=r"at group index \(1, 2\)$"):
                 _on(k, fake_quant, groups, params)
 
     def test_empty_groups_use_numpy(self, kernel, numpy_calls):
-        p = _uniform_params()
-        assert _on(kernel, fake_quant, np.empty((0, 4)), p)[0].shape == (0, 4)
+        assert _on(kernel, fake_quant, np.empty((0, 4)), _uniform_params((0,)))[0].shape == (0, 4)
         with pytest.raises(ValueError):
-            _on(kernel, fake_quant, np.empty((2, 0)), p)
+            _on(kernel, fake_quant, np.empty((2, 0)), _uniform_params((2,)))
         assert len(numpy_calls) == 2
 
     def test_uncovered_group_size_uses_numpy(self, kernel, numpy_calls):
         # The encoder takes whole blocks of 4 values: at G = 6 fake_quant runs the reference.
         groups = make_rng(47).laplace(size=(3, 6))
-        got = _outcome(_on, kernel, fake_quant, groups, _uniform_params())
+        got = _outcome(_on, kernel, fake_quant, groups, _uniform_params((3,)))
         assert len(numpy_calls) == 1
-        assert got == _outcome(_on, None, fake_quant, groups, _uniform_params())
+        assert got == _outcome(_on, None, fake_quant, groups, _uniform_params((3,)))
+
+    # The kernel takes finite groups and sigmoids: it stops at the first
+    # value that is not, or at an earlier group whose range is empty.
+    @pytest.mark.parametrize("case", ["nan group", "inf group", "-inf group", "nan logit", "inf logit",
+                                      "nan group before a bad range", "nan group after a bad range"])
+    def test_values_not_finite_use_numpy(self, kernel, numpy_calls, case):
+        # an inf logit's sigmoid, 1.0, is finite
+        numpy_runs = 0 if case in ("inf logit", "nan group after a bad range") else 1
+        rng = make_rng(52)
+        groups = rng.laplace(size=(5, 8))
+        groups[:, 0], groups[:, 1] = -3.0, 3.0  # min < 0 < max: every range is valid
+        params = _sweep_logits(rng, (5,))
+        if "bad range" in case:
+            groups[2] = 2.0  # all positive: lo = 1.98 > hi = 0.2
+            params.lo_logit[2], params.hi_logit[2] = SAT, -2.2
+        value = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[case.split()[0]]
+        if case.endswith("logit"):
+            params.split2[3] = value
+        else:
+            groups[1 if "before" in case else 3, 5] = value
+        got = _outcome(_on, kernel, fake_quant, groups, params)
+        assert len(numpy_calls) == numpy_runs
+        assert got == _outcome(_on, None, fake_quant, groups, params)
+        if "bad range" in case:
+            assert got == "clip logits give non-positive range at group index (2,)"
 
     @needs_cc  # so the library builds here, and only the probe says no
     def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch, numpy_calls):
@@ -398,7 +447,7 @@ class TestCompiledEncoder:
     @pytest.mark.usefixtures("kernel")
     def test_builds_into_cache(self, fresh_kernel, numpy_calls):
         groups = make_rng(44).laplace(size=(8, 4, 16))
-        codes, _ = fake_quant(groups, _uniform_params())
+        codes, _ = fake_quant(groups, _uniform_params((8, 4)))
         assert codes.shape == (8, 4, 16) and numpy_calls == []
         assert [p.name.split("-")[0] for p in fresh_kernel.iterdir()] == ["quant"]
         assert _native.path("ldp") == "c"
@@ -632,13 +681,19 @@ class TestCompiledGrads:
         stray = codes.copy()
         stray[3, 5] = stray[5, 0] = 4
         up = np.ones((6, 8))
+        nan_before, nan_after = up.copy(), up.copy()
+        nan_before[1, 3] = nan_after[5, 3] = np.nan
+        empty_range = "clip logits give non-positive range at group index (2,)"
         cases = [
             ((groups, fine, codes[:5], up), "codes (5, 8) does not match groups (6, 8)"),
             ((groups, fine, codes, up[:, :7]), "upstream (6, 7) does not match groups (6, 8)"),
             ((groups, fine, stray, up), "codes outside 0..3 at group index (3,)"),
-            ((groups, bad_range, codes, up), "clip logits give non-positive range at group index (2,)"),
+            ((groups, bad_range, codes, up), empty_range),
             # a stray code outranks an earlier group's bad range
             ((groups, bad_range, stray, up), "codes outside 0..3 at group index (3,)"),
+            # the kernel leaves a NaN before the bad range to the reference, and stops before one after
+            ((groups, bad_range, codes, nan_before), empty_range),
+            ((groups, bad_range, codes, nan_after), empty_range),
         ]
         for args, message in cases:
             got = _grads_on(grads_kernel, *args)
@@ -646,38 +701,39 @@ class TestCompiledGrads:
             assert got[1] == message
 
     @pytest.mark.parametrize("case", ["nan group", "inf group", "nan upstream", "inf upstream", "nan logit",
-                                      "int64 codes", "broadcast params", "scalar params", "one group",
-                                      "stacked groups", "uncovered group size"])
+                                      "scalar params", "uncovered group size"])
     def test_uncovered_calls_use_numpy(self, grads_kernel, numpy_grads, case):
         rng = make_rng(49)
         shape = (5, 6 if case == "uncovered group size" else 8)
         groups, upstream = rng.laplace(size=shape), rng.standard_normal(shape)
         params = _sweep_logits(rng, shape[:1])
         codes = rng.integers(0, 4, shape).astype(np.uint8)
-
-        def each_field(fn):
-            return LdpParams(*[fn(getattr(params, f)) for f in ("lo_logit", "hi_logit", "split1", "split2")])
-
-        if case.startswith(("nan", "inf")):
+        if case == "scalar params":  # one group's scalar logits, one of them NaN
+            groups, codes, upstream = groups[0], codes[0], upstream[0]
+            params = LdpParams(1.5, 2.0, -0.3, np.nan)
+        elif case.startswith(("nan", "inf")):
             value = np.nan if case.startswith("nan") else -np.inf
             if case.endswith("logit"):
                 params.split2[1] = value
             else:
                 (groups if case.endswith("group") else upstream)[3, 2] = value
-        elif case == "int64 codes":
-            codes = codes.astype(np.int64)
-        elif case == "broadcast params":
-            params = each_field(lambda f: f[:1])
-        elif case == "scalar params":
-            params = LdpParams(1.5, 2.0, -0.3, 0.4)
-        elif case == "one group":
-            groups, params, codes, upstream = groups[0], LdpParams(1.5, 2.0, -0.3, 0.4), codes[0], upstream[0]
-        elif case == "stacked groups":
-            groups, codes, upstream = (a.reshape(5, 1, -1) for a in (groups, codes, upstream))
-            params = each_field(lambda f: f[:, None])
         got = _grads_on(grads_kernel, groups, params, codes, upstream)
         assert len(numpy_grads) == 1
         assert got == _grads_on(None, groups, params, codes, upstream)
+
+    # The kernel covers every batch shape, and codes of any integer dtype.
+    @pytest.mark.parametrize("case", ["3-D groups", "one group", "int64 codes", "int8 codes"])
+    def test_any_batch_or_code_dtype_runs_the_kernel(self, grads_kernel, numpy_grads, case):
+        rng = make_rng(53)
+        shape = {"3-D groups": (3, 5, 8), "one group": (16,)}.get(case, (5, 8))
+        groups, upstream = rng.laplace(size=shape), rng.standard_normal(shape)
+        params = _sweep_logits(rng, shape[:-1])
+        dtype = {"int64 codes": np.int64, "int8 codes": np.int8}.get(case, np.uint8)
+        codes = fake_quant(groups, params)[0].astype(dtype)
+        got = _grads_on(grads_kernel, groups, params, codes, upstream)
+        assert numpy_grads == []
+        assert got == _grads_on(None, groups, params, codes, upstream)
+        assert [shape for _, shape, _ in got] == [shape] + [shape[:-1]] * 4
 
     @needs_cc  # so the library builds here, and only the probe says no
     def test_host_without_avx2_uses_numpy(self, fresh_kernel, monkeypatch, numpy_grads):
